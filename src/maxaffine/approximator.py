@@ -574,13 +574,14 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         rng = np.random.default_rng((seed, 71))
         cloud = f.domain.sample(rng, cloud_size or max(20_000, 200 * m))
         fx = f.value(cloud)
+        wx = np.asarray(omega(cloud, fx), dtype=float)
         start = f.domain.centroid()
         points = [start]
         psi = tangent_plane(f, start)
         lx = psi(cloud)
         for _ in range(m - 1):
             gap = np.maximum(fx - lx, 0.0)
-            score = gap ** p * np.asarray(omega(cloud, fx), dtype=float)
+            score = gap ** p * wx
             nxt = cloud[int(np.argmax(score))]
             points.append(nxt)
             psi = tangent_plane(f, nxt)

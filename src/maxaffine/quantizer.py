@@ -14,6 +14,18 @@ over the cloud are needed; other exponents fall back to damped
 reweighted-mean steps.  The empirical objective is monotone across
 iterations by construction and this is asserted.
 
+The reweighted-mean update runs up to 20 steps per Lloyd iteration on
+clouds that are often small, so its cost is in the number of passes, not
+in arithmetic.  Each step gathers centers with ``np.take``, makes one
+``bincount`` over (cell, coordinate) keys for all weighted sums (each bin
+still adds its points in cloud order), and carries every point's squared
+distance to its center from the accepted trial instead of recomputing it.
+The step rule, step sizes and acceptance test are unchanged, and the
+centers are bit-identical to computing every quantity afresh with
+``einsum`` row norms: the norms are explicit coordinate sums only in
+dims 1 and 2, where they round as ``einsum`` does, and stay ``einsum``
+above.
+
 Assignment reuses distance bounds across iterations (Hamerly, "Making
 k-means even faster", SDM 2010): each cloud point keeps its label and a
 lower bound on its distance to the second-nearest center.  Each iteration
@@ -267,7 +279,7 @@ class _BoundedAssigner:
             shift = float(np.sqrt(np.max(np.einsum("ij,ij->i", step, step))))
             # the (1 - slack) factor absorbs the rounding of this update
             self.bound = self.bound * (1.0 - _SLACK) - shift * (1.0 + _SLACK)
-            diff = cloud_w - centers_w[self.idx]
+            diff = cloud_w - np.take(centers_w, self.idx, axis=0)
             sq = diff[:, 0] * diff[:, 0]
             for k in range(1, diff.shape[1]):
                 sq += diff[:, k] * diff[:, k]
@@ -393,7 +405,8 @@ def quantize(region, density, config, _cloud=None):
                      for k in range(region.dim)], axis=1)
                 means = sums / counts[:, None]
                 count, s1, s2, s3, s2tr, s4 = _cell_stats_p2(
-                    cloud_w - means[idx], idx, config.m, region.dim)
+                    cloud_w - np.take(means, idx, axis=0), idx, config.m,
+                    region.dim)
                 shift, _ = _p2_cell_update(
                     np.zeros_like(means), count, s1, s2, s3, s2tr, s4)
                 centers = means + shift
@@ -421,47 +434,64 @@ def quantize(region, density, config, _cloud=None):
     return best
 
 
+def _sq_norms(d):
+    """Row-wise squared norms, bit for bit those of einsum("ij,ij->i", d, d).
+
+    Explicit coordinate sums are cheaper on short rows; they round as
+    einsum does only in dims 1 and 2, so einsum stays for dim >= 3.
+    """
+    if d.shape[1] > 2:
+        return np.einsum("ij,ij->i", d, d)
+    sq = d[:, 0] * d[:, 0]
+    if d.shape[1] == 2:
+        sq += d[:, 1] * d[:, 1]
+    return sq
+
+
 def _generic_cell_update(cloud_w, idx, config, counts, centers, steps=20):
     """Damped reweighted-mean descent for exponents other than 1 and 2.
 
     Starts from the better of the incumbent center and the cell mean and
     accepts only improvements, so the cell objective never increases.
     """
-    m, dim = config.m, cloud_w.shape[1]
-    d = cloud_w - centers[idx]
-    val = np.bincount(idx, weights=np.einsum("ij,ij->i", d, d) ** config.p,
-                      minlength=m)
-    sums = np.stack([np.bincount(idx, weights=cloud_w[:, k], minlength=m)
-                     for k in range(dim)], axis=1)
-    means = sums / np.maximum(counts, 1)[:, None]
-    dm = cloud_w - means[idx]
-    mval = np.bincount(idx, weights=np.einsum("ij,ij->i", dm, dm) ** config.p,
-                       minlength=m)
+    m, dim, p = config.m, cloud_w.shape[1], config.p
+    # one bincount over (cell, coordinate) keys gives every weighted sum;
+    # each bin still adds its points in cloud order
+    keys = (idx[:, None] * dim + np.arange(dim)).ravel()
+
+    def coord_sums(weighted):
+        return np.bincount(keys, weights=weighted.ravel(),
+                           minlength=m * dim).reshape(m, dim)
+
+    def sq_dist(c):
+        return _sq_norms(cloud_w - np.take(c, idx, axis=0))
+
+    r2 = sq_dist(centers)
+    val = np.bincount(idx, weights=r2 ** p, minlength=m)
+    means = coord_sums(cloud_w) / np.maximum(counts, 1)[:, None]
+    mr2 = sq_dist(means)
+    mval = np.bincount(idx, weights=mr2 ** p, minlength=m)
     take = mval < val
     centers = np.where(take[:, None], means, centers)
     val = np.minimum(val, mval)
+    # each point's squared distance to its current center, carried along
+    r2 = np.where(np.take(take, idx), mr2, r2)
     for _ in range(steps):
-        d = cloud_w - centers[idx]
-        r2 = np.einsum("ij,ij->i", d, d)
-        wgt = np.maximum(r2, 1e-300) ** (config.p - 1.0)
+        wgt = np.maximum(r2, 1e-300) ** (p - 1.0)
         wsum = np.bincount(idx, weights=wgt, minlength=m)
-        target = np.stack(
-            [np.bincount(idx, weights=wgt * cloud_w[:, k], minlength=m)
-             for k in range(dim)], axis=1) / np.maximum(wsum, 1e-300)[:, None]
-        moved = False
+        target = (coord_sums(wgt[:, None] * cloud_w)
+                  / np.maximum(wsum, 1e-300)[:, None])
         for alpha in (1.0, 0.5, 0.25):
             trial = centers + alpha * (target - centers)
-            dt = cloud_w - trial[idx]
-            tval = np.bincount(idx,
-                               weights=np.einsum("ij,ij->i", dt, dt) ** config.p,
-                               minlength=m)
+            tr2 = sq_dist(trial)
+            tval = np.bincount(idx, weights=tr2 ** p, minlength=m)
             accept = tval < val - 1e-15 * np.abs(val)
             if accept.any():
                 centers = np.where(accept[:, None], trial, centers)
                 val = np.where(accept, tval, val)
-                moved = True
+                r2 = np.where(np.take(accept, idx), tr2, r2)
                 break
-        if not moved:
+        else:  # no step size improved any cell
             break
     return centers
 

@@ -1,6 +1,9 @@
 """Harness behavior: config validation, emission formats, CLI verbs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -242,3 +245,18 @@ def test_threads_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MAXAFFINE_THREADS", "many")
     assert main(["sweep", "--config", cfg]) == 2
     assert "MAXAFFINE_THREADS" in capsys.readouterr().err
+
+
+def test_package_runs_as_module():
+    # `python -m maxaffine` must not trip runpy's double-import warning
+    import maxaffine
+
+    src = os.path.dirname(os.path.dirname(maxaffine.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "maxaffine",
+         "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "sweep" in proc.stdout

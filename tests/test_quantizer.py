@@ -15,7 +15,9 @@ from maxaffine import (
     quantizer_objective,
     whiten,
 )
-from maxaffine.quantizer import _BoundedAssigner, _fps_select
+from maxaffine import quantizer
+from maxaffine.quantizer import (_BoundedAssigner, _fps_select,
+                                 _generic_cell_update)
 from conftest import rng_for
 
 
@@ -240,3 +242,89 @@ def test_pruned_fps_matches_full_pass(m):
     ref = _fps_reference(cloud, m, np.random.default_rng(m))
     got = _fps_select(cloud, m, np.random.default_rng(m))
     np.testing.assert_array_equal(got, ref)
+
+
+def _generic_cell_update_reference(cloud_w, idx, config, counts, centers,
+                                   steps=20):
+    """The reweighted-mean update as first written: one pass per sum."""
+    m, dim = config.m, cloud_w.shape[1]
+    d = cloud_w - centers[idx]
+    val = np.bincount(idx, weights=np.einsum("ij,ij->i", d, d) ** config.p,
+                      minlength=m)
+    sums = np.stack([np.bincount(idx, weights=cloud_w[:, k], minlength=m)
+                     for k in range(dim)], axis=1)
+    means = sums / np.maximum(counts, 1)[:, None]
+    dm = cloud_w - means[idx]
+    mval = np.bincount(idx, weights=np.einsum("ij,ij->i", dm, dm) ** config.p,
+                       minlength=m)
+    take = mval < val
+    centers = np.where(take[:, None], means, centers)
+    val = np.minimum(val, mval)
+    for _ in range(steps):
+        d = cloud_w - centers[idx]
+        r2 = np.einsum("ij,ij->i", d, d)
+        wgt = np.maximum(r2, 1e-300) ** (config.p - 1.0)
+        wsum = np.bincount(idx, weights=wgt, minlength=m)
+        target = np.stack(
+            [np.bincount(idx, weights=wgt * cloud_w[:, k], minlength=m)
+             for k in range(dim)], axis=1) / np.maximum(wsum, 1e-300)[:, None]
+        moved = False
+        for alpha in (1.0, 0.5, 0.25):
+            trial = centers + alpha * (target - centers)
+            dt = cloud_w - trial[idx]
+            tval = np.bincount(idx,
+                               weights=np.einsum("ij,ij->i", dt, dt) ** config.p,
+                               minlength=m)
+            accept = tval < val - 1e-15 * np.abs(val)
+            if accept.any():
+                centers = np.where(accept[:, None], trial, centers)
+                val = np.where(accept, tval, val)
+                moved = True
+                break
+        if not moved:
+            break
+    return centers
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.5, 1.5, 3.0])
+def test_generic_cell_update_matches_reference(dim, p):
+    rng = rng_for("generic-update", dim)
+    m = 9
+    for case in range(4):
+        cloud = rng.random((1200, dim)) * (1.0 + case)
+        if case % 2:
+            cloud = np.repeat(cloud[:300], 4, axis=0)  # duplicate rows
+        centers = rng.random((m, dim))
+        idx = rng.integers(0, m, cloud.shape[0])
+        # cell 0 is one point exactly on its center: the maximum(r2, 1e-300)
+        # guard, and for p > 1 an all-zero weight sum
+        idx[idx == 0] = 1
+        centers[0], idx[0] = cloud[0], 0
+        counts = np.bincount(idx, minlength=m)
+        cfg = QuantizerConfig(m=m, p=p)
+        want = _generic_cell_update_reference(cloud, idx, cfg, counts,
+                                              centers.copy())
+        got = _generic_cell_update(cloud, idx, cfg, counts, centers.copy())
+        np.testing.assert_array_equal(got, want)
+
+
+def test_quantize_p15_disc_cell_matches_reference(monkeypatch):
+    # a paper_partition-style cell: a box straddling the unit circle, with
+    # the density masked to the disc and an anisotropic metric
+    cell = Domain.box([0.5, 0.0], [1.0, 0.5])
+    disc = Domain.ball([0.0, 0.0], 1.0)
+
+    def dens(x):
+        return np.where(disc.contains(x), np.exp(-x[:, 0]), 0.0)
+
+    cfg = QuantizerConfig(m=13, p=1.5, seed=3, cloud_size=2600,
+                          metric=QuadraticForm.from_matrix(
+                              np.array([[1.5, 0.2], [0.2, 1.0]])))
+    got = quantize(cell, dens, cfg)
+    monkeypatch.setattr(quantizer, "_generic_cell_update",
+                        _generic_cell_update_reference)
+    want = quantize(cell, dens, cfg)
+    assert got.objective_history == want.objective_history
+    np.testing.assert_array_equal(got.points, want.points)
+    assert got.iterations_used == want.iterations_used > 1
