@@ -401,8 +401,11 @@ def _build_parser():
 
 
 def _threads(args):
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
+    if getattr(args, "threads", None) is not None:
+        if args.threads < 1:
+            raise ConfigError(
+                f"--threads must be at least 1, got {args.threads}")
+        return args.threads
     env = os.environ.get("MAXAFFINE_THREADS", "")
     try:
         return max(1, int(env)) if env else 1

@@ -27,16 +27,29 @@ dims 1 and 2, where they round as ``einsum`` does, and stay ``einsum``
 above.
 
 Assignment reuses distance bounds across iterations (Hamerly, "Making
-k-means even faster", SDM 2010): each cloud point keeps its label and a
-lower bound on its distance to the second-nearest center.  Each iteration
-lowers every bound by the largest center shift and recomputes the exact
-distance to the point's own center; only points whose distance is not
-below the bound by a relative slack of ``_SLACK`` are queried again.  The
-slack exceeds the rounding of the distance and bound arithmetic, so every
-skipped point has a unique nearest center and every tie goes back to the
-kd-tree: labels and distances are bit-identical to a full query.
-Farthest-point seeding is pruned the same way, with a kd-tree ball query
-around each new pick.
+k-means even faster", SDM 2010): each cloud point keeps its label, its
+distance to its own center and a lower bound on its distance to every
+other center.  Hamerly lowers every bound by the largest center shift
+smax; here a point in cell a is lowered only by the largest shift among
+the centers that were within reach[a] + smax of c_a, where reach[a] is the
+largest distance plus bound over the points of cell a.  This is exact: a
+center that moves by s_j and ends up nearer than the bound b to a point
+at distance d from c_a was within b + s_j of that point, hence within
+d + b + s_j <= reach[a] + s_j of c_a, before the move; every center
+outside that radius stays at or above b.  A center that moved further
+than every cell's reach, as an empty-cell re-seed does, is counted
+against every cell instead, so the radius needs smax only up to the
+largest reach and the pair search never grows with the jump.  Late in a
+run most centers barely move, so most bounds barely drop.  The
+neighbourhoods come from one kd-tree pair search over the previous
+centers, so the extra state is O(m).  Each iteration then recomputes the
+exact distance to the point's own center; only points whose distance is
+not below the bound by a relative slack of ``_SLACK`` are queried again.
+The slack, also added to the neighbourhood radius, exceeds the rounding
+of the distance, bound and radius arithmetic, so every skipped point has
+a unique nearest center and every tie goes back to the kd-tree: labels
+and distances are bit-identical to a full query.  Farthest-point seeding
+is pruned the same way, with a kd-tree ball query around each new pick.
 
 Everything is deterministic for a fixed seed; restarts use independent,
 reproducible substreams.
@@ -254,10 +267,14 @@ class _BoundedAssigner:
     """Nearest-center assignment of a fixed cloud to moving centers.
 
     Calls return what ``_assign`` returns, bit for bit, but after the first
-    call only the points whose label might have changed are queried (see
-    the module docstring).  The own-center distance is summed coordinate
-    by coordinate, as the kd-tree sums fewer than eight coordinates, so
-    other dimensions fall back to ``_assign``.
+    call only the points whose label might have changed are queried.
+    Between calls it keeps, per point, the label, the own-center distance
+    and the lower bound on every other center's distance; per cell, the
+    reach (largest distance plus bound over its points); and a kd-tree of
+    the centers, whose pair search finds each cell's neighbourhood for the
+    next bound update (see the module docstring).  The own-center distance
+    is summed coordinate by coordinate, as the kd-tree sums fewer than
+    eight coordinates, so other dimensions fall back to ``_assign``.
     """
 
     def __init__(self, cloud_w):
@@ -276,27 +293,46 @@ class _BoundedAssigner:
             stale = np.arange(cloud_w.shape[0])
         else:
             step = centers_w - self.centers
-            shift = float(np.sqrt(np.max(np.einsum("ij,ij->i", step, step))))
+            shift = np.sqrt(np.einsum("ij,ij->i", step, step))
+            # a center that moved further than every cell's reach (an
+            # empty-cell re-seed) counts against every cell, which keeps
+            # the pair search local
+            far = self.reach.max()
+            # slack on the radius absorbs the rounding of reach, shifts and
+            # pair distances, and on the tree's search radius its own
+            radius = (self.reach + min(shift.max(), far)) * (1.0 + _SLACK)
+            pairs = self.tree.sparse_distance_matrix(
+                self.tree, radius.max() * (1.0 + _SLACK),
+                output_type="ndarray")
+            pairs = pairs[pairs["v"] <= radius[pairs["i"]]]
+            # far movers count for every cell, the rest through the pairs,
+            # where each center also pairs with itself
+            local = np.full_like(shift, shift[shift > far].max(initial=0.0))
+            np.maximum.at(local, pairs["i"], shift[pairs["j"]])
             # the (1 - slack) factor absorbs the rounding of this update
-            self.bound = self.bound * (1.0 - _SLACK) - shift * (1.0 + _SLACK)
+            self.bound = (self.bound * (1.0 - _SLACK)
+                          - np.take(local, self.idx) * (1.0 + _SLACK))
             diff = cloud_w - np.take(centers_w, self.idx, axis=0)
             sq = diff[:, 0] * diff[:, 0]
             for k in range(1, diff.shape[1]):
                 sq += diff[:, k] * diff[:, k]
             dist = np.sqrt(sq)
             stale = np.flatnonzero(dist * (1.0 + _SLACK) >= self.bound)
-        # a copy: the empty-cell branch of quantize edits centers in place
+        # the tree is built on a copy: it does not copy its data, and the
+        # empty-cell branch of quantize edits centers in place
         self.centers = centers_w.copy()
+        self.tree = cKDTree(self.centers)
         idx = self.idx
         if stale.size:
-            tree = cKDTree(centers_w)
-            d, i = tree.query(cloud_w[stale], k=2)
+            d, i = self.tree.query(cloud_w[stale], k=2)
             dist[stale], idx[stale], self.bound[stale] = d[:, 0], i[:, 0], d[:, 1]
             tie = stale[d[:, 0] == d[:, 1]]
             if tie.size:
                 # a two-neighbour query breaks exact ties unlike a
                 # one-neighbour query; keep the latter's choice
-                dist[tie], idx[tie] = tree.query(cloud_w[tie], k=1)
+                dist[tie], idx[tie] = self.tree.query(cloud_w[tie], k=1)
+        self.reach = np.full(self.centers.shape[0], -np.inf)
+        np.maximum.at(self.reach, idx, dist + self.bound)
         return dist, idx.copy()
 
 

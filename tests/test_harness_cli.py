@@ -247,6 +247,18 @@ def test_threads_env_override(tmp_path, monkeypatch, capsys):
     assert "MAXAFFINE_THREADS" in capsys.readouterr().err
 
 
+def test_threads_flag_below_one_is_rejected(tmp_path, monkeypatch, capsys):
+    # an explicit --threads wins over the environment, and 0 is explicit
+    cfg = _write_cfg(tmp_path, m_list=[2, 4])
+    monkeypatch.setenv("MAXAFFINE_THREADS", "many")
+    assert main(["sweep", "--config", cfg, "--threads", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("MAXAFFINE_THREADS", "4")
+    for bad in ("0", "-1"):
+        assert main(["sweep", "--config", cfg, "--threads", bad]) == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+
+
 def test_package_runs_as_module():
     # `python -m maxaffine` must not trip runpy's double-import warning
     import maxaffine

@@ -16,8 +16,8 @@ from maxaffine import (
     whiten,
 )
 from maxaffine import quantizer
-from maxaffine.quantizer import (_BoundedAssigner, _fps_select,
-                                 _generic_cell_update)
+from maxaffine.quantizer import (_SLACK, _BoundedAssigner, _assign,
+                                 _fps_select, _generic_cell_update)
 from conftest import rng_for
 
 
@@ -217,21 +217,150 @@ def test_bounded_assignment_matches_full_query(cloud_kind):
     else:
         cloud = rng.integers(0, 33, size=(6000, 2)) / 32.0
         centers = np.unique(rng.integers(0, 9, size=(40, 2)) / 8.0, axis=0)
+
+    def dyadic(x):
+        return np.round(x * 1024.0) / 1024.0 if cloud_kind == "lattice" else x
+
+    # a dense cluster around the center farthest from center 0, and a few
+    # points far outside the square whose cell then reaches further than
+    # any jump below, so only the radius term brings the jump into view
+    far = int(np.argmax(np.sum((centers - centers[0]) ** 2, axis=1)))
+    cluster = centers[far] + rng.normal(scale=0.01, size=(1500, 2))
+    cloud = np.vstack([cloud, dyadic(cluster), np.full((20, 2), 4.0)])
     assign = _BoundedAssigner(cloud)
-    for step in range(30):
+    for step in range(40):
         if step == 12:
             # an empty-cell re-seed: one center jumps onto a cloud point,
             # edited in place as quantize does
             centers[0] = cloud[17]
+        elif step == 30:
+            # center 0 jumps from afar into the cluster while the rest stay
+            centers = centers.copy()
+            centers[0] = centers[far] + 1.0 / 256.0
+        elif step % 3 == 0 and step:
+            # a few centers move, the rest stay exactly where they are
+            centers = centers.copy()
+            movers = rng.choice(len(centers), 3, replace=False)
+            centers[movers] += dyadic(rng.normal(scale=0.01, size=(3, 2)))
         elif step:
             jitter = rng.normal(scale=1e-3 * 0.7 ** step, size=centers.shape)
-            if cloud_kind == "lattice":
-                jitter = np.round(jitter * 1024.0) / 1024.0
-            centers = centers + jitter
+            centers = centers + dyadic(jitter)
         dist, idx = assign(centers)
         ref_dist, ref_idx = cKDTree(centers).query(cloud)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(dist, ref_dist)
+        if step % 7 == 6:
+            # the caller may reuse its array once a call has returned
+            centers, passed = centers.copy(), centers
+            passed[:] = np.nan
+
+
+class _PairCounter:
+    """Stands in for the assigner's kept kd-tree and counts the pairs its
+    neighbourhood search returns."""
+
+    def __init__(self, tree):
+        self.tree, self.pairs = tree, 0
+
+    def sparse_distance_matrix(self, other, max_distance, **kw):
+        out = self.tree.sparse_distance_matrix(self.tree, max_distance, **kw)
+        self.pairs = len(out)
+        return out
+
+
+def test_bounded_assignment_far_jump_keeps_pair_search_local():
+    # a 20 x 20 grid of centers, then one corner center jumps across the
+    # square next to the opposite corner center, as an empty-cell re-seed
+    # does: the jump must reach the cells it lands in, and must not turn
+    # the neighbourhood search into one over all m^2 pairs
+    cloud = rng_for("far-jump", 0).random((20000, 2))
+    ticks = (np.arange(20) + 0.5) / 20.0
+    centers = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+    assign = _BoundedAssigner(cloud)
+    assign(centers)
+    counter = assign.tree = _PairCounter(assign.tree)
+    centers = centers.copy()
+    centers[0] = centers[-1] + [0.01, 0.0]
+    dist, idx = assign(centers)
+    ref_dist, ref_idx = cKDTree(centers).query(cloud)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(dist, ref_dist)
+    assert 0 < counter.pairs < len(centers) ** 2 / 4
+
+
+class _GlobalShiftAssigner:
+    """The bounded assignment as first written (Hamerly 2010): every bound
+    is lowered by the single largest center shift."""
+
+    def __init__(self, cloud_w):
+        self.cloud_w = cloud_w
+        self.bounded = 1 < cloud_w.shape[1] < 8
+        self.centers = None
+
+    def __call__(self, centers_w):
+        if not self.bounded:
+            return _assign(self.cloud_w, centers_w)
+        cloud_w = self.cloud_w
+        if self.centers is None:
+            self.idx = np.empty(cloud_w.shape[0], dtype=np.intp)
+            self.bound = np.empty(cloud_w.shape[0])
+            dist = np.empty(cloud_w.shape[0])
+            stale = np.arange(cloud_w.shape[0])
+        else:
+            step = centers_w - self.centers
+            shift = float(np.sqrt(np.max(np.einsum("ij,ij->i", step, step))))
+            # the (1 - slack) factor absorbs the rounding of this update
+            self.bound = self.bound * (1.0 - _SLACK) - shift * (1.0 + _SLACK)
+            diff = cloud_w - np.take(centers_w, self.idx, axis=0)
+            sq = diff[:, 0] * diff[:, 0]
+            for k in range(1, diff.shape[1]):
+                sq += diff[:, k] * diff[:, k]
+            dist = np.sqrt(sq)
+            stale = np.flatnonzero(dist * (1.0 + _SLACK) >= self.bound)
+        # a copy: the empty-cell branch of quantize edits centers in place
+        self.centers = centers_w.copy()
+        idx = self.idx
+        if stale.size:
+            tree = cKDTree(centers_w)
+            d, i = tree.query(cloud_w[stale], k=2)
+            dist[stale], idx[stale], self.bound[stale] = d[:, 0], i[:, 0], d[:, 1]
+            tie = stale[d[:, 0] == d[:, 1]]
+            if tie.size:
+                # a two-neighbour query breaks exact ties unlike a
+                # one-neighbour query; keep the latter's choice
+                dist[tie], idx[tie] = tree.query(cloud_w[tie], k=1)
+        return dist, idx.copy()
+
+
+def _disc_cell_density(x):
+    return np.where(x[:, 0] ** 2 + x[:, 1] ** 2 <= 1.0, np.exp(-x[:, 0]), 0.0)
+
+
+@pytest.mark.parametrize("region, density, cfg, cloud", [
+    (Domain.box([0.0, 0.0], [1.0, 1.0]), None,
+     QuantizerConfig(m=256, p=1.0, seed=0), None),
+    # a paper_partition-style cell straddling the unit circle
+    (Domain.box([0.5, 0.0], [1.0, 0.5]), _disc_cell_density,
+     QuantizerConfig(m=40, p=1.5, seed=2, cloud_size=8000,
+                     metric=QuadraticForm.from_matrix(
+                         np.array([[1.5, 0.2], [0.2, 1.0]]))), None),
+    (Domain.ball([0.2, 0.0, -0.1], 1.3), None,
+     QuantizerConfig(m=60, p=2.0, seed=1, cloud_size=12000), None),
+    # more centers than distinct cloud points: empty cells are re-seeded,
+    # some of them further than any cell reaches
+    (Domain.box([0.0, 0.0], [1.0, 1.0]), None,
+     QuantizerConfig(m=64, p=1.0, seed=4, max_iterations=30),
+     np.repeat(rng_for("reseed", 0).random((50, 2)), 40, axis=0)),
+], ids=["square-p1", "disc-cell-p1.5", "ball3d-p2", "reseeded-p1"])
+def test_quantize_matches_global_shift_bounds(region, density, cfg, cloud,
+                                              monkeypatch):
+    got = quantize(region, density, cfg, _cloud=cloud)
+    monkeypatch.setattr(quantizer, "_BoundedAssigner", _GlobalShiftAssigner)
+    want = quantize(region, density, cfg, _cloud=cloud)
+    np.testing.assert_array_equal(got.points, want.points)
+    assert got.objective_history == want.objective_history
+    assert got.iterations_used == want.iterations_used > 1
+    assert got.converged == want.converged
 
 
 @pytest.mark.parametrize("m", [1, 2, 30, 81, 100])

@@ -41,6 +41,16 @@ def test_thread_pool_matches_sequential(quad_1d, w_const):
     assert [r.__dict__ for r in seq.records] == [r.__dict__ for r in par.records]
 
 
+def test_thread_pool_matches_sequential_2d(quad_2d, w_const):
+    # concurrent quantize calls, each running its own bounded assignment
+    kw = dict(f=quad_2d, omega=w_const, p=1.0, m_list=[16, 64],
+              strategy="global_density", seed=3)
+    seq = run_sweep(threads=1, **kw)
+    par = run_sweep(threads=2, **kw)
+    assert not seq.partial and not par.partial
+    assert [r.__dict__ for r in seq.records] == [r.__dict__ for r in par.records]
+
+
 def test_seeds_are_per_entry(quad_2d, w_const):
     out1 = run_sweep(quad_2d, w_const, 1.0, [4, 8], "global_density", seed=0,
                      max_iterations=40)
