@@ -263,14 +263,15 @@ class PiecewiseAffineMax:
         """Envelope values at points (vectorized, chunked for large batches)."""
         pts = as_points(x, self.dim)
         if chunk is None:
-            # keep the (chunk x npieces) score block around 32 MB
-            chunk = max(1024, (1 << 22) // max(self.npieces, 1))
+            # keep the (chunk x npieces) score block around 2 MB: it stays
+            # in cache, and resident memory does not hinge on whether the
+            # allocator finds a block-sized hole in its heap
+            chunk = max(64, (1 << 18) // max(self.npieces, 1))
         out = np.empty(pts.shape[0])
         for s in range(0, pts.shape[0], chunk):
-            block = pts[s:s + chunk]
-            out[s:s + block.shape[0]] = np.max(
-                block @ self.slopes.T + self.offsets, axis=1
-            )
+            scores = pts[s:s + chunk] @ self.slopes.T
+            scores += self.offsets
+            out[s:s + scores.shape[0]] = scores.max(axis=1)
         return out
 
     def evaluate_with_index(self, x):

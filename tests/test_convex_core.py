@@ -1,5 +1,7 @@
 """Domains, catalog functions, envelopes, and tangency primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,22 @@ def test_envelope_chunking_is_invisible():
     l = _random_envelope(rng, 9, 2)
     x = rng.normal(size=(1000, 2))
     np.testing.assert_array_equal(l.evaluate(x), l.evaluate(x, chunk=7))
+
+
+def test_envelope_score_block_stays_small():
+    # 65,536 points against 1,024 pieces: a whole score table is 512 MB,
+    # the default block about 2 MB, and the call needs a few MB in all
+    rng = rng_for("env-block", 0)
+    l = _random_envelope(rng, 1024, 2)
+    x = rng.normal(size=(65_536, 2))
+    tracemalloc.start()
+    try:
+        out = l.evaluate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 8 * 2**20
+    np.testing.assert_array_equal(out[:500], l.evaluate(x[:500], chunk=7))
 
 
 def test_envelope_tie_goes_to_smallest_index():
