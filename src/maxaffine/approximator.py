@@ -422,12 +422,10 @@ def _fd_tridiag_jacobian(f, omega, p, t, interval, base):
         mask[color::3] = eps
         shifted = stationarity_residual_1d(f, omega, p, t + mask, interval)
         col = (shifted - base) / eps
-        for j in range(color, m, 3):
-            jac[1, j] = col[j]
-            if j > 0:
-                jac[0, j] = col[j - 1]
-            if j < m - 1:
-                jac[2, j] = col[j + 1]
+        first = color or 3      # the first perturbed j > 0
+        jac[0, first::3] = col[first - 1:m - 1:3]
+        jac[1, color::3] = col[color::3]
+        jac[2, color:m - 1:3] = col[color + 1::3]
     return jac
 
 
@@ -536,7 +534,16 @@ def exact_1d_optimal(f, omega, p, m):
 
 
 def _envelope_at(f, points):
-    pieces = [tangent_plane(f, pt) for pt in np.atleast_2d(points)]
+    points = np.atleast_2d(points)
+    if f.dim == 1:
+        # tangent_plane's arithmetic in three batched calls: g * t rounds
+        # exactly as the one-term dot product g @ t does
+        if not np.all(f.domain.contains(points)):
+            raise DomainError("tangency point lies outside the domain")
+        g = f.gradient(points)
+        return PiecewiseAffineMax(g, f.value(points) - g[:, 0] * points[:, 0])
+    # in n >= 2 a batched f.value rounds x @ b differently from one row
+    pieces = [tangent_plane(f, pt) for pt in points]
     return PiecewiseAffineMax.from_pieces(pieces)
 
 

@@ -7,10 +7,16 @@ The headline quantity is
 where l is a max of tangent planes kept below f.  One dimension has an
 exact path that decomposes the envelope into its cells (sort the pieces
 by slope, prune the ones that never attain the maximum, cut at the
-crossing abscissas) and integrates each cell by adaptive Gauss panels.
-Higher dimensions evaluate the integrand pointwise under tensor-grid or
-stratified Monte Carlo quadrature; no cell decomposition is attempted
-there.
+crossing abscissas) and integrates each cell by adaptive Gauss-32 panels
+(``quadrature.adaptive_panels``).  The panels of all cells are processed
+breadth first, one bisection level at a time, with the integrand
+evaluated in blocks of at most 256 panels (96 nodes each) so the working
+set stays small.  The result is the one a cell-by-cell recursion gives,
+bit for bit: every 32-node panel sum is its own BLAS ddot, a split
+panel's value is rebuilt as left + right, and the cell totals are added
+in cell order.  Higher dimensions evaluate the integrand pointwise under
+tensor-grid or stratified Monte Carlo quadrature; no cell decomposition
+is attempted there.
 
 Every evaluation first verifies circumscription on a probe cloud and
 refuses (``CircumscriptionError``) when l pokes above f by more than
@@ -19,11 +25,10 @@ larger is a corrupted envelope, not data.
 """
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .convex_core import (CircumscriptionError, WeightError, as_points,
                           max_violation, sup_gap)
-from .quadrature import ErrorReport, QuadratureSpec, integrate
+from .quadrature import ErrorReport, QuadratureSpec, adaptive_panels, integrate
 
 __all__ = [
     "QuadratureSpec", "ErrorReport", "weighted_lp_error",
@@ -32,7 +37,6 @@ __all__ = [
 ]
 
 _CIRC_TOL = 1e-9
-_GX32, _GW32 = leggauss(32)
 
 
 def _probe_cloud(domain, count=4096, seed=202):
@@ -92,28 +96,21 @@ def envelope_cells_1d(l, interval):
     return idxs, edges
 
 
-def _adaptive_cell(func, lo, hi, rel_tol, scale, depth=0):
-    """Gauss-32 with interval bisection until the panel delta is small."""
-    h = (hi - lo) / 2.0
-    mid = (hi + lo) / 2.0
-    whole = h * float(np.dot(_GW32, func(mid + h * _GX32)))
-    h2 = h / 2.0
-    left = h2 * float(np.dot(_GW32, func(lo + h2 + h2 * _GX32)))
-    right = h2 * float(np.dot(_GW32, func(mid + h2 + h2 * _GX32)))
-    if abs(left + right - whole) <= rel_tol * scale or depth >= 24:
-        return left + right, 96
-    lv, ln = _adaptive_cell(func, lo, mid, rel_tol, scale, depth + 1)
-    rv, rn = _adaptive_cell(func, mid, hi, rel_tol, scale, depth + 1)
-    return lv + rv, ln + rn + 96
-
-
-def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
+def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12,
+                                with_nodes=False):
     """Cell-by-cell integral of (f - l)^p omega in one dimension.
 
     Exact up to the adaptive tolerance for any positive p: integer p gives
     polynomial-in-smooth integrands that the Gauss panels capture at
     machine precision; non-integer p falls back on the same adaptive
     bisection, which keeps refining where gap^p loses smoothness.
+
+    All cells go through :func:`quadrature.adaptive_panels` together, one
+    level of panels at a time, each cell's panels with that cell's own
+    tangent.  The value is that of integrating the cells one by one: each
+    32-node panel sum is its own ddot, a split panel's value is rebuilt as
+    left + right, and the cell totals are added in cell order.  With
+    ``with_nodes`` the result is (value, nodes used).
     """
     if f.dim != 1:
         raise ValueError("exact integration path requires one dimension")
@@ -121,8 +118,8 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
         raise ValueError("p must be positive")
     lo, hi = f.domain.bounding_box()
     idxs, edges = envelope_cells_1d(l, (float(lo[0]), float(hi[0])))
-    slopes = np.asarray(l.slopes, dtype=float).reshape(-1)
-    offsets = np.asarray(l.offsets, dtype=float)
+    slopes = np.asarray(l.slopes, dtype=float).reshape(-1)[idxs, None]
+    offsets = np.asarray(l.offsets, dtype=float)[idxs, None]
 
     # overall scale for the relative acceptance test
     probe = np.linspace(float(lo[0]), float(hi[0]), 257)
@@ -132,21 +129,18 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
     scale = max(float(np.max(gap ** p * wpx)) * (float(hi[0]) - float(lo[0])),
                 1e-300)
 
-    total = 0.0
-    for j, idx in enumerate(idxs):
-        s, o = slopes[idx], offsets[idx]
+    def integrand(xs, cell):
+        pts = xs.reshape(-1, 1)
+        vals = f.value(pts)
+        g = np.maximum(vals - (slopes[cell] * xs + offsets[cell]).ravel(), 0.0)
+        w = np.asarray(omega(pts, vals), dtype=float)
+        return g ** p * w
 
-        def cell_integrand(xs, _s=s, _o=o):
-            pts = xs.reshape(-1, 1)
-            vals = f.value(pts)
-            g = np.maximum(vals - (_s * xs + _o), 0.0)
-            w = np.asarray(omega(pts, vals), dtype=float)
-            return g ** p * w
-
-        val, _ = _adaptive_cell(cell_integrand, edges[j], edges[j + 1],
-                                rel_tol, scale)
-        total += val
-    return float(max(total, 0.0))
+    vals, nodes, _ = adaptive_panels(integrand, edges[:-1], edges[1:],
+                                     rel_tol, scale)
+    # a running sum in cell order, not numpy's pairwise np.sum
+    total = float(max(np.cumsum(np.concatenate(([0.0], vals)))[-1], 0.0))
+    return (total, nodes) if with_nodes else total
 
 
 def weighted_lp_error(f, l, p, omega, quad=None):
@@ -173,10 +167,10 @@ def weighted_lp_error(f, l, p, omega, quad=None):
                               level=128)
 
     if quad.kind == "exact_1d":
-        value = exact_1d_piecewise_integral(f, l, p, omega_fn,
-                                            rel_tol=quad.rel_tol)
+        value, nodes = exact_1d_piecewise_integral(
+            f, l, p, omega_fn, rel_tol=quad.rel_tol, with_nodes=True)
         return ErrorReport(value=value, error_bar=quad.rel_tol * value,
-                           nodes_used=0)
+                           nodes_used=nodes)
 
     def integrand(x):
         pts = as_points(x, f.dim)

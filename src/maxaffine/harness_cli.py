@@ -408,9 +408,12 @@ def _threads(args):
         return args.threads
     env = os.environ.get("MAXAFFINE_THREADS", "")
     try:
-        return max(1, int(env)) if env else 1
+        threads = int(env) if env else 1
     except ValueError:
         raise ConfigError(f"MAXAFFINE_THREADS must be an integer, got {env!r}")
+    if threads < 1:
+        raise ConfigError(f"MAXAFFINE_THREADS must be at least 1, got {env!r}")
+    return threads
 
 
 def _load_config(args, required=True):

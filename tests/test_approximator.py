@@ -19,6 +19,7 @@ from maxaffine import (
     weighted_lp_error,
 )
 from maxaffine.approximator import (
+    _fd_tridiag_jacobian,
     envelope_error_1d,
     optimal_tangent_abscissas_1d,
     quantile_abscissas,
@@ -30,6 +31,31 @@ from conftest import rng_for
 
 # ---------------------------------------------------------------------------
 # exact 1-d machinery
+
+
+def test_fd_jacobian_slices_match_entry_loop(w_exp):
+    # the 3-colour copy into solve_banded layout, as an entry-by-entry loop
+    f = catalog_entry("cosh_quadratic", {}, Domain.box([-1.0], [1.0]))
+    interval = (-1.0, 1.0)
+    for m in (1, 2, 3, 4, 7):
+        t = np.sort(rng_for("fd-jacobian", m).uniform(-0.9, 0.9, m))
+        base = stationarity_residual_1d(f, w_exp, 1.5, t, interval)
+        eps = 1e-7 * (interval[1] - interval[0])
+        ref = np.zeros((3, m))
+        for color in range(3):
+            mask = np.zeros(m)
+            mask[color::3] = eps
+            shifted = stationarity_residual_1d(f, w_exp, 1.5, t + mask,
+                                               interval)
+            col = (shifted - base) / eps
+            for j in range(color, m, 3):
+                ref[1, j] = col[j]
+                if j > 0:
+                    ref[0, j] = col[j - 1]
+                if j < m - 1:
+                    ref[2, j] = col[j + 1]
+        jac = _fd_tridiag_jacobian(f, w_exp, 1.5, t, interval, base)
+        assert np.array_equal(jac, ref), m
 
 
 def test_optimal_abscissas_quadratic_are_uniform(quad_1d, w_const):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from maxaffine import (
     CircumscriptionError,
@@ -15,9 +16,12 @@ from maxaffine import (
     sup_gap,
     weighted_lp_error,
 )
-from maxaffine.convex_core import tangent_plane
+from maxaffine.approximator import _envelope_at
+from maxaffine.convex_core import DomainError, tangent_plane
 from maxaffine.error_eval import envelope_cells_1d, exact_1d_piecewise_integral
 from conftest import rng_for
+
+CATALOG_1D = ("quadratic", "cosh_quadratic", "exp_sum", "quartic", "huber")
 
 
 def _tangents(f, ts):
@@ -80,6 +84,112 @@ def test_exact_integral_frozen_values(quad_1d, w_const):
     val2 = exact_1d_piecewise_integral(quad_1d, _tangents(quad_1d, [0.25, 0.75]),
                                        2.0, w_const)
     assert val2 == pytest.approx(1.0 / 5120.0, rel=1e-12)
+
+
+# The cell-at-a-time integrator that the batched one replaced, verbatim.
+# The batched path must reproduce its value and node count bit for bit.
+_GX32, _GW32 = leggauss(32)
+
+
+def _adaptive_cell(func, lo, hi, rel_tol, scale, depth=0):
+    """Gauss-32 with interval bisection until the panel delta is small."""
+    h = (hi - lo) / 2.0
+    mid = (hi + lo) / 2.0
+    whole = h * float(np.dot(_GW32, func(mid + h * _GX32)))
+    h2 = h / 2.0
+    left = h2 * float(np.dot(_GW32, func(lo + h2 + h2 * _GX32)))
+    right = h2 * float(np.dot(_GW32, func(mid + h2 + h2 * _GX32)))
+    if abs(left + right - whole) <= rel_tol * scale or depth >= 24:
+        return left + right, 96
+    lv, ln = _adaptive_cell(func, lo, mid, rel_tol, scale, depth + 1)
+    rv, rn = _adaptive_cell(func, mid, hi, rel_tol, scale, depth + 1)
+    return lv + rv, ln + rn + 96
+
+
+def _reference_exact_1d(f, l, p, omega, rel_tol=1e-12):
+    lo, hi = f.domain.bounding_box()
+    idxs, edges = envelope_cells_1d(l, (float(lo[0]), float(hi[0])))
+    slopes = np.asarray(l.slopes, dtype=float).reshape(-1)
+    offsets = np.asarray(l.offsets, dtype=float)
+
+    # overall scale for the relative acceptance test
+    probe = np.linspace(float(lo[0]), float(hi[0]), 257)
+    fx = f.value(probe.reshape(-1, 1))
+    gap = np.maximum(fx - l.evaluate(probe.reshape(-1, 1)), 0.0)
+    wpx = np.asarray(omega(probe.reshape(-1, 1), fx), dtype=float)
+    scale = max(float(np.max(gap ** p * wpx)) * (float(hi[0]) - float(lo[0])),
+                1e-300)
+
+    total, nodes = 0.0, 0
+    for j, idx in enumerate(idxs):
+        s, o = slopes[idx], offsets[idx]
+
+        def cell_integrand(xs, _s=s, _o=o):
+            pts = xs.reshape(-1, 1)
+            vals = f.value(pts)
+            g = np.maximum(vals - (_s * xs + _o), 0.0)
+            w = np.asarray(omega(pts, vals), dtype=float)
+            return g ** p * w
+
+        val, n = _adaptive_cell(cell_integrand, edges[j], edges[j + 1],
+                                rel_tol, scale)
+        total += val
+        nodes += n
+    return float(max(total, 0.0)), nodes
+
+
+_WEIGHTS = (WeightFunction.constant(1.0), WeightFunction.exp_neg_t(),
+            WeightFunction.from_config({"catalog_id": "affine_x",
+                                        "parameters": {"coeffs": [0.3],
+                                                       "offset": 1.0}}))
+
+
+@pytest.mark.parametrize("cid", CATALOG_1D)
+def test_batched_exact_integral_matches_cell_recursion(cid):
+    # huber's linear arms give zero-gap cells; m = 700 cells span three
+    # 256-panel blocks at the first level
+    f = catalog_entry(cid, {}, Domain.box([-1.0], [1.0]))
+    for i, p in enumerate((0.5, 1.0, 1.5, 2.0, 3.0)):
+        cases = [(m, w) for m in (1, 3, 40) for w in _WEIGHTS]
+        cases.append((700, _WEIGHTS[i % 3]))
+        for m, w in cases:
+            ts = np.sort(rng_for(f"batch-{cid}", m * 10 + i).uniform(-1, 1, m))
+            l = _tangents(f, ts)
+            got = exact_1d_piecewise_integral(f, l, p, w, with_nodes=True)
+            assert got == _reference_exact_1d(f, l, p, w), (cid, p, m)
+
+
+def test_batched_exact_integral_with_clipped_cells(w_exp):
+    # tangents of the same function on a wider interval: some cells are
+    # clipped by [-0.5, 1] and others fall outside it altogether
+    wide = catalog_entry("cosh_quadratic", {}, Domain.box([-2.0], [2.0]))
+    f = wide.restricted_to(Domain.box([-0.5], [1.0]))
+    l = _tangents(wide, np.linspace(-1.9, 1.9, 23))
+    assert envelope_cells_1d(l, (-0.5, 1.0))[0].size < 23
+    for p in (0.5, 1.0, 2.0):
+        got = exact_1d_piecewise_integral(f, l, p, w_exp, with_nodes=True)
+        assert got == _reference_exact_1d(f, l, p, w_exp)
+
+
+def test_exact_path_reports_its_nodes(quad_1d, w_const):
+    l = _tangents(quad_1d, np.linspace(0.05, 0.95, 10))
+    cells = envelope_cells_1d(l, (0.0, 1.0))[0].size
+    rep = weighted_lp_error(quad_1d, l, 1.5, w_const)
+    assert rep.nodes_used >= 96 * cells
+    assert rep.nodes_used == _reference_exact_1d(quad_1d, l, 1.5, w_const)[1]
+
+
+@pytest.mark.parametrize("cid", CATALOG_1D)
+def test_one_dimensional_tangents_match_tangent_plane(cid):
+    f = catalog_entry(cid, {}, Domain.box([-1.0], [1.0]))
+    ts = np.sort(rng_for(f"tangents-{cid}", 0).uniform(-1, 1, 300))
+    ts = np.concatenate([[-1.0], ts, [1.0]])
+    env = _envelope_at(f, ts.reshape(-1, 1))
+    ref = _tangents(f, ts)
+    assert np.array_equal(env.slopes, ref.slopes)
+    assert np.array_equal(env.offsets, ref.offsets)
+    with pytest.raises(DomainError):
+        _envelope_at(f, np.array([[0.0], [1.5]]))
 
 
 def test_weighted_lp_error_dispatches_exact_in_1d(quad_1d, w_const):

@@ -259,6 +259,15 @@ def test_threads_flag_below_one_is_rejected(tmp_path, monkeypatch, capsys):
         assert "--threads must be at least 1" in capsys.readouterr().err
 
 
+def test_threads_env_below_one_is_rejected(tmp_path, monkeypatch, capsys):
+    # the environment obeys the same rule as --threads instead of clamping
+    cfg = _write_cfg(tmp_path, m_list=[2, 4])
+    for bad in ("0", "-3"):
+        monkeypatch.setenv("MAXAFFINE_THREADS", bad)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "MAXAFFINE_THREADS must be at least 1" in capsys.readouterr().err
+
+
 def test_package_runs_as_module():
     # `python -m maxaffine` must not trip runpy's double-import warning
     import maxaffine

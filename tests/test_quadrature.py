@@ -75,3 +75,15 @@ def test_exact_1d_kind_dispatches_adaptively():
     d = Domain.box([0.0], [2.0])
     rep = integrate(lambda x: np.sin(x[:, 0]), d, QuadratureSpec(kind="exact_1d"))
     assert rep.value == pytest.approx(1.0 - np.cos(2.0), rel=1e-12)
+
+
+def test_exact_1d_kind_refines_at_a_kink():
+    # |x - 1|^0.5 has an infinite slope at 1: panels split there, and the
+    # report counts 96 nodes per panel and a bar that covers the error
+    d = Domain.box([0.0], [2.0])
+    rep = integrate(lambda x: np.sqrt(np.abs(x[:, 0] - 1.0)), d,
+                    QuadratureSpec(kind="exact_1d"))
+    exact = 4.0 / 3.0
+    assert rep.nodes_used > 96 and rep.nodes_used % 96 == 0
+    assert abs(rep.value - exact) <= rep.error_bar + 1e-15
+    assert rep.value == pytest.approx(exact, rel=1e-9)
