@@ -28,7 +28,8 @@ import numpy as np
 
 from .convex_core import (CircumscriptionError, WeightError, as_points,
                           max_violation, sup_gap)
-from .quadrature import ErrorReport, QuadratureSpec, adaptive_panels, integrate
+from .quadrature import (ErrorReport, QuadratureSpec, adaptive_panels,
+                         integrate, panel_tolerance)
 
 __all__ = [
     "QuadratureSpec", "ErrorReport", "weighted_lp_error",
@@ -96,8 +97,7 @@ def envelope_cells_1d(l, interval):
     return idxs, edges
 
 
-def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12,
-                                with_nodes=False):
+def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
     """Cell-by-cell integral of (f - l)^p omega in one dimension.
 
     Exact up to the adaptive tolerance for any positive p: integer p gives
@@ -109,8 +109,10 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12,
     level of panels at a time, each cell's panels with that cell's own
     tangent.  The value is that of integrating the cells one by one: each
     32-node panel sum is its own ddot, a split panel's value is rebuilt as
-    left + right, and the cell totals are added in cell order.  With
-    ``with_nodes`` the result is (value, nodes used).
+    left + right, and the cell totals are added in cell order.
+
+    Returns an :class:`ErrorReport` with the panels' node count (96 per
+    panel) and ``rel_tol * value`` as its error bar.
     """
     if f.dim != 1:
         raise ValueError("exact integration path requires one dimension")
@@ -126,8 +128,7 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12,
     fx = f.value(probe.reshape(-1, 1))
     gap = np.maximum(fx - l.evaluate(probe.reshape(-1, 1)), 0.0)
     wpx = np.asarray(omega(probe.reshape(-1, 1), fx), dtype=float)
-    scale = max(float(np.max(gap ** p * wpx)) * (float(hi[0]) - float(lo[0])),
-                1e-300)
+    tol = panel_tolerance(gap ** p * wpx, float(hi[0]) - float(lo[0]), rel_tol)
 
     def integrand(xs, cell):
         pts = xs.reshape(-1, 1)
@@ -136,11 +137,10 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12,
         w = np.asarray(omega(pts, vals), dtype=float)
         return g ** p * w
 
-    vals, nodes, _ = adaptive_panels(integrand, edges[:-1], edges[1:],
-                                     rel_tol, scale)
+    vals, nodes, _ = adaptive_panels(integrand, edges[:-1], edges[1:], tol)
     # a running sum in cell order, not numpy's pairwise np.sum
     total = float(max(np.cumsum(np.concatenate(([0.0], vals)))[-1], 0.0))
-    return (total, nodes) if with_nodes else total
+    return ErrorReport(value=total, error_bar=rel_tol * total, nodes_used=nodes)
 
 
 def weighted_lp_error(f, l, p, omega, quad=None):
@@ -167,10 +167,8 @@ def weighted_lp_error(f, l, p, omega, quad=None):
                               level=128)
 
     if quad.kind == "exact_1d":
-        value, nodes = exact_1d_piecewise_integral(
-            f, l, p, omega_fn, rel_tol=quad.rel_tol, with_nodes=True)
-        return ErrorReport(value=value, error_bar=quad.rel_tol * value,
-                           nodes_used=nodes)
+        return exact_1d_piecewise_integral(f, l, p, omega_fn,
+                                           rel_tol=quad.rel_tol)
 
     def integrand(x):
         pts = as_points(x, f.dim)

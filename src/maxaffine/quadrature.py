@@ -31,6 +31,7 @@ from numpy.polynomial.legendre import leggauss
 _VALID_KINDS = ("exact_1d", "tensor_grid", "monte_carlo")
 _GX32, _GW32 = leggauss(32)
 _PANEL_BLOCK = 256      # panels per integrand call: 24,576 nodes, 192 KB
+_SPLIT_BLOCK = 2048     # split panels whose halves are refined together
 _MAX_DEPTH = 24         # bisection levels before a panel is taken as is
 
 
@@ -142,60 +143,72 @@ def stratified_nodes(lower, upper, samples, rng):
     return nodes, idx, per
 
 
-def adaptive_panels(func, lo, hi, rel_tol, scale):
+def panel_tolerance(probe, width, rel_tol, floor=0.0):
+    """Acceptance bound for :func:`adaptive_panels`.
+
+    ``rel_tol`` times the scale of the integral, read as the largest
+    ``|probe|`` value times ``width`` (at least 1e-300), and never below
+    ``floor``.
+    """
+    scale = max(float(np.max(np.abs(probe))) * width, 1e-300)
+    return max(rel_tol * scale, floor)
+
+
+def adaptive_panels(func, lo, hi, tol):
     """Adaptive Gauss-32 bisection over many intervals at once.
 
     Integrates interval ``i`` = [lo[i], hi[i]].  ``func(xs, cell)`` returns
     the integrand of interval ``cell[k]`` at the nodes ``xs[k]``, with xs
     of shape (panels, nodes).  A panel is integrated whole and as two
-    halves; it is accepted when ``|left + right - whole| <= rel_tol *
-    scale`` or at depth 24, and its value is then ``left + right``;
-    otherwise both halves become panels of the next level.
+    halves; it is accepted when ``|left + right - whole| <= tol`` or at
+    depth 24, and its value is then ``left + right``; otherwise both
+    halves become panels of the next level.
 
     The work is breadth first: each level's panels are evaluated in
     blocks of at most 256, and a split panel's value is rebuilt bottom up
-    as left child + right child.  Every panel sum is the same per-row
-    ``np.dot`` (one BLAS ddot of 32 terms), so the values equal those of a
-    recursion that integrates one interval at a time, bit for bit.
+    as left child + right child.  The halves of at most 2048 split panels
+    go down at a time, so memory stays bounded however deep the splits
+    go.  Every panel sum is the same per-row ``np.dot`` (one BLAS ddot of
+    32 terms), so the values equal those of a recursion that integrates
+    one interval at a time, bit for bit.
 
     Returns (values per interval, nodes used, error bar), counting 96
     nodes per panel; the bar is the sum of the accepted panels' deltas.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    cell = np.arange(lo.size)
-    tol = rel_tol * scale
-    levels = []         # per depth: (panel values, split mask)
-    nodes, bar = 0, 0.0
-    while lo.size:
-        h = (hi - lo) / 2.0
-        mid = (hi + lo) / 2.0
-        h2 = h / 2.0
-        sums = np.empty((lo.size, 3))
-        for s in range(0, lo.size, _PANEL_BLOCK):
-            b = slice(s, s + _PANEL_BLOCK)
-            xs = np.concatenate(
-                [mid[b, None] + h[b, None] * _GX32,
-                 lo[b, None] + h2[b, None] + h2[b, None] * _GX32,
-                 mid[b, None] + h2[b, None] + h2[b, None] * _GX32], axis=1)
-            rows = np.asarray(func(xs, cell[b]), dtype=float).reshape(-1, 32)
-            # one ddot per row: a matrix-vector product sums in another order
-            sums[b] = np.array([np.dot(_GW32, r) for r in rows]).reshape(-1, 3)
-        whole = h * sums[:, 0]
-        val = h2 * sums[:, 1] + h2 * sums[:, 2]
-        delta = np.abs(val - whole)
-        split = ~(delta <= tol)
-        if len(levels) >= _MAX_DEPTH:
-            split[:] = False
-        levels.append((val, split))
-        nodes += 96 * lo.size
-        bar += float(np.sum(delta[~split]))
-        lo, hi = (np.stack([lo[split], mid[split]], axis=1).ravel(),
-                  np.stack([mid[split], hi[split]], axis=1).ravel())
-        cell = np.repeat(cell[split], 2)
-    for (val, split), (child, _) in zip(levels[-2::-1], levels[:0:-1]):
-        val[split] = child[0::2] + child[1::2]
-    return levels[0][0], nodes, bar
+    return _refine(func, lo, hi, np.arange(lo.size), tol, 0)
+
+
+def _refine(func, lo, hi, cell, tol, depth):
+    """Values, nodes and bar of the panels [lo, hi] at ``depth``."""
+    h = (hi - lo) / 2.0
+    mid = (hi + lo) / 2.0
+    h2 = h / 2.0
+    sums = np.empty((lo.size, 3))
+    for s in range(0, lo.size, _PANEL_BLOCK):
+        b = slice(s, s + _PANEL_BLOCK)
+        xs = np.concatenate(
+            [mid[b, None] + h[b, None] * _GX32,
+             lo[b, None] + h2[b, None] + h2[b, None] * _GX32,
+             mid[b, None] + h2[b, None] + h2[b, None] * _GX32], axis=1)
+        rows = np.asarray(func(xs, cell[b]), dtype=float).reshape(-1, 32)
+        # one ddot per row: a matrix-vector product sums in another order
+        sums[b] = np.array([np.dot(_GW32, r) for r in rows]).reshape(-1, 3)
+    val = h2 * sums[:, 1] + h2 * sums[:, 2]
+    delta = np.abs(val - h * sums[:, 0])
+    accept = (delta <= tol) | (depth >= _MAX_DEPTH)
+    nodes, bar = 96 * lo.size, float(np.sum(delta[accept]))
+    split = np.flatnonzero(~accept)
+    for s in range(0, split.size, _SPLIT_BLOCK):
+        k = split[s:s + _SPLIT_BLOCK]
+        child, cnodes, cbar = _refine(
+            func, np.stack([lo[k], mid[k]], axis=1).ravel(),
+            np.stack([mid[k], hi[k]], axis=1).ravel(),
+            np.repeat(cell[k], 2), tol, depth + 1)
+        val[k] = child[0::2] + child[1::2]
+        nodes, bar = nodes + cnodes, bar + cbar
+    return val, nodes, bar
 
 
 def integrate(func, domain, spec):
@@ -218,11 +231,12 @@ def integrate(func, domain, spec):
         if n != 1:
             raise ValueError("exact_1d quadrature is only defined in one dimension")
         a, b = float(lower[0]), float(upper[0])
-        probe = np.abs(masked(np.linspace(a, b, 257).reshape(-1, 1)))
-        scale = max(float(np.max(probe)) * (b - a), 1e-300)
+        # the absolute floor stops an integrand that nearly vanishes on
+        # the probes (sin(256 pi x) on [0, 1]) from splitting to depth 24
+        tol = panel_tolerance(masked(np.linspace(a, b, 257).reshape(-1, 1)),
+                              b - a, min(spec.rel_tol, 1e-12), floor=1e-14)
         vals, nodes_used, bar = adaptive_panels(
-            lambda xs, _: masked(xs.reshape(-1, 1)), [a], [b],
-            min(spec.rel_tol, 1e-12), scale)
+            lambda xs, _: masked(xs.reshape(-1, 1)), [a], [b], tol)
         return ErrorReport(value=float(vals[0]), error_bar=bar,
                            nodes_used=nodes_used)
 

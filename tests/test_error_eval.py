@@ -19,6 +19,7 @@ from maxaffine import (
 from maxaffine.approximator import _envelope_at
 from maxaffine.convex_core import DomainError, tangent_plane
 from maxaffine.error_eval import envelope_cells_1d, exact_1d_piecewise_integral
+from maxaffine.quadrature import adaptive_panels
 from conftest import rng_for
 
 CATALOG_1D = ("quadratic", "cosh_quadratic", "exp_sum", "quartic", "huber")
@@ -79,10 +80,10 @@ def test_exact_integral_frozen_values(quad_1d, w_const):
     for ts, target in (([0.5], 1 / 24), ([0.25, 0.75], 1 / 96),
                        ([1 / 8, 3 / 8, 5 / 8, 7 / 8], 1 / 384)):
         val = exact_1d_piecewise_integral(quad_1d, _tangents(quad_1d, ts),
-                                          1.0, w_const)
+                                          1.0, w_const).value
         assert val == pytest.approx(target, rel=1e-12)
     val2 = exact_1d_piecewise_integral(quad_1d, _tangents(quad_1d, [0.25, 0.75]),
-                                       2.0, w_const)
+                                       2.0, w_const).value
     assert val2 == pytest.approx(1.0 / 5120.0, rel=1e-12)
 
 
@@ -138,6 +139,25 @@ def _reference_exact_1d(f, l, p, omega, rel_tol=1e-12):
     return float(max(total, 0.0)), nodes
 
 
+def test_adaptive_panels_matches_recursion_past_split_block():
+    # 3,000 intervals that all split at the first level: their halves go
+    # down in two batches of at most 2,048 split panels
+    lo = np.linspace(0.0, 1.0, 3001)
+    kinks = lo[:-1] + 0.3 / 3000
+    tol = 1e-12 / 3000
+
+    def func(xs, cell):
+        return np.sqrt(np.abs(xs - kinks[cell, None]))
+
+    vals, nodes, _ = adaptive_panels(func, lo[:-1], lo[1:], tol)
+    for j in range(kinks.size):
+        want = _adaptive_cell(lambda xs, c=kinks[j]: np.sqrt(np.abs(xs - c)),
+                              lo[j], lo[j + 1], tol, 1.0)
+        assert vals[j] == want[0]
+        nodes -= want[1]
+    assert nodes == 0
+
+
 _WEIGHTS = (WeightFunction.constant(1.0), WeightFunction.exp_neg_t(),
             WeightFunction.from_config({"catalog_id": "affine_x",
                                         "parameters": {"coeffs": [0.3],
@@ -155,8 +175,9 @@ def test_batched_exact_integral_matches_cell_recursion(cid):
         for m, w in cases:
             ts = np.sort(rng_for(f"batch-{cid}", m * 10 + i).uniform(-1, 1, m))
             l = _tangents(f, ts)
-            got = exact_1d_piecewise_integral(f, l, p, w, with_nodes=True)
-            assert got == _reference_exact_1d(f, l, p, w), (cid, p, m)
+            got = exact_1d_piecewise_integral(f, l, p, w)
+            want = _reference_exact_1d(f, l, p, w)
+            assert (got.value, got.nodes_used) == want, (cid, p, m)
 
 
 def test_batched_exact_integral_with_clipped_cells(w_exp):
@@ -167,8 +188,8 @@ def test_batched_exact_integral_with_clipped_cells(w_exp):
     l = _tangents(wide, np.linspace(-1.9, 1.9, 23))
     assert envelope_cells_1d(l, (-0.5, 1.0))[0].size < 23
     for p in (0.5, 1.0, 2.0):
-        got = exact_1d_piecewise_integral(f, l, p, w_exp, with_nodes=True)
-        assert got == _reference_exact_1d(f, l, p, w_exp)
+        got = exact_1d_piecewise_integral(f, l, p, w_exp)
+        assert (got.value, got.nodes_used) == _reference_exact_1d(f, l, p, w_exp)
 
 
 def test_exact_path_reports_its_nodes(quad_1d, w_const):

@@ -77,6 +77,17 @@ def test_exact_1d_kind_dispatches_adaptively():
     assert rep.value == pytest.approx(1.0 - np.cos(2.0), rel=1e-12)
 
 
+def test_exact_1d_kind_keeps_an_absolute_floor():
+    # sin(256 pi x) nearly vanishes on the 257 probes, so a purely
+    # relative tolerance would be about 3e-26 and split every panel to
+    # depth 24; the 1e-14 floor accepts the first panel
+    d = Domain.box([0.0], [1.0])
+    rep = integrate(lambda x: np.sin(256 * np.pi * x[:, 0]), d,
+                    QuadratureSpec(kind="exact_1d"))
+    assert rep.nodes_used <= 96 * 64
+    assert abs(rep.value) <= 1e-13
+
+
 def test_exact_1d_kind_refines_at_a_kink():
     # |x - 1|^0.5 has an infinite slope at 1: panels split there, and the
     # report counts 96 nodes per panel and a bar that covers the error
