@@ -19,7 +19,12 @@ Strategies
     Start from the tangent at the centroid and repeatedly add the tangent
     at the sample point with the largest weighted gap (f - l)^p * omega
     over a fixed cloud.  Nested by construction, so errors are monotone
-    in m.
+    in m.  The cloud sits in buckets of about 64 rows, each with a
+    reference plane (the piece active at its box centre); a new tangent
+    that stays below the reference over the bucket's box, by a margin of
+    ``_SLACK`` times the size of the planes' terms, cannot raise l there,
+    and only the other buckets are rescored.  The picks, ties included,
+    are those of a full rescan of the cloud.
 
 ``uniform_grid``
     Tangents at the centers of a near-isotropic lattice with at most m
@@ -52,7 +57,7 @@ from scipy.linalg import solve_banded
 from .convex_core import (DomainError, Domain, PiecewiseAffineMax,
                           QuadraticForm, MetricError, tangent_plane)
 from .quadrature import tensor_nodes
-from .quantizer import QuantizerConfig, quantize
+from .quantizer import _SLACK, QuantizerConfig, _BucketArgmax, quantize
 
 log = logging.getLogger(__name__)
 
@@ -586,13 +591,43 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         points = [start]
         psi = tangent_plane(f, start)
         lx = psi(cloud)
+        gaps = _BucketArgmax(cloud, np.maximum(fx - lx, 0.0) ** p * wx)
+        fx, wx, lx = fx[gaps.order], wx[gaps.order], lx[gaps.order]
+        # Each bucket keeps a reference plane, the piece active at its box
+        # centre; lx >= that plane on every row of the bucket.  A new plane
+        # psi cannot raise lx in the bucket if psi - reference, maximized
+        # over the box, stays below -2 * _SLACK * size, where size bounds
+        # every term of every plane so far on the cloud, and so the
+        # rounding of both planes' values.
+        centre, half = (gaps.hi + gaps.lo) / 2.0, (gaps.hi - gaps.lo) / 2.0
+        reach = np.abs(cloud).max(axis=0)
+        size = reach @ np.abs(psi.slope) + abs(psi.offset)
+        ref_slope = np.tile(psi.slope, (centre.shape[0], 1))
+        ref_at_centre = centre @ psi.slope + psi.offset
+
+        def rescore(rows):
+            # rows of hit buckets get the full pass's arithmetic; a one-row
+            # product goes through another BLAS kernel and rounds
+            # differently, so a lone row is evaluated as two copies
+            pts = gaps.points[rows]
+            vals = psi(pts if rows.size > 1 else np.repeat(pts, 2, axis=0))
+            vals = np.maximum(lx[rows], vals[:rows.size])
+            lx[rows] = vals
+            return np.maximum(fx[rows] - vals, 0.0) ** p * wx[rows]
+
         for _ in range(m - 1):
-            gap = np.maximum(fx - lx, 0.0)
-            score = gap ** p * wx
-            nxt = cloud[int(np.argmax(score))]
+            nxt = cloud[gaps.argmax()]
             points.append(nxt)
             psi = tangent_plane(f, nxt)
-            np.maximum(lx, psi(cloud), out=lx)
+            size = max(size, reach @ np.abs(psi.slope) + abs(psi.offset))
+            at_centre = centre @ psi.slope + psi.offset
+            top = (at_centre - ref_at_centre
+                   + np.einsum("ij,ij->i", np.abs(psi.slope - ref_slope), half))
+            hit = np.flatnonzero(top + 2.0 * _SLACK * size >= 0.0)
+            gaps.update(hit, rescore)
+            new = hit[at_centre[hit] > ref_at_centre[hit]]
+            ref_slope[new] = psi.slope
+            ref_at_centre[new] = at_centre[new]
         return _envelope_at(f, np.stack(points))
 
     if strategy == "global_density":

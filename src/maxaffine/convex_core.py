@@ -274,13 +274,6 @@ class PiecewiseAffineMax:
             out[s:s + scores.shape[0]] = scores.max(axis=1)
         return out
 
-    def evaluate_with_index(self, x):
-        """(values, argmax indices); ties resolve to the smallest index."""
-        pts = as_points(x, self.dim)
-        table = pts @ self.slopes.T + self.offsets
-        idx = np.argmax(table, axis=1)
-        return table[np.arange(pts.shape[0]), idx], idx
-
     def __call__(self, x):
         return self.evaluate(x)
 

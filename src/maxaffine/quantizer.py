@@ -48,8 +48,17 @@ not below the bound by a relative slack of ``_SLACK`` are queried again.
 The slack, also added to the neighbourhood radius, exceeds the rounding
 of the distance, bound and radius arithmetic, so every skipped point has
 a unique nearest center and every tie goes back to the kd-tree: labels
-and distances are bit-identical to a full query.  Farthest-point seeding
-is pruned the same way, with a kd-tree ball query around each new pick.
+and distances are bit-identical to a full query.
+
+Farthest-point seeding keeps each row's squared distance to the nearest
+pick in ``_BucketArgmax``, a running argmax over a grid of buckets of
+about 64 rows (the ``greedy_insertion`` strategy uses the same engine).
+A new pick can lower only distances that exceed the distance to it, so a
+bucket is skipped when the squared distance from the pick to the tight
+box of its rows exceeds the bucket's largest distance by the factor
+1 + ``_SLACK``.  The other buckets are rescored with the full pass's
+arithmetic, and ties go to the smallest cloud index, so the picks are
+those of ``np.argmax`` over a full pass at every step.
 
 Everything is deterministic for a fixed seed; restarts use independent,
 reproducible substreams.
@@ -155,27 +164,96 @@ def _draw_cloud(region, density, count, rng):
     return pts, mass
 
 
+class _BucketArgmax:
+    """Running ``np.argmax`` of a per-row score that changes near each pick.
+
+    The rows are sorted once, stably, into a grid of buckets over their
+    bounding box, about 64 rows to a bucket (a flat axis gets one slab),
+    so each bucket keeps its rows in cloud order.  Per bucket it keeps the
+    tight box of its rows (``lo``, ``hi``), its largest score (``best``)
+    and the cloud index of the first row holding it (``first``).  The pick
+    is the largest bucket maximum, ties going to the smallest cloud index:
+    exactly ``np.argmax`` over the whole score.  The caller rescores only
+    the buckets its own exact skip test cannot rule out, with the same
+    arithmetic as a full pass, and those buckets' maxima are refreshed.
+    ``points`` and ``score`` hold the rows in bucket order and ``order``
+    maps that order back to the cloud.
+    """
+
+    def __init__(self, points, score):
+        count, dim = points.shape
+        per_axis = max(1, int(np.floor((count / 64) ** (1.0 / dim))))
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        cell = np.zeros(count, dtype=np.intp)
+        for k in range(dim):
+            cell *= per_axis
+            if hi[k] > lo[k]:
+                step = per_axis / (hi[k] - lo[k])
+                cell += np.minimum(((points[:, k] - lo[k]) * step)
+                                   .astype(np.intp), per_axis - 1)
+        self.order = np.argsort(cell, kind="stable")
+        sizes = np.bincount(cell)
+        self.sizes = sizes[sizes > 0]
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.points = points[self.order]
+        self.lo = np.minimum.reduceat(self.points, self.starts)
+        self.hi = np.maximum.reduceat(self.points, self.starts)
+        self.score = score[self.order]
+        self.best = np.empty(self.sizes.size)
+        self.first = np.empty(self.sizes.size, dtype=np.intp)
+        self.update(np.arange(self.sizes.size))
+
+    def argmax(self):
+        """Cloud index of the first row holding the largest score."""
+        return int(self.first[self.best == self.best.max()].min())
+
+    def update(self, hit, rescore=None):
+        """Rescore every row of the buckets ``hit``; refresh their maxima.
+
+        ``rescore(rows)`` gets the rows' positions in bucket order, whole
+        buckets at a time, and returns their new scores.
+        """
+        sizes = self.sizes[hit]
+        if not sizes.size:
+            return
+        ends = np.cumsum(sizes)
+        seg = ends - sizes
+        rows = np.arange(ends[-1]) + np.repeat(self.starts[hit] - seg, sizes)
+        if rescore is not None:
+            self.score[rows] = rescore(rows)
+        vals = self.score[rows]
+        top = np.maximum.reduceat(vals, seg)
+        at = np.where(vals == np.repeat(top, sizes), np.arange(rows.size),
+                      rows.size)
+        self.best[hit] = top
+        self.first[hit] = self.order[rows[np.minimum.reduceat(at, seg)]]
+
+
 def _fps_select(cloud_w, m, rng):
     """Greedy farthest-point selection of m rows of the whitened cloud.
 
-    A new pick can only lower the running distance of rows closer to it
-    than the current farthest distance, so each update is limited to a
-    kd-tree ball of that radius; the picks equal those of the full pass.
+    A new pick can only lower a row's running distance if the row is
+    nearer to it, so a bucket whose box lies further from the pick than
+    the bucket's largest running distance (by the relative slack
+    ``_SLACK``) keeps all of its distances; the picks equal those of the
+    full pass.
     """
-    n = cloud_w.shape[0]
     chosen = np.empty(m, dtype=int)
-    chosen[0] = rng.integers(n)
-    d2 = np.einsum("ij,ij->i", cloud_w - cloud_w[chosen[0]],
-                   cloud_w - cloud_w[chosen[0]])
-    tree = cKDTree(cloud_w)
+    chosen[0] = rng.integers(cloud_w.shape[0])
+    diff = cloud_w - cloud_w[chosen[0]]
+    runs = _BucketArgmax(cloud_w, np.einsum("ij,ij->i", diff, diff))
+
+    def rescore(rows):
+        diff = runs.points[rows] - center
+        return np.minimum(runs.score[rows], np.einsum("ij,ij->i", diff, diff))
+
     for k in range(1, m):
-        chosen[k] = int(np.argmax(d2))
+        chosen[k] = runs.argmax()
         center = cloud_w[chosen[k]]
-        rows = np.asarray(tree.query_ball_point(
-            center, np.sqrt(d2[chosen[k]]) * (1.0 + _SLACK),
-            return_sorted=False), dtype=np.intp)
-        diff = cloud_w[rows] - center
-        d2[rows] = np.minimum(d2[rows], np.einsum("ij,ij->i", diff, diff))
+        gap = np.maximum(runs.lo - center, center - runs.hi)
+        np.maximum(gap, 0.0, out=gap)
+        near = np.einsum("ij,ij->i", gap, gap) <= runs.best * (1.0 + _SLACK)
+        runs.update(np.flatnonzero(near), rescore)
     return cloud_w[chosen].copy()
 
 

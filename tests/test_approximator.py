@@ -19,6 +19,7 @@ from maxaffine import (
     weighted_lp_error,
 )
 from maxaffine.approximator import (
+    _envelope_at,
     _fd_tridiag_jacobian,
     envelope_error_1d,
     optimal_tangent_abscissas_1d,
@@ -26,6 +27,7 @@ from maxaffine.approximator import (
     stationarity_residual_1d,
     tangent_crossings_1d,
 )
+from maxaffine.convex_core import tangent_plane
 from conftest import rng_for
 
 
@@ -258,6 +260,96 @@ def test_paper_partition_accepts_piece_count(quad_2d, w_const):
     l2 = build_approximation(quad_2d, w_const, 1.0, 2, "paper_partition",
                              seed=1, l_pieces=5)
     assert 1 <= l2.npieces <= 2
+
+
+def _greedy_reference(f, omega, p, m, seed=0, cloud_size=None):
+    """greedy_insertion as first written: every pick rescans the cloud."""
+    rng = np.random.default_rng((seed, 71))
+    cloud = f.domain.sample(rng, cloud_size or max(20_000, 200 * m))
+    fx = f.value(cloud)
+    wx = np.asarray(omega(cloud, fx), dtype=float)
+    start = f.domain.centroid()
+    points = [start]
+    psi = tangent_plane(f, start)
+    lx = psi(cloud)
+    for _ in range(m - 1):
+        gap = np.maximum(fx - lx, 0.0)
+        score = gap ** p * wx
+        nxt = cloud[int(np.argmax(score))]
+        points.append(nxt)
+        psi = tangent_plane(f, nxt)
+        np.maximum(lx, psi(cloud), out=lx)
+    return _envelope_at(f, np.stack(points))
+
+
+_TRIANGLE = Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                            [0.0, 0.0, 1.0])
+_GREEDY_CASES = {
+    "box1d": ("exp_sum", {"alpha": [1.3], "mu": 0.2},
+              Domain.box([-1.0], [0.5])),
+    "box2d": ("quadratic", {"hessian": [[2.0, 0.5], [0.5, 1.0]],
+                            "linear": [0.3, -0.2]},
+              Domain.box([0.0, -1.0], [1.0, 2.0])),
+    "ball2d": ("exp_sum", {"alpha": [0.8, -0.5]}, Domain.ball([0.2, 0.1], 1.5)),
+    "triangle": ("cosh_quadratic", {}, _TRIANGLE),
+    "box3d": ("cosh_quadratic", {"eps": 0.7},
+              Domain.box([0.0, 0.0, 0.0], [1.0, 2.0, 0.5])),
+    "ball3d": ("quadratic", {"hessian": np.diag([1.0, 2.0, 3.0])},
+               Domain.ball([0.0, 0.5, -0.5], 1.0)),
+}
+
+
+def _assert_greedy_matches_reference(f, omega, p, m, **kw):
+    got = build_approximation(f, omega, p, m, "greedy_insertion", **kw)
+    want = _greedy_reference(f, omega, p, m, **kw)
+    np.testing.assert_array_equal(got.slopes, want.slopes)
+    np.testing.assert_array_equal(got.offsets, want.offsets)
+
+
+@pytest.mark.parametrize("case", list(_GREEDY_CASES))
+@pytest.mark.parametrize("m", [1, 2, 17, 300])
+def test_greedy_matches_full_rescan(case, m, w_const, w_exp):
+    catalog_id, params, domain = _GREEDY_CASES[case]
+    f = catalog_entry(catalog_id, params, domain)
+    if m == 300:  # the default 60,000-point cloud: two runs are enough
+        runs = [(0.5, w_exp), (3, w_const)]
+    else:
+        runs = [(p, omega) for p in (0.5, 1.0, 2.0, 3)
+                for omega in (w_const, w_exp)]
+    for p, omega in runs:
+        _assert_greedy_matches_reference(
+            f, omega, p, m, seed=m, cloud_size=None if m == 300 else 5000)
+
+
+@pytest.mark.parametrize("cloud_kind",
+                         ["duplicates", "flat", "lone", "near_affine"])
+def test_greedy_matches_full_rescan_on_degenerate_clouds(cloud_kind, w_const,
+                                                         monkeypatch):
+    rng = rng_for("greedy-degenerate", 0)
+    square = Domain.box([0.0, 0.0], [1.0, 1.0])
+    f = catalog_entry("quadratic", {}, square)
+    if cloud_kind == "duplicates":
+        # 81 dyadic rows repeated many times: exact score ties within and
+        # across buckets, and past m = 81 every gap is zero or rounding
+        cloud = rng.integers(0, 9, size=(3000, 2)) / 8.0
+    elif cloud_kind == "flat":
+        # zero width along y: one slab of buckets
+        cloud = np.column_stack([rng.random(3000), np.full(3000, 0.375)])
+    elif cloud_kind == "lone":
+        # a few repeated points plus single rows alone in their buckets,
+        # so hit sets of one row occur once the gaps are rounding noise
+        cloud = np.vstack([np.repeat(rng.random((4, 2)) * 0.2, 1600, axis=0),
+                           rng.random((30, 2)) * 0.8 + 0.2])
+    else:
+        # curvature 3e-15: tangent slopes differ by tens of ulps, so gaps
+        # are rounding noise and many skip tests fall inside the slack
+        f = catalog_entry("quadratic", {"hessian": 3e-15 * np.eye(2),
+                                        "linear": [0.7, -1.1]}, square)
+        cloud = rng.random((6400, 2))
+    monkeypatch.setattr(Domain, "sample", lambda self, rng, count: cloud.copy())
+    for p in (0.5, 2.0):
+        for m in (17, 120):
+            _assert_greedy_matches_reference(f, w_const, p, m)
 
 
 def test_greedy_handles_m_equal_one(quad_2d, w_const):

@@ -138,13 +138,6 @@ def test_envelope_score_block_stays_small():
     np.testing.assert_array_equal(out[:500], l.evaluate(x[:500], chunk=7))
 
 
-def test_envelope_tie_goes_to_smallest_index():
-    l = PiecewiseAffineMax(slopes=np.array([[1.0], [1.0]]),
-                           offsets=np.array([0.0, 0.0]))
-    vals, idx = l.evaluate_with_index([[0.3]])
-    assert idx[0] == 0 and vals[0] == pytest.approx(0.3)
-
-
 def test_envelope_compose_shift_pieces():
     rng = rng_for("env-ops", 0)
     l = _random_envelope(rng, 4, 2)

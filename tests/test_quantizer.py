@@ -363,14 +363,29 @@ def test_quantize_matches_global_shift_bounds(region, density, cfg, cloud,
     assert got.converged == want.converged
 
 
+def _fps_cloud(kind):
+    rng = rng_for("fps", 0)
+    if kind == "lattice":
+        # 81 distinct dyadic rows, each repeated many times: argmax ties
+        # among duplicates and equal distances across buckets
+        return rng.integers(0, 9, size=(3000, 2)) / 8.0
+    if kind == "lattice3d":
+        return rng.integers(0, 5, size=(4000, 3)) / 4.0
+    if kind == "anisotropic":
+        # thin buckets and distances dominated by one axis
+        return rng.random((5000, 3)) * [1000.0, 1.0, 1e-3]
+    # a far row alone in its bucket
+    return np.vstack([rng.integers(0, 9, size=(3000, 2)) / 8.0, [[3.0, 3.0]]])
+
+
 @pytest.mark.parametrize("m", [1, 2, 30, 81, 100])
 def test_pruned_fps_matches_full_pass(m):
-    # 81 distinct dyadic rows, each repeated many times: argmax ties among
-    # duplicates and equal distances; m = 100 exhausts the distinct rows
-    cloud = rng_for("fps", 0).integers(0, 9, size=(3000, 2)) / 8.0
-    ref = _fps_reference(cloud, m, np.random.default_rng(m))
-    got = _fps_select(cloud, m, np.random.default_rng(m))
-    np.testing.assert_array_equal(got, ref)
+    # m = 100 exhausts the 81 distinct rows of the 2-d lattice
+    for kind in ("lattice", "lattice3d", "anisotropic", "lone"):
+        cloud = _fps_cloud(kind)
+        ref = _fps_reference(cloud, m, np.random.default_rng(m))
+        got = _fps_select(cloud, m, np.random.default_rng(m))
+        np.testing.assert_array_equal(got, ref)
 
 
 def _generic_cell_update_reference(cloud_w, idx, config, counts, centers,
