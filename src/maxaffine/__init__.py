@@ -14,9 +14,9 @@ from .convex_core import (AffineFunction, CircumscriptionError, Domain,
                           DomainError, MetricError, NumericsError,
                           PiecewiseAffineMax, QuadraticForm,
                           SmoothConvexFunction, WeightError, WeightFunction,
-                          catalog_entry, eval_pwmax, hessian_fd_check,
+                          catalog_entry, hessian_fd_check,
                           is_circumscribed, max_violation, sup_gap,
-                          tangent_plane, taylor_gap)
+                          tangent_plane)
 from .quadrature import ErrorReport, QuadratureSpec, integrate
 from .quantizer import (PointSet, QuantizerConfig, brute_force_1d, quantize,
                         quantizer_objective, whiten)
@@ -49,14 +49,14 @@ __all__ = [
     "SweepRecord", "WeightError", "WeightFunction", "ZadorConstant",
     "ZetaFunction", "allocate_budget", "brute_force_1d",
     "build_approximation", "catalog_entry", "dp_1d_abscissas",
-    "dual_approximation_sweep", "emit", "eval_pwmax", "exact_1d_optimal",
+    "dual_approximation_sweep", "emit", "exact_1d_optimal",
     "exact_1d_piecewise_integral", "fit_limit", "hessian_fd_check",
     "hexagonal_moment", "integrate", "is_circumscribed",
     "legendre_transform", "main", "max_violation", "monge_ampere_det",
     "monge_ampere_subgradient", "optimal_tangent_abscissas_1d",
     "parse_config", "parse_records", "partition_domain", "quantize",
     "quantizer_objective", "run_sweep", "spearman_trend", "sup_gap",
-    "support_function", "tangent_plane", "taylor_gap", "theoretical_limit",
+    "support_function", "tangent_plane", "theoretical_limit",
     "validate_config", "weighted_affine_surface", "weighted_lp_error",
     "weighted_mass", "whiten", "z_zeta", "zador_closed_form_1d",
     "zador_estimate", "zador_reference",

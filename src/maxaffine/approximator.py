@@ -55,9 +55,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 
 from .convex_core import (DomainError, Domain, PiecewiseAffineMax,
-                          QuadraticForm, MetricError, tangent_plane)
+                          QuadraticForm, MetricError, below_reference,
+                          tangent_plane)
 from .quadrature import tensor_nodes
-from .quantizer import _SLACK, QuantizerConfig, _BucketArgmax, quantize
+from .quantizer import QuantizerConfig, _BucketArgmax, quantize
 
 log = logging.getLogger(__name__)
 
@@ -201,8 +202,12 @@ def _interval(f):
 def tangent_crossings_1d(f, t):
     """Crossing abscissas of consecutive tangents at sorted points t."""
     t = np.asarray(t, dtype=float).reshape(-1)
-    v = f.value(t.reshape(-1, 1))
-    g = f.gradient(t.reshape(-1, 1))[:, 0]
+    return _crossings(t, f.value(t.reshape(-1, 1)),
+                      f.gradient(t.reshape(-1, 1))[:, 0])
+
+
+def _crossings(t, v, g):
+    """Crossings of the tangents with values v and slopes g at sorted t."""
     num = v[1:] - v[:-1] + t[:-1] * g[:-1] - t[1:] * g[1:]
     den = g[:-1] - g[1:]
     if np.any(den >= 0):
@@ -210,15 +215,8 @@ def tangent_crossings_1d(f, t):
     return num / den
 
 
-def _cells_1d(f, t, interval):
-    a, b = interval
-    inner = tangent_crossings_1d(f, t) if len(t) > 1 else np.empty(0)
-    return np.concatenate([[a], inner, [b]])
-
-
 def _cell_gauss(edges):
     """Gauss nodes/weights per cell: arrays of shape (cells, order)."""
-    lo = edges[:-1]
     h = (edges[1:] - edges[:-1]) / 2.0
     mid = (edges[1:] + edges[:-1]) / 2.0
     nodes = mid[:, None] + h[:, None] * _GX[None, :]
@@ -226,25 +224,30 @@ def _cell_gauss(edges):
     return nodes, weights
 
 
-def _gap_terms(f, t, nodes):
-    """f(x) - tangent_j(x) on each cell's nodes; also (x - t_j)."""
-    m, k = nodes.shape
-    flat = nodes.reshape(-1, 1)
-    fx = f.value(flat).reshape(m, k)
+def _cell_terms(f, omega, t, interval):
+    """Per-cell Gauss terms of the tangents at sorted t on the interval.
+
+    Returns (gap, dx, w, wts), each of shape (cells, order): the clipped
+    gap f(x) - tangent_j(x) on cell j's nodes, x - t_j, the weight there
+    and the Gauss weights.  The tangents' values and slopes are evaluated
+    once and serve both the cell edges and the gaps.
+    """
+    a, b = interval
     ft = f.value(t.reshape(-1, 1))
     gt = f.gradient(t.reshape(-1, 1))[:, 0]
+    inner = _crossings(t, ft, gt) if len(t) > 1 else np.empty(0)
+    nodes, wts = _cell_gauss(np.concatenate([[a], inner, [b]]))
+    fx = f.value(nodes.reshape(-1, 1)).reshape(nodes.shape)
     dx = nodes - t[:, None]
-    gap = fx - ft[:, None] - gt[:, None] * dx
-    return np.maximum(gap, 0.0), dx, fx
+    gap = np.maximum(fx - ft[:, None] - gt[:, None] * dx, 0.0)
+    w = np.asarray(omega(nodes.reshape(-1, 1), fx.reshape(-1)),
+                   dtype=float).reshape(nodes.shape)
+    return gap, dx, w, wts
 
 
 def stationarity_residual_1d(f, omega, p, t, interval):
     """Vector of per-cell optimality residuals (zero at a local optimum)."""
-    edges = _cells_1d(f, t, interval)
-    nodes, wts = _cell_gauss(edges)
-    gap, dx, fx = _gap_terms(f, t, nodes)
-    w = np.asarray(omega(nodes.reshape(-1, 1), fx.reshape(-1)),
-                   dtype=float).reshape(nodes.shape)
+    gap, dx, w, wts = _cell_terms(f, omega, t, interval)
     if p == 1.0:
         integrand = dx * w
     else:
@@ -255,11 +258,7 @@ def stationarity_residual_1d(f, omega, p, t, interval):
 
 def envelope_error_1d(f, omega, p, t, interval):
     """Objective: integral of (f - envelope)^p omega with the given abscissas."""
-    edges = _cells_1d(f, t, interval)
-    nodes, wts = _cell_gauss(edges)
-    gap, _, fx = _gap_terms(f, t, nodes)
-    w = np.asarray(omega(nodes.reshape(-1, 1), fx.reshape(-1)),
-                   dtype=float).reshape(nodes.shape)
+    gap, _, w, wts = _cell_terms(f, omega, t, interval)
     return float(np.sum(gap ** p * w * wts))
 
 
@@ -350,11 +349,7 @@ def optimal_tangent_abscissas_1d(f, omega, p, m, max_newton=60):
 
 def _residual_scale(f, omega, p, t, interval):
     """Positive reference magnitude for the residual components."""
-    edges = _cells_1d(f, t, interval)
-    nodes, wts = _cell_gauss(edges)
-    gap, dx, fx = _gap_terms(f, t, nodes)
-    w = np.asarray(omega(nodes.reshape(-1, 1), fx.reshape(-1)),
-                   dtype=float).reshape(nodes.shape)
+    gap, dx, w, wts = _cell_terms(f, omega, t, interval)
     safe = np.where(gap > 0, gap, 1.0)
     mag = np.where(gap > 0, safe ** (p - 1.0) * np.abs(dx) * w, 0.0)
     ref = float(np.max(np.sum(mag * np.abs(wts), axis=1)))
@@ -587,18 +582,15 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         cloud = f.domain.sample(rng, cloud_size or max(20_000, 200 * m))
         fx = f.value(cloud)
         wx = np.asarray(omega(cloud, fx), dtype=float)
-        start = f.domain.centroid()
-        points = [start]
-        psi = tangent_plane(f, start)
+        psi = tangent_plane(f, f.domain.centroid())
+        planes = [psi]
         lx = psi(cloud)
         gaps = _BucketArgmax(cloud, np.maximum(fx - lx, 0.0) ** p * wx)
         fx, wx, lx = fx[gaps.order], wx[gaps.order], lx[gaps.order]
         # Each bucket keeps a reference plane, the piece active at its box
         # centre; lx >= that plane on every row of the bucket.  A new plane
-        # psi cannot raise lx in the bucket if psi - reference, maximized
-        # over the box, stays below -2 * _SLACK * size, where size bounds
-        # every term of every plane so far on the cloud, and so the
-        # rounding of both planes' values.
+        # psi cannot raise lx in the bucket where below_reference holds,
+        # with size bounding every term of every plane so far on the cloud.
         centre, half = (gaps.hi + gaps.lo) / 2.0, (gaps.hi - gaps.lo) / 2.0
         reach = np.abs(cloud).max(axis=0)
         size = reach @ np.abs(psi.slope) + abs(psi.offset)
@@ -616,19 +608,18 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
             return np.maximum(fx[rows] - vals, 0.0) ** p * wx[rows]
 
         for _ in range(m - 1):
-            nxt = cloud[gaps.argmax()]
-            points.append(nxt)
-            psi = tangent_plane(f, nxt)
+            psi = tangent_plane(f, cloud[gaps.argmax()])
+            planes.append(psi)
             size = max(size, reach @ np.abs(psi.slope) + abs(psi.offset))
             at_centre = centre @ psi.slope + psi.offset
-            top = (at_centre - ref_at_centre
-                   + np.einsum("ij,ij->i", np.abs(psi.slope - ref_slope), half))
-            hit = np.flatnonzero(top + 2.0 * _SLACK * size >= 0.0)
+            hit = np.flatnonzero(~below_reference(
+                psi.slope, at_centre, ref_slope, ref_at_centre, half, size))
             gaps.update(hit, rescore)
             new = hit[at_centre[hit] > ref_at_centre[hit]]
             ref_slope[new] = psi.slope
             ref_at_centre[new] = at_centre[new]
-        return _envelope_at(f, np.stack(points))
+        # _envelope_at would build these same planes again
+        return PiecewiseAffineMax.from_pieces(planes)
 
     if strategy == "global_density":
         centroid = f.domain.centroid()

@@ -229,6 +229,38 @@ class AffineFunction:
         return pts @ self.slope + self.offset
 
 
+# relative slack of the pruning tests: orders of magnitude above the
+# rounding of one distance or plane value (a few ulps), far below any
+# margin worth pruning
+_SLACK = 1e-12
+_SCORE_BLOCK = 1 << 18  # doubles per score block of evaluate: 2 MB
+_BLOCK = 64             # points per block of the 1-d evaluate
+
+
+def below_reference(slope, at_centre, ref_slope, ref_at_centre, half, size):
+    """Where an affine piece stays below a reference piece over a box.
+
+    The box has half-widths ``half`` (last axis the coordinates) about a
+    centre where the piece is worth ``at_centre`` and the reference
+    ``ref_at_centre``; the arrays broadcast.  True means the piece, maxed
+    over the box, stays below the reference by more than ``2 * _SLACK *
+    size``, where ``size`` bounds every term ``|x_k * slope_k|`` and
+    ``|offset|`` of both pieces on the box.  That margin covers the
+    rounding of both pieces' values, of the box and of this test (a few
+    ulps of ``size`` in all), so wherever it holds
+    the piece's computed value is below the reference's at every point of
+    the box and cannot raise (or tie) a max that includes the reference.
+    NaN anywhere gives False.
+    """
+    top = np.subtract(slope, ref_slope)
+    np.abs(top, out=top)
+    top *= half
+    top = top.sum(axis=-1)
+    top += at_centre - ref_at_centre
+    top += 2.0 * _SLACK * size
+    return top < 0.0
+
+
 class PiecewiseAffineMax:
     """Finite max of affine functions l(x) = max_j (slope_j . x + offset_j)."""
 
@@ -260,19 +292,85 @@ class PiecewiseAffineMax:
                 for j in range(self.npieces)]
 
     def evaluate(self, x, chunk=None):
-        """Envelope values at points (vectorized, chunked for large batches)."""
+        """Envelope values at points, the max over pieces of slope . x + offset.
+
+        In n >= 2 every point is scored against every piece, ``chunk`` rows
+        at a time (by default about 2 MB of scores per block).
+
+        In one dimension only the pieces that can win are scored.  The
+        points are sorted once, stably, into blocks of 64; a block's
+        reference is the piece largest at its centre, and a piece that
+        stays below the reference over the block's span by a rounding
+        margin (:func:`below_reference`, the greedy skip test) is dropped
+        there.  The values equal those of the full scan: a dropped piece's
+        rounded score is below the reference's at every point of the block,
+        so it can neither tie nor beat the max, and a kept piece's score is
+        ``fl(fl(x * a) + b)`` either way, because a product with one
+        coordinate is rounded once whatever kernel forms it.  With two or
+        more coordinates the BLAS product's FMA order depends on the shape
+        of the call (one entry of a 1026 x 2 by 2 x 679 product rounds
+        differently from its 256-row block), so a scan over a subset of
+        pieces could round otherwise and n >= 2 is not pruned.
+        """
         pts = as_points(x, self.dim)
+        if self.dim == 1:
+            return self._evaluate_1d(pts[:, 0])
         if chunk is None:
             # keep the (chunk x npieces) score block around 2 MB: it stays
             # in cache, and resident memory does not hinge on whether the
             # allocator finds a block-sized hole in its heap
-            chunk = max(64, (1 << 18) // max(self.npieces, 1))
+            chunk = max(64, _SCORE_BLOCK // max(self.npieces, 1))
         out = np.empty(pts.shape[0])
         for s in range(0, pts.shape[0], chunk):
             scores = pts[s:s + chunk] @ self.slopes.T
             scores += self.offsets
             out[s:s + scores.shape[0]] = scores.max(axis=1)
         return out
+
+    def _evaluate_1d(self, x):
+        """Pruned one-dimensional :meth:`evaluate` (see there)."""
+        count = x.size
+        if count == 0:
+            return np.empty(0)
+        a, b = self.slopes[:, 0], self.offsets
+        order = np.argsort(x, kind="stable")
+        nblocks = -(-count // _BLOCK)
+        # pad the last block with copies of its last point
+        xs = np.empty(nblocks * _BLOCK)
+        np.take(x, order, out=xs[:count])
+        xs[count:] = xs[count - 1]
+        xs = xs.reshape(nblocks, _BLOCK)
+        centre = (xs[:, -1] + xs[:, 0]) / 2.0
+        half = (xs[:, -1] - xs[:, 0]) / 2.0
+        size = np.abs(xs).max() * np.abs(a).max() + np.abs(b).max()
+        out = np.empty(nblocks * _BLOCK)
+        # the skip test holds three (group x npieces) arrays at once: at
+        # 1 MB each they take about what the full scan's score block does
+        group = max(1, _SCORE_BLOCK // (2 * a.size))
+        for s in range(0, nblocks, group):
+            at_centre = centre[s:s + group, None] * a + b
+            ref = at_centre.argmax(axis=1)
+            keep = ~below_reference(
+                self.slopes, at_centre, a[ref, None, None],
+                np.take_along_axis(at_centre, ref[:, None], axis=1),
+                half[s:s + group, None, None], size)
+            # the kept pieces of each block, padded with its reference
+            kept = keep.sum(axis=1)
+            width = int(kept.max())
+            idx = np.repeat(ref[:, None], width, axis=1)
+            hit_row, hit_col = np.nonzero(keep)
+            slot = np.arange(hit_row.size) - np.repeat(np.cumsum(kept) - kept, kept)
+            idx[hit_row, slot] = hit_col
+            step = max(1, _SCORE_BLOCK // (_BLOCK * width))
+            for t in range(0, ref.size, step):
+                pick = idx[t:t + step, None, :]
+                scores = xs[s + t:s + t + pick.shape[0], :, None] * a[pick]
+                scores += b[pick]
+                out[(s + t) * _BLOCK:(s + t + pick.shape[0]) * _BLOCK] = (
+                    scores.max(axis=2).ravel())
+        values = np.empty(count)
+        values[order] = out[:count]
+        return values
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -664,20 +762,6 @@ def tangent_plane(f, a):
     g = f.gradient(a)[0]
     beta = f.value_at(a) - float(g @ a)
     return AffineFunction(slope=g.copy(), offset=beta)
-
-
-def eval_pwmax(l, x):
-    """Value of the envelope at a single point (ties go to the smallest piece)."""
-    return float(l.evaluate(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
-
-def taylor_gap(f, a, x):
-    """f(x) minus the tangent at a, evaluated at x (nonnegative by convexity)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not bool(f.domain.contains(x)[0]):
-        raise DomainError("evaluation point lies outside the domain")
-    psi = tangent_plane(f, a)
-    return float(f.value(x)[0] - psi(x)[0])
 
 
 def is_circumscribed(f, l, samples, tol=1e-12):

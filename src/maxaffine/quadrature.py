@@ -168,9 +168,9 @@ def adaptive_panels(func, lo, hi, tol):
     blocks of at most 256, and a split panel's value is rebuilt bottom up
     as left child + right child.  The halves of at most 2048 split panels
     go down at a time, so memory stays bounded however deep the splits
-    go.  Every panel sum is the same per-row ``np.dot`` (one BLAS ddot of
-    32 terms), so the values equal those of a recursion that integrates
-    one interval at a time, bit for bit.
+    go.  Every panel sum is one BLAS ddot of its 32 terms, whatever the
+    block, so the values equal those of a recursion that integrates one
+    interval at a time, bit for bit.
 
     Returns (values per interval, nodes used, error bar), counting 96
     nodes per panel; the bar is the sum of the accepted panels' deltas.
@@ -178,6 +178,16 @@ def adaptive_panels(func, lo, hi, tol):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     return _refine(func, lo, hi, np.arange(lo.size), tol, 0)
+
+
+def _panel_sums(rows):
+    """Gauss-32 sum of each row, each its own BLAS ddot.
+
+    A stack of row-by-column products: numpy takes one ddot per row, as
+    ``np.dot(_GW32, row)`` does, while ``rows @ _GW32`` sums in another
+    order.
+    """
+    return np.matmul(rows[:, None, :], _GW32[:, None]).reshape(-1)
 
 
 def _refine(func, lo, hi, cell, tol, depth):
@@ -193,8 +203,7 @@ def _refine(func, lo, hi, cell, tol, depth):
              lo[b, None] + h2[b, None] + h2[b, None] * _GX32,
              mid[b, None] + h2[b, None] + h2[b, None] * _GX32], axis=1)
         rows = np.asarray(func(xs, cell[b]), dtype=float).reshape(-1, 32)
-        # one ddot per row: a matrix-vector product sums in another order
-        sums[b] = np.array([np.dot(_GW32, r) for r in rows]).reshape(-1, 3)
+        sums[b] = _panel_sums(rows).reshape(-1, 3)
     val = h2 * sums[:, 1] + h2 * sums[:, 2]
     delta = np.abs(val - h * sums[:, 0])
     accept = (delta <= tol) | (depth >= _MAX_DEPTH)

@@ -70,13 +70,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .convex_core import MetricError, QuadraticForm
+from .convex_core import _SLACK, MetricError, QuadraticForm
 
 log = logging.getLogger(__name__)
-
-# relative slack of the pruning tests: orders of magnitude above the
-# rounding of one distance (a few ulps), far below any margin worth pruning
-_SLACK = 1e-12
 
 
 @dataclass

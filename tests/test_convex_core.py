@@ -16,15 +16,16 @@ from maxaffine import (
     WeightError,
     WeightFunction,
     catalog_entry,
-    eval_pwmax,
+    exact_1d_optimal,
     hessian_fd_check,
     is_circumscribed,
     max_violation,
     sup_gap,
     tangent_plane,
-    taylor_gap,
 )
+from maxaffine.approximator import _envelope_at
 from maxaffine.convex_core import as_points
+from maxaffine.error_eval import _probe_cloud
 from conftest import rng_for
 
 CATALOG = ["quadratic", "cosh_quadratic", "exp_sum", "quartic", "huber"]
@@ -138,6 +139,119 @@ def test_envelope_score_block_stays_small():
     np.testing.assert_array_equal(out[:500], l.evaluate(x[:500], chunk=7))
 
 
+def _full_scan(l, x, chunk=None):
+    """PiecewiseAffineMax.evaluate as it was before 1-d pruning, verbatim."""
+    pts = as_points(x, l.dim)
+    if chunk is None:
+        # keep the (chunk x npieces) score block around 2 MB: it stays
+        # in cache, and resident memory does not hinge on whether the
+        # allocator finds a block-sized hole in its heap
+        chunk = max(64, (1 << 18) // max(l.npieces, 1))
+    out = np.empty(pts.shape[0])
+    for s in range(0, pts.shape[0], chunk):
+        scores = pts[s:s + chunk] @ l.slopes.T
+        scores += l.offsets
+        out[s:s + scores.shape[0]] = scores.max(axis=1)
+    return out
+
+
+def _assert_pruned_matches_full_scan(l, x):
+    np.testing.assert_array_equal(l.evaluate(x), _full_scan(l, x), strict=True)
+
+
+def _tangents_1d(catalog_id, params, lo, hi, ts):
+    f = catalog_entry(catalog_id, params, Domain.box([lo], [hi]))
+    return _envelope_at(f, np.asarray(ts, dtype=float).reshape(-1, 1))
+
+
+@pytest.mark.parametrize("npieces", [1, 2, 3, 64, 2048])
+@pytest.mark.parametrize("npoints", [1, 2, 63, 64, 65, 4096])
+def test_pruned_1d_evaluate_matches_full_scan(npieces, npoints):
+    rng = rng_for("env-prune", npieces * 10_000 + npoints)
+    tangents = _tangents_1d("cosh_quadratic", {}, -1.0, 1.0,
+                            rng.uniform(-1.0, 1.0, npieces))
+    random = _random_envelope(rng, npieces, 1)
+    for l in (tangents, random):
+        # unsorted points, some beyond the tangency range
+        _assert_pruned_matches_full_scan(l, rng.uniform(-1.5, 1.5, npoints))
+        # repeated points: within a block and across block edges
+        dup = rng.integers(0, 9, size=npoints) / 8.0 - 0.5
+        _assert_pruned_matches_full_scan(l, dup)
+        _assert_pruned_matches_full_scan(l, np.full(npoints, 0.3))
+
+
+def test_pruned_1d_evaluate_degenerate_envelopes():
+    rng = rng_for("env-prune-degenerate", 0)
+    x = rng.uniform(-1.0, 1.0, 4096)
+    base = _tangents_1d("exp_sum", {"alpha": [1.3]}, -1.0, 1.0,
+                        np.linspace(-1.0, 1.0, 300))
+    cases = {
+        # every piece twice, and in two orders
+        "duplicates": PiecewiseAffineMax(
+            np.vstack([base.slopes, base.slopes[::-1]]),
+            np.concatenate([base.offsets, base.offsets[::-1]])),
+        # equal slopes, different offsets: only the top of each group wins
+        "equal_slopes": PiecewiseAffineMax(
+            np.repeat(rng.normal(size=(40, 1)), 5, axis=0),
+            rng.normal(size=200)),
+        # offsets near 1e12: the rounding of b dwarfs the slopes' terms
+        "big_offsets": PiecewiseAffineMax(
+            rng.normal(size=(500, 1)), 1e12 + rng.normal(size=500) * 1e-3),
+        # tangents of x^2/2 at k/16 cross at the dyadic (2k+1)/32 exactly,
+        # and the points are dyadic too, so the pieces tie there to the bit
+        "dyadic_crossings": _tangents_1d("quadratic", {}, 0.0, 1.0,
+                                         np.arange(17) / 16.0),
+    }
+    dyadic = np.concatenate([np.arange(129) / 128.0, np.arange(65) / 64.0])
+    for name, l in cases.items():
+        _assert_pruned_matches_full_scan(l, x)
+        _assert_pruned_matches_full_scan(l, rng.permutation(dyadic))
+        # far outside the pieces' natural range
+        _assert_pruned_matches_full_scan(l, x * 1e6)
+
+
+def test_pruned_1d_evaluate_near_ties_from_rounding():
+    # curvature 3e-15: tangent slopes differ by a few ulps, so which piece
+    # is largest at a point is decided by rounding, inside the skip
+    # test's margin
+    rng = rng_for("env-prune-ties", 0)
+    for npieces in (3, 64, 2048):
+        l = _tangents_1d("quadratic", {"hessian": [[3e-15]], "linear": [0.7]},
+                         0.0, 1.0, rng.random(npieces))
+        _assert_pruned_matches_full_scan(l, rng.random(4096))
+
+
+def test_pruned_1d_evaluate_non_finite_points():
+    l = _tangents_1d("cosh_quadratic", {}, -1.0, 1.0, np.linspace(-1, 1, 50))
+    x = np.linspace(-2.0, 2.0, 200)
+    x[[3, 70, 150]] = [np.nan, np.inf, -np.inf]
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(l.evaluate(x), _full_scan(l, x))
+
+
+def test_pruned_1d_evaluate_on_exact_1d_envelope():
+    # the circumscription probe of weighted_lp_error against the largest
+    # exact_1d envelope the benchmark builds
+    f = catalog_entry("cosh_quadratic", {}, Domain.box([-1.0], [1.0]))
+    l = exact_1d_optimal(f, WeightFunction.constant(1.0), 2.0, 2048)
+    assert l.npieces == 2048
+    _assert_pruned_matches_full_scan(l, _probe_cloud(f.domain))
+
+
+def test_pruned_1d_evaluate_memory_stays_small():
+    rng = rng_for("env-prune-block", 0)
+    l = _random_envelope(rng, 2048, 1)
+    x = rng.normal(size=65_536)
+    tracemalloc.start()
+    try:
+        out = l.evaluate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 8 * 2**20
+    np.testing.assert_array_equal(out, _full_scan(l, x))
+
+
 def test_envelope_compose_shift_pieces():
     rng = rng_for("env-ops", 0)
     l = _random_envelope(rng, 4, 2)
@@ -161,10 +275,9 @@ def test_envelope_text_round_trip(tmp_path):
     np.testing.assert_array_equal(l.offsets, l2.offsets)
 
 
-def test_envelope_piece_budget_and_eval_pwmax():
+def test_envelope_piece_budget():
     l = _random_envelope(rng_for("env-budget", 0), 3, 1)
     assert l.npieces == 3
-    assert eval_pwmax(l, 0.2) == pytest.approx(float(l.evaluate([[0.2]])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +424,11 @@ def test_tangent_planes_support_from_below(catalog_id):
         x = rng.uniform(-1, 1, size=(500, 2))
         gap = f.value(x) - psi(x)
         assert gap.min() >= -1e-12
-        assert abs(taylor_gap(f, a, a)) <= 1e-14
 
 
 def test_tangent_plane_outside_domain_raises(quad_1d):
     with pytest.raises(DomainError):
         tangent_plane(quad_1d, [2.0])
-    with pytest.raises(DomainError):
-        taylor_gap(quad_1d, [0.5], [1.5])
 
 
 def test_circumscription_checks(quad_1d):

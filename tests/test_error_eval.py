@@ -72,6 +72,92 @@ def test_cells_clipped_by_interval(quad_1d):
     np.testing.assert_allclose(edges, [0.6, 1.0])
 
 
+def _envelope_cells_reference(l, interval):
+    """envelope_cells_1d with the stack loop run on every envelope, verbatim."""
+    a, b = float(interval[0]), float(interval[1])
+    slopes = np.asarray(l.slopes, dtype=float).reshape(-1)
+    offsets = np.asarray(l.offsets, dtype=float)
+    order = np.lexsort((offsets, slopes))
+    stack = []          # indices into the original piece list
+    cross = []          # cross[k] = where stack[k] overtakes stack[k-1]
+
+    def crossing(i, j):
+        return (offsets[i] - offsets[j]) / (slopes[j] - slopes[i])
+
+    for idx in order:
+        if stack and slopes[stack[-1]] == slopes[idx]:
+            # same slope: the sort put the larger offset last, so replace
+            stack.pop()
+            if cross:
+                cross.pop()
+        while stack:
+            x = crossing(stack[-1], idx)
+            if cross and x <= cross[-1]:
+                stack.pop()
+                cross.pop()
+            else:
+                stack.append(idx)
+                cross.append(x)
+                break
+        else:
+            stack.append(idx)
+            if stack[:-1]:
+                cross.append(crossing(stack[-2], idx))
+    edges = np.concatenate([[a], np.asarray(cross, dtype=float), [b]])
+    edges = np.clip(edges, a, b)
+    keep = np.flatnonzero(np.diff(edges) > 0)
+    if keep.size == 0:
+        # a single piece dominates the whole interval
+        vals = slopes[np.array(stack)] * a + offsets[np.array(stack)]
+        return np.array([stack[int(np.argmax(vals))]]), np.array([a, b])
+    idxs = np.asarray(stack)[keep]
+    edges = np.concatenate([[edges[keep[0]]], edges[keep + 1]])
+    return idxs, edges
+
+
+def _assert_cells_match_reference(l, interval):
+    got, want = envelope_cells_1d(l, interval), _envelope_cells_reference(l, interval)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
+@pytest.mark.parametrize("cid", CATALOG_1D)
+def test_cells_match_stack_loop_on_tangent_envelopes(cid):
+    f = catalog_entry(cid, {}, Domain.box([-1.0], [1.0]))
+    rng = rng_for("cells-loop", CATALOG_1D.index(cid))
+    for m in (1, 2, 3, 64, 2048):
+        # sorted, unsorted and repeated abscissas (repeats give equal slopes)
+        for ts in (np.linspace(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m),
+                   rng.integers(0, 8, m) / 4.0 - 1.0):
+            l = _envelope_at(f, ts.reshape(-1, 1))
+            for interval in ((-1.0, 1.0), (-0.3, 0.7), (0.95, 1.0)):
+                _assert_cells_match_reference(l, interval)
+
+
+def test_cells_match_stack_loop_on_pruned_envelopes(quad_1d):
+    cases = [
+        # dominated middle piece, equal slopes, tangents clipped away
+        PiecewiseAffineMax(np.array([[-1.0], [0.0], [1.0]]),
+                           np.array([0.5, -10.0, -0.5])),
+        PiecewiseAffineMax(np.array([[1.0], [1.0], [-1.0]]),
+                           np.array([0.0, 0.25, 0.3])),
+        _tangents(quad_1d, [0.25, 0.75]),
+        # three lines through one point: the middle one's two crossings
+        # round to the same abscissa, the outer pair's to the next double
+        PiecewiseAffineMax(
+            np.array([[-1.1814468079562157], [0.7380418978456841],
+                      [0.9620005318430944]]),
+            np.array([1.5230083270055879, -0.3024695443578017,
+                      -0.5154593521265578])),
+    ]
+    rng = rng_for("cells-loop-random", 0)
+    cases += [PiecewiseAffineMax(rng.normal(size=(k, 1)), rng.normal(size=k))
+              for k in (2, 5, 300)]
+    for l in cases:
+        for interval in ((0.0, 1.0), (0.6, 1.0), (-3.0, 3.0)):
+            _assert_cells_match_reference(l, interval)
+
+
 # ---------------------------------------------------------------------------
 # exact integrals and frozen references
 

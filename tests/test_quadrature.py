@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from maxaffine import Domain, QuadratureSpec, integrate
-from maxaffine.quadrature import stratified_nodes, tensor_nodes
+from maxaffine.quadrature import (_GW32, _panel_sums, stratified_nodes,
+                                  tensor_nodes)
+from conftest import rng_for
 
 
 def test_spec_validation():
@@ -98,3 +100,15 @@ def test_exact_1d_kind_refines_at_a_kink():
     assert rep.nodes_used > 96 and rep.nodes_used % 96 == 0
     assert abs(rep.value - exact) <= rep.error_bar + 1e-15
     assert rep.value == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 255, 256, 257, 768])
+def test_panel_sums_match_one_dot_per_row(count):
+    # up to 768 rows: one block of 256 panels, three sums each
+    rng = rng_for("panel-sums", count)
+    scaled = rng.normal(size=(count, 32)) * np.logspace(-200, 200, count)[:, None]
+    mixed = rng.normal(size=(count, 32)) * 10.0 ** rng.uniform(-8, 8, (count, 32))
+    for rows in (scaled, mixed):
+        # the panel sums as adaptive_panels first took them, verbatim
+        want = np.array([np.dot(_GW32, r) for r in rows])
+        np.testing.assert_array_equal(_panel_sums(rows), want, strict=True)
