@@ -20,9 +20,8 @@ from .convex_core import (AffineFunction, CircumscriptionError, Domain,
 from .quadrature import ErrorReport, QuadratureSpec, integrate
 from .quantizer import (PointSet, QuantizerConfig, brute_force_1d, quantize,
                         quantizer_objective, whiten)
-from .functionals import (FunctionalResult, ZadorConstant, ZetaFunction,
-                          hexagonal_moment, theoretical_limit, weighted_mass,
-                          z_zeta, zador_closed_form_1d, zador_estimate,
+from .functionals import (ZadorConstant, hexagonal_moment, theoretical_limit,
+                          weighted_mass, zador_closed_form_1d, zador_estimate,
                           zador_reference)
 from .approximator import (Allocation, Partition, STRATEGIES,
                            allocate_budget, build_approximation,
@@ -30,10 +29,10 @@ from .approximator import (Allocation, Partition, STRATEGIES,
                            optimal_tangent_abscissas_1d, partition_domain)
 from .error_eval import exact_1d_piecewise_integral, weighted_lp_error
 from .sweep import SweepOutcome, SweepRecord, run_sweep, spearman_trend
-from .dual_ma import (ConvexBodySpec, GridFunction, SupportRestriction,
+from .dual_ma import (GridFunction, SupportRestriction,
                       dual_approximation_sweep, legendre_transform,
                       monge_ampere_det, monge_ampere_subgradient,
-                      support_function, weighted_affine_surface)
+                      weighted_affine_surface)
 from .harness_cli import (ConfigError, FitResult, emit, fit_limit, main,
                           parse_config, parse_records, validate_config)
 
@@ -41,13 +40,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineFunction", "Allocation", "CircumscriptionError", "ConfigError",
-    "ConvexBodySpec", "Domain", "DomainError", "ErrorReport", "FitResult",
-    "FunctionalResult", "GridFunction", "MetricError", "NumericsError",
-    "Partition", "PiecewiseAffineMax", "PointSet", "QuadraticForm",
-    "QuadratureSpec", "QuantizerConfig", "STRATEGIES",
-    "SmoothConvexFunction", "SupportRestriction", "SweepOutcome",
-    "SweepRecord", "WeightError", "WeightFunction", "ZadorConstant",
-    "ZetaFunction", "allocate_budget", "brute_force_1d",
+    "Domain", "DomainError", "ErrorReport", "FitResult", "GridFunction",
+    "MetricError", "NumericsError", "Partition", "PiecewiseAffineMax",
+    "PointSet", "QuadraticForm", "QuadratureSpec", "QuantizerConfig",
+    "STRATEGIES", "SmoothConvexFunction", "SupportRestriction",
+    "SweepOutcome", "SweepRecord", "WeightError", "WeightFunction",
+    "ZadorConstant", "allocate_budget", "brute_force_1d",
     "build_approximation", "catalog_entry", "dp_1d_abscissas",
     "dual_approximation_sweep", "emit", "exact_1d_optimal",
     "exact_1d_piecewise_integral", "fit_limit", "hessian_fd_check",
@@ -56,8 +54,7 @@ __all__ = [
     "monge_ampere_subgradient", "optimal_tangent_abscissas_1d",
     "parse_config", "parse_records", "partition_domain", "quantize",
     "quantizer_objective", "run_sweep", "spearman_trend", "sup_gap",
-    "support_function", "tangent_plane", "theoretical_limit",
-    "validate_config", "weighted_affine_surface", "weighted_lp_error",
-    "weighted_mass", "whiten", "z_zeta", "zador_closed_form_1d",
-    "zador_estimate", "zador_reference",
+    "tangent_plane", "theoretical_limit", "validate_config",
+    "weighted_affine_surface", "weighted_lp_error", "weighted_mass",
+    "whiten", "zador_closed_form_1d", "zador_estimate", "zador_reference",
 ]

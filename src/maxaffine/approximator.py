@@ -57,8 +57,9 @@ from scipy.linalg import solve_banded
 from .convex_core import (DomainError, Domain, PiecewiseAffineMax,
                           QuadraticForm, MetricError, below_reference,
                           tangent_plane)
+from .functionals import law_density, law_exponents
 from .quadrature import tensor_nodes
-from .quantizer import QuantizerConfig, _BucketArgmax, quantize
+from .quantizer import QuantizerConfig, _BucketArgmax, interval_dp, quantize
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +131,7 @@ def partition_domain(f, omega, p, l_pieces):
     volumes = np.array([float(np.prod(cu - cl)) for cl, cu in cells])
     clipped = f.domain.kind != "box"
     if clipped:
-        log.debug("partition cells clipped by %s domain", f.domain.kind)
+        log.debug("partition cells clipped by %r", f.domain)
     return Partition(cells=cells, anchors=anchors, anchor_forms=forms,
                      anchor_weights=weights, volumes=volumes, clipped=clipped)
 
@@ -142,15 +143,8 @@ def _probe_lattice(dim, per_axis=8):
 
 def _cell_mass(f, omega, p, cell, level=16):
     """Weighted-mass integrand integrated over one (possibly clipped) cell."""
-    cl, cu = cell
-    nodes, wts = tensor_nodes(cl, cu, level)
-    n = f.dim
-    det = np.maximum(f.hessian_det(nodes), 0.0)
-    w = np.asarray(omega(nodes, f.value(nodes)), dtype=float)
-    vals = det ** (p / (n + 2.0 * p)) * w ** (n / (n + 2.0 * p))
-    if f.domain.kind != "box":
-        vals = np.where(f.domain.contains(nodes), vals, 0.0)
-    return float(np.dot(wts, vals))
+    nodes, wts = tensor_nodes(cell[0], cell[1], level)
+    return float(np.dot(wts, _law_density(f, omega, p)(nodes)))
 
 
 def allocate_budget(partition, f, omega, p, m):
@@ -266,10 +260,8 @@ def quantile_abscissas(f, omega, p, m, grid=4097):
     """Quantiles of the asymptotically optimal tangency density."""
     a, b = _interval(f)
     xs = np.linspace(a, b, grid)
-    fpp = np.maximum(f.hessian(xs.reshape(-1, 1))[:, 0, 0], 0.0)
-    w = np.asarray(omega(xs.reshape(-1, 1), f.value(xs.reshape(-1, 1))),
-                   dtype=float)
-    phi = fpp ** (p / (1.0 + 2.0 * p)) * w ** (1.0 / (1.0 + 2.0 * p))
+    x = xs.reshape(-1, 1)
+    phi = law_density(f.hessian_det(x), omega(x, f.value(x)), p, 1)
     steps = (phi[1:] + phi[:-1]) / 2.0 * np.diff(xs)
     cum = np.concatenate([[0.0], np.cumsum(steps)])
     if cum[-1] <= 0:
@@ -311,19 +303,8 @@ def dp_1d_abscissas(f, omega, m, grid_size=257):
     cmat = np.maximum(fw - fv * ww - gv * (xw - centroids * ww), 0.0)
     cmat[ww <= 0] = 0.0
     cmat[np.tril_indices(npts)] = np.inf           # only i < k is a valid cell
-
-    best = np.full((m + 1, npts), np.inf)
-    arg = np.zeros((m + 1, npts), dtype=int)
-    best[0, 0] = 0.0
-    for j in range(1, m + 1):
-        tot = best[j - 1][:, None] + cmat
-        arg[j] = np.argmin(tot, axis=0)
-        best[j] = tot[arg[j], np.arange(npts)]
-    chain = [npts - 1]
-    for j in range(m, 0, -1):
-        chain.append(arg[j, chain[-1]])
-    chain = chain[::-1]
-    return np.array([centroids[chain[j], chain[j + 1]] for j in range(m)])
+    chain = interval_dp(cmat, m)
+    return centroids[chain[:-1], chain[1:]]
 
 
 def optimal_tangent_abscissas_1d(f, omega, p, m, max_newton=60):
@@ -559,8 +540,8 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
     if m < 1:
         raise ValueError("need at least one tangent plane")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must be positive and finite, got {p!r}")
     n = f.dim
 
     if strategy == "exact_1d":
@@ -639,43 +620,31 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         part = partition_domain(f, omega, p, pieces)
     alloc = allocate_budget(part, f, omega, p, m)
     all_points = []
-    nb = n / (n + 2.0 * p)
+    nb = law_exponents(p, n)[1]
     for i, (cell, d) in enumerate(zip(part.cells, alloc.budgets)):
         if d == 0:
             continue
         region = Domain.box(cell[0], cell[1])
 
-        def dens(x, _i=i):
+        def dens(x):
+            # the metric is frozen per cell, so only the weight varies
             w = np.asarray(omega(x, f.value(x)), dtype=float) ** nb
-            if f.domain.kind != "box":
-                w = np.where(f.domain.contains(x), w, 0.0)
-            return w
+            return f.domain.mask(x, w)
 
         cfg = QuantizerConfig(m=int(d), p=p, metric=part.anchor_forms[i],
                               seed=(seed * 1009 + i), restarts=restarts,
                               max_iterations=max_iterations, tol=tol,
                               cloud_size=cloud_size or max(2000, 200 * int(d)))
-        ps = quantize(region, dens, cfg)
-        pts = ps.points
-        if f.domain.kind != "box":
-            pts = pts[f.domain.contains(pts)]
-        all_points.append(pts)
+        pts = quantize(region, dens, cfg).points
+        all_points.append(pts[f.domain.contains(pts)])
     stacked = np.vstack(all_points)
     return _envelope_at(f, stacked)
 
 
 def _law_density(f, omega, p):
-    n = f.dim
-    a = p / (n + 2.0 * p)
-    b = n / (n + 2.0 * p)
-
     def dens(x):
-        det = np.maximum(f.hessian_det(x), 0.0)
-        w = np.asarray(omega(x, f.value(x)), dtype=float)
-        vals = det ** a * np.maximum(w, 0.0) ** b
-        if f.domain.kind != "box":
-            vals = np.where(f.domain.contains(x), vals, 0.0)
-        return vals
+        vals = law_density(f.hessian_det(x), omega(x, f.value(x)), p, f.dim)
+        return f.domain.mask(x, vals)
 
     return dens
 

@@ -1,7 +1,7 @@
 """Dual-side machinery: Legendre transforms on grids, the Monge-Ampere
-measure computed two independent ways, support functions of finite vertex
-sets, the weighted affine surface functional, and the dual approximation
-sweep over a declared support region.
+measure computed two independent ways, the weighted affine surface
+functional, and the dual approximation sweep over a declared support
+region.
 
 The discrete Legendre transform is the direct maximum over primal nodes,
 
@@ -14,18 +14,19 @@ non-issue and there is no approximation beyond the sampling itself.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_core import Domain, DomainError
-from .quadrature import QuadratureSpec, integrate, tensor_nodes
+from .convex_core import Domain, WeightFunction
+from .functionals import weighted_mass
+from .quadrature import QuadratureSpec, integrate
 from .sweep import run_sweep
 
 __all__ = [
-    "GridFunction", "ConvexBodySpec", "SupportRestriction",
-    "legendre_transform", "monge_ampere_det", "monge_ampere_subgradient",
-    "support_function", "weighted_affine_surface", "dual_approximation_sweep",
+    "GridFunction", "SupportRestriction", "legendre_transform",
+    "monge_ampere_det", "monge_ampere_subgradient",
+    "weighted_affine_surface", "dual_approximation_sweep",
 ]
 
 
@@ -115,18 +116,6 @@ class GridFunction:
         vals = np.array([float(tok) for tok in it])
         return cls(np.array(lower), np.array(upper), vals.reshape(counts),
                    truncated=trunc)
-
-
-@dataclass
-class ConvexBodySpec:
-    """Finite vertex set; used only through maxima of inner products."""
-
-    vertices: np.ndarray = field(default_factory=lambda: np.zeros((1, 2)))
-
-    def __post_init__(self):
-        self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if self.vertices.size == 0:
-            raise ValueError("a convex body needs at least one vertex")
 
 
 @dataclass
@@ -223,7 +212,7 @@ def monge_ampere_subgradient(f, region=None, samples=200_000, seed=0):
             warnings.warn("gradient image is degenerate", stacklevel=2)
             return 0.0
         return vol
-    walk = _boundary_walk_2d(region, max(int(samples) // 8, 1024)) \
+    walk = region.boundary(max(int(samples) // 8, 1024)) \
         if f.dim == 2 else None
     if walk is not None:
         g = f.gradient(walk)
@@ -253,92 +242,20 @@ def monge_ampere_subgradient(f, region=None, samples=200_000, seed=0):
     return vol
 
 
-def _boundary_walk_2d(region, budget):
-    """Closed counterclockwise polyline along the boundary of a 2-d region."""
-    lo, hi = region.bounding_box()
-    if region.kind == "box":
-        t = np.linspace(0.0, 1.0, max(budget // 4, 64), endpoint=False)
-        w, h = hi[0] - lo[0], hi[1] - lo[1]
-        return np.vstack([
-            np.column_stack([lo[0] + t * w, np.full_like(t, lo[1])]),
-            np.column_stack([np.full_like(t, hi[0]), lo[1] + t * h]),
-            np.column_stack([hi[0] - t * w, np.full_like(t, hi[1])]),
-            np.column_stack([np.full_like(t, lo[0]), hi[1] - t * h]),
-        ])
-    if region.kind == "ball":
-        center = (lo + hi) / 2.0
-        radius = float(hi[0] - lo[0]) / 2.0
-        theta = np.linspace(0.0, 2.0 * np.pi, max(budget, 256), endpoint=False)
-        return center + radius * np.column_stack([np.cos(theta),
-                                                  np.sin(theta)])
-    if region.kind == "polytope":
-        verts = _polygon_vertices(region)
-        if verts is None:
-            return None
-        t = np.linspace(0.0, 1.0, max(budget // len(verts), 64),
-                        endpoint=False)[:, None]
-        nxt = np.roll(verts, -1, axis=0)
-        return np.vstack([a + t * (b - a) for a, b in zip(verts, nxt)])
-    return None
-
-
-def _polygon_vertices(region):
-    """Vertex cycle of a polygon {x : a x <= b}, counterclockwise."""
-    cfg = region.to_config()
-    a = np.asarray(cfg["a"], dtype=float)
-    b = np.asarray(cfg["b"], dtype=float)
-    pts = []
-    for i in range(len(b)):
-        for j in range(i + 1, len(b)):
-            pair = a[[i, j]]
-            if abs(np.linalg.det(pair)) < 1e-12:
-                continue
-            v = np.linalg.solve(pair, b[[i, j]])
-            if np.all(a @ v <= b + 1e-9):
-                pts.append(v)
-    if len(pts) < 3:
-        return None
-    pts = np.unique(np.round(np.array(pts), 12), axis=0)
-    center = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - center[1],
-                                  pts[:, 0] - center[0]))
-    return pts[order]
-
-
-def support_function(body, x):
-    """h_K(x) = max over the vertex set of x . y (batched over rows of x)."""
-    verts = body.vertices
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != verts.shape[1]:
-        raise ValueError("direction dimension does not match the vertices")
-    vals = (pts @ verts.T).max(axis=1)
-    return float(vals[0]) if single else vals
-
-
 def weighted_affine_surface(v, supp, quad=None):
     """Weighted affine surface integral over the declared support:
 
-        int_supp (det D^2 v)^(1/(n+2)) exp(-n v / (n+2)) dx.
+        int_supp (det D^2 v)^(1/(n+2)) exp(-n v / (n+2)) dx,
 
-    Outside the support the Monge-Ampere measure vanishes, so enlarging
-    the region does not change the value (up to quadrature tolerance);
-    this coincides with weighted_mass at p = 1 and weight e^{-t}.
+    the mass integral at p = 1 with weight e^{-t}.  Outside the support
+    the Monge-Ampere measure vanishes, so enlarging the region (within
+    v's domain) does not change the value up to quadrature tolerance.
     """
     region = getattr(supp, "region", supp)
-    n = v.dim
-    if region.dim != n:
-        raise DomainError("support dimension does not match the function")
     if quad is None:
         quad = QuadratureSpec(kind="tensor_grid",
-                              level=256 if n == 1 else 128)
-
-    def integrand(x):
-        det = np.maximum(v.hessian_det(x), 0.0)
-        return det ** (1.0 / (n + 2.0)) * np.exp(-n * v.value(x) / (n + 2.0))
-
-    return float(integrate(integrand, region, quad).value)
+                              level=256 if v.dim == 1 else 128)
+    return weighted_mass(v, 1.0, WeightFunction.exp_neg_t(), region, quad)
 
 
 def dual_approximation_sweep(v, supp, p, omega, m_list, strategy, seed=0,

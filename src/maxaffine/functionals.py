@@ -15,14 +15,13 @@ second moment 5/(36 sqrt 3) quoted in coding tables).  An empirical
 estimator backed by the Lloyd quantizer is provided for cross-checks.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sp_integrate
 
 from .convex_core import Domain, DomainError, WeightError
-from .quadrature import ErrorReport, QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate
 
 
 @dataclass(frozen=True)
@@ -41,85 +40,20 @@ class ZadorConstant:
     half_width: float = 0.0
 
 
-@dataclass(frozen=True)
-class FunctionalResult:
-    value: float
-    error_bar: float
-    nodes_used: int
-    conc_warning: bool = False
+def law_exponents(p, n):
+    """Exponents of det D^2 f and of omega in the law density:
+    p/(n+2p) and n/(n+2p)."""
+    return p / (n + 2.0 * p), n / (n + 2.0 * p)
 
 
-class ZetaFunction:
-    """Scalar transform applied to det D^2 f inside Z functionals.
-
-    The natural class is concave with zeta(0+) = 0 and zeta(t)/t -> 0 at
-    infinity; transforms outside it are allowed but flagged.
-
-    kinds: ``power`` (t^exponent), ``capped_linear`` (min(t, cap)),
-    ``tabulated`` (linear interpolation of (ts, vals)).
-    """
-
-    def __init__(self, kind, params):
-        self.kind = kind
-        self.params = dict(params)
-        if kind == "power":
-            a = float(self.params["exponent"])
-            if a <= 0:
-                raise ValueError("power exponent must be positive")
-            self.in_conc = a < 1.0
-        elif kind == "capped_linear":
-            c = float(self.params["cap"])
-            if c < 0:
-                raise ValueError("cap must be nonnegative")
-            self.in_conc = True
-        elif kind == "tabulated":
-            ts = np.asarray(self.params["ts"], dtype=float)
-            vals = np.asarray(self.params["vals"], dtype=float)
-            if ts.ndim != 1 or ts.shape != vals.shape or np.any(np.diff(ts) <= 0):
-                raise ValueError("tabulated zeta needs increasing ts and matching vals")
-            self.params = {"ts": ts.tolist(), "vals": vals.tolist()}
-            # concavity and endpoint probes for the flag
-            slopes = np.diff(vals) / np.diff(ts)
-            self.in_conc = bool(
-                np.all(np.diff(slopes) <= 1e-12)
-                and abs(np.interp(0.0, ts, vals)) < 1e-12
-                and slopes[-1] <= 1e-12 + 0.0
-            )
-        else:
-            raise ValueError(f"unknown zeta kind {kind!r}")
-
-    @classmethod
-    def power(cls, exponent):
-        return cls("power", {"exponent": exponent})
-
-    @classmethod
-    def capped_linear(cls, cap):
-        return cls("capped_linear", {"cap": cap})
-
-    @classmethod
-    def tabulated(cls, ts, vals):
-        return cls("tabulated", {"ts": ts, "vals": vals})
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "power":
-            return np.power(np.maximum(t, 0.0), self.params["exponent"])
-        if self.kind == "capped_linear":
-            return np.minimum(t, self.params["cap"])
-        return np.interp(t, self.params["ts"], self.params["vals"])
-
-
-def z_zeta(f, zeta, quad=None, region=None):
-    """Z functional: integral of zeta(det D^2 f) over the region."""
-    region = region or f.domain
-    quad = quad or _default_quad(region)
-    conc_warning = not zeta.in_conc
-    if conc_warning:
-        warnings.warn("zeta transform is outside the concave class; "
-                      "the value is reported anyway", stacklevel=2)
-    rep = integrate(lambda x: zeta(f.hessian_det(x)), region, quad)
-    return FunctionalResult(value=rep.value, error_bar=rep.error_bar,
-                            nodes_used=rep.nodes_used, conc_warning=conc_warning)
+def law_density(det, w, p, n):
+    """The law density max(det, 0)^(p/(n+2p)) * max(w, 0)^(n/(n+2p)),
+    from already computed values of det D^2 f and of omega."""
+    a, b = law_exponents(p, n)
+    # in place: the mass integral calls this on a million nodes at a time
+    dens = np.maximum(det, 0.0) ** a
+    dens *= np.maximum(w, 0.0) ** b
+    return dens
 
 
 def weighted_mass(f, p, omega, region=None, quad=None):
@@ -129,17 +63,13 @@ def weighted_mass(f, p, omega, region=None, quad=None):
         raise DomainError("region dimension does not match the function")
     _check_region_inside(region, f.domain)
     quad = quad or _default_quad(region)
-    n = f.dim
-    a = p / (n + 2.0 * p)
-    b = n / (n + 2.0 * p)
 
     def integrand(x):
-        det = np.maximum(f.hessian_det(x), 0.0)
-        vals = f.value(x)
-        w = np.asarray(omega(x, vals), dtype=float)
+        det = f.hessian_det(x)
+        w = np.asarray(omega(x, f.value(x)), dtype=float)
         if np.any(w <= 0):
             raise WeightError("weight must be positive on the region")
-        return det ** a * w ** b
+        return law_density(det, w, p, f.dim)
 
     return float(integrate(integrand, region, quad).value)
 

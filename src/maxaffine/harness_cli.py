@@ -30,6 +30,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O failure.
 import argparse
 import difflib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -77,15 +78,26 @@ def _reject_unknown(mapping, allowed, path):
             raise ConfigError(f"unknown config key {path}{key!r}{suffix}")
 
 
-def parse_config(path):
-    """Read and validate a JSON config file."""
+def _read_json(path):
     with open(path) as fh:
         text = fh.read()
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(raw)
+
+
+def parse_config(path):
+    """Read and validate a JSON config file."""
+    return validate_config(_read_json(path))
+
+
+def _positive_p(p):
+    """``p`` as a float; ConfigError unless it is a finite number > 0."""
+    if (not isinstance(p, (int, float)) or isinstance(p, bool)
+            or not 0 < p < math.inf):
+        raise ConfigError(f"p must be a positive finite number, got {p!r}")
+    return float(p)
 
 
 def validate_config(raw):
@@ -120,9 +132,7 @@ def validate_config(raw):
                           f"choose from {list(_WEIGHT_IDS)}"
                           + (f" (close: {hint})" if hint else ""))
 
-    p = raw.get("p", 1.0)
-    if not isinstance(p, (int, float)) or isinstance(p, bool) or p <= 0:
-        raise ConfigError(f"p must be a positive number, got {p!r}")
+    p = _positive_p(raw.get("p", 1.0))
 
     strategy = raw.get("strategy", "auto")
     if isinstance(strategy, dict):
@@ -164,7 +174,7 @@ def validate_config(raw):
                      "domain": fn["domain"]},
         "weight": {"catalog_id": wid,
                    "parameters": weight.get("parameters", {})},
-        "p": float(p),
+        "p": p,
         "strategy": {"name": name, "options": options},
         "m_list": list(m_list),
         "quadrature": dict(quad),
@@ -416,32 +426,40 @@ def _threads(args):
     return threads
 
 
-def _load_config(args, required=True):
-    if not getattr(args, "config", None):
-        if required:
-            raise ConfigError("this verb needs --config")
-        return None
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "p", None) is not None:
-        if args.p <= 0:
-            raise ConfigError("p must be positive")
-        cfg["p"] = args.p
-    if getattr(args, "strategy", None):
-        if args.strategy not in STRATEGIES:
-            hint = difflib.get_close_matches(args.strategy, STRATEGIES, n=3)
-            raise ConfigError(f"strategy {args.strategy!r} unknown"
-                              + (f" (close: {hint})" if hint else ""))
-        cfg["strategy"] = {"name": args.strategy, "options": {}}
-    if getattr(args, "m_list", None):
-        try:
-            cfg["m_list"] = [int(tok) for tok in args.m_list.split(",") if tok]
-        except ValueError:
-            raise ConfigError(f"--m-list must be integers, got {args.m_list!r}")
-        if not cfg["m_list"] or min(cfg["m_list"]) < 1:
-            raise ConfigError("--m-list entries must be >= 1")
-    return cfg
+def _m_list(text):
+    """Budgets from a comma-separated ``--m-list``."""
+    try:
+        m_list = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ConfigError(f"--m-list must be integers, got {text!r}")
+    if not m_list or min(m_list) < 1:
+        raise ConfigError("--m-list entries must be >= 1")
+    return m_list
+
+
+def _load_config(args):
+    """The ``--config`` file with the command-line overrides applied; both
+    go through :func:`validate_config`."""
+    if not args.config:
+        raise ConfigError("this verb needs --config")
+    raw = _read_json(args.config)
+    if isinstance(raw, dict):
+        for key, value in (("seed", args.seed), ("p", args.p),
+                           ("strategy", args.strategy)):
+            if value is not None:
+                raw[key] = value
+        if args.m_list:
+            raw["m_list"] = _m_list(args.m_list)
+    return validate_config(raw)
+
+
+def _write_text(text, args):
+    """Print ``text`` and write it to ``--out`` when given."""
+    sys.stdout.write(text)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    return 0
 
 
 def _emit_outcome(outcome, cfg, args):
@@ -511,16 +529,8 @@ def _cmd_error(args):
 
 
 def _cmd_zador(args):
-    p = args.p if args.p is not None else 1.0
-    if p <= 0:
-        raise ConfigError("p must be positive")
-    if args.m_list:
-        try:
-            m_list = [int(tok) for tok in args.m_list.split(",") if tok]
-        except ValueError:
-            raise ConfigError(f"--m-list must be integers, got {args.m_list!r}")
-    else:
-        m_list = [256, 512]
+    p = _positive_p(1.0 if args.p is None else args.p)
+    m_list = _m_list(args.m_list) if args.m_list else [256, 512]
     seed = args.seed if args.seed is not None else 0
     est = zador_estimate(args.n, p, m_list, trials=args.trials, seed=seed)
     lines = [f"estimate {_fmt(est.value)}",
@@ -531,12 +541,7 @@ def _cmd_zador(args):
         lines.append(f"relative_gap {_fmt(est.value / ref.value - 1.0)}")
     except ValueError:
         lines.append("reference none")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    return 0
+    return _write_text("\n".join(lines) + "\n", args)
 
 
 def _cmd_functional(args):
@@ -551,12 +556,7 @@ def _cmd_functional(args):
         lines.append(f"theory {_fmt(theory)}")
     except ValueError:
         lines.append("delta none")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    return 0
+    return _write_text("\n".join(lines) + "\n", args)
 
 
 def _cmd_legendre(args):

@@ -231,10 +231,7 @@ def integrate(func, domain, spec):
     vol = float(np.prod(upper - lower))
 
     def masked(x):
-        vals = np.asarray(func(x), dtype=float)
-        if domain.kind != "box":
-            vals = np.where(domain.contains(x), vals, 0.0)
-        return vals
+        return domain.mask(x, np.asarray(func(x), dtype=float))
 
     if spec.kind == "exact_1d":
         if n != 1:

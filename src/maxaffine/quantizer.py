@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .convex_core import _SLACK, MetricError, QuadraticForm
+from .convex_core import _SLACK, DomainError, MetricError, QuadraticForm
 
 log = logging.getLogger(__name__)
 
@@ -123,7 +123,10 @@ def _draw_cloud(region, density, count, rng):
     box_vol = float(np.prod(hi - lo))
     if density is None:
         pts = region.sample(rng, count)
-        return pts, region.volume() if region.kind != "polytope" else None
+        try:
+            return pts, region.volume()
+        except DomainError:  # no closed form (polytopes)
+            return pts, None
 
     # envelope constant from a probe lattice, with headroom
     probe = lo + rng.random((4096, region.dim)) * (hi - lo)
@@ -139,9 +142,7 @@ def _draw_cloud(region, density, count, rng):
     got = proposed = accepted = 0
     while got < count:
         batch = lo + rng.random((max(4 * count, 4096), region.dim)) * (hi - lo)
-        vals = np.asarray(density(batch), dtype=float)
-        inside = region.contains(batch) if region.kind != "box" else np.ones(len(batch), bool)
-        vals = np.where(inside, vals, 0.0)
+        vals = region.mask(batch, np.asarray(density(batch), dtype=float))
         vmax = vals.max() if vals.size else 0.0
         if vmax > bound:  # envelope was too low; restart with more headroom
             bound = 1.5 * vmax
@@ -410,21 +411,6 @@ class _BoundedAssigner:
         return dist, idx.copy()
 
 
-def _project_into(region, pts):
-    if region.kind == "box":
-        lo, hi = region.bounding_box()
-        return np.clip(pts, lo, hi)
-    if region.kind == "ball":
-        c = region.centroid()
-        r = region._data["radius"]
-        d = pts - c
-        norms = np.linalg.norm(d, axis=1)
-        scale = np.where(norms > r, r / np.maximum(norms, 1e-300), 1.0)
-        return c + d * scale[:, None]
-    lo, hi = region.bounding_box()
-    return np.clip(pts, lo, hi)
-
-
 def quantize(region, density, config, _cloud=None):
     """Place config.m points minimizing the weighted q^p distortion.
 
@@ -524,7 +510,7 @@ def quantize(region, density, config, _cloud=None):
                 centers = _generic_cell_update(cloud_w, idx, config, counts,
                                                centers)
             # keep iterates inside the closed region (in original coordinates)
-            centers = _project_into(region, centers @ w_inv.T) @ w.T
+            centers = region.project(centers @ w_inv.T) @ w.T
 
         if not converged:
             # score the final update so PointSet.objective always matches the
@@ -639,8 +625,7 @@ def quantizer_objective(region, density, q, p, points, sample_spec):
     lo, hi = region.bounding_box()
     nodes, weights = tensor_nodes(lo, hi, sample_spec.level)
     rho = np.ones(len(nodes)) if density is None else np.asarray(density(nodes))
-    if region.kind != "box":
-        rho = np.where(region.contains(nodes), rho, 0.0)
+    rho = region.mask(nodes, rho)
     value = float(np.dot(weights * rho, min_cost(nodes)))
     return ErrorReport(value=value, error_bar=np.nan, nodes_used=len(nodes))
 
@@ -665,29 +650,13 @@ def brute_force_1d(m, p, grid_resolution=1e-4, interval=(0.0, 1.0)):
         # integral over a cell of |x - midpoint|^{2p}
         return (width / 2.0) ** (2 * p + 1) * 2.0 / (2 * p + 1)
 
-    def dp(lo, hi, levels):
-        # boundaries on a grid; DP over m cells
-        edges = np.linspace(lo, hi, levels)
-        npts = len(edges)
-        # best[j][i] = optimal cost of covering [a, edges[i]] with j cells
-        widths = edges[None, :] - edges[:, None]  # widths[i, k] = e_k - e_i
-        costs = np.where(widths > 0, cell_cost(np.abs(widths)), np.inf)
-        best = np.full((m + 1, npts), np.inf)
-        arg = np.zeros((m + 1, npts), dtype=int)
-        best[0, 0] = 0.0
-        for j in range(1, m + 1):
-            tot = best[j - 1][:, None] + costs
-            arg[j] = np.argmin(tot, axis=0)
-            best[j] = tot[arg[j], np.arange(npts)]
-        # recover boundaries ending at b
-        bounds = [npts - 1]
-        for j in range(m, 0, -1):
-            bounds.append(arg[j, bounds[-1]])
-        bounds = edges[np.array(bounds[::-1])]
-        pts = (bounds[:-1] + bounds[1:]) / 2.0
-        return pts, float(best[m, npts - 1])
-
-    pts, obj = dp(a, b, 513)
+    # boundaries on a 513-point grid, optimal by dynamic programming over
+    # m cells; widths[i, k] = e_k - e_i
+    edges = np.linspace(a, b, 513)
+    widths = edges[None, :] - edges[:, None]
+    bounds = edges[interval_dp(
+        np.where(widths > 0, cell_cost(np.abs(widths)), np.inf), m)]
+    pts = (bounds[:-1] + bounds[1:]) / 2.0
     # nested refinement: the objective is a convex function of the sorted
     # cell boundaries (cell costs are convex in the width), so coordinate
     # sweeps over progressively finer local grids reach the global optimum
@@ -707,3 +676,25 @@ def brute_force_1d(m, p, grid_resolution=1e-4, interval=(0.0, 1.0)):
     obj = float(np.sum(cell_cost(np.diff(bounds))))
     return PointSet(points=pts.reshape(-1, 1), objective=obj,
                     iterations_used=0, converged=True)
+
+
+def interval_dp(cost, m):
+    """Cheapest split of a grid into m consecutive cells.
+
+    ``cost[i, k]`` is the cost of the cell from grid point i to grid point
+    k (inf where i >= k).  Runs the min-plus recursion over the number of
+    cells and returns the m + 1 boundary indices, from 0 to the last grid
+    point; ties go to the smallest boundary.
+    """
+    npts = cost.shape[0]
+    best = np.full(npts, np.inf)
+    best[0] = 0.0
+    arg = np.zeros((m + 1, npts), dtype=int)
+    for j in range(1, m + 1):
+        tot = best[:, None] + cost
+        arg[j] = np.argmin(tot, axis=0)
+        best = tot[arg[j], np.arange(npts)]
+    chain = [npts - 1]
+    for j in range(m, 0, -1):
+        chain.append(arg[j, chain[-1]])
+    return np.array(chain[::-1])

@@ -97,6 +97,62 @@ def test_domain_config_round_trip():
         Domain.from_config({"kind": "moebius"})
 
 
+def _triangle():
+    return Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                           [0.0, 0.0, 1.0])
+
+
+def test_domain_mask_per_kind():
+    # lo + 1.0 * (hi - lo) rounds to 1.3800000000000001 > hi: a box keeps
+    # that node, and every value, as it is
+    box = Domain.box([-1.95], [1.38])
+    x = np.array([[-1.95 + 1.0 * (1.38 - -1.95)], [0.0], [2.0]])
+    assert x[0, 0] > 1.38
+    vals = np.array([1.0, 2.0, 3.0])
+    assert box.mask(x, vals) is vals
+    for dom, pts in (
+            (Domain.ball([0.0, 0.0], 1.0), [[0.5, 0.0], [0.8, 0.8], [0.0, -1.0]]),
+            (_triangle(), [[0.25, 0.25], [0.8, 0.8], [0.0, 1.0]])):
+        out = dom.mask(np.array(pts), np.array([1.0, 2.0, 3.0]))
+        assert out.tolist() == [1.0, 0.0, 3.0]
+
+
+def test_domain_project_per_kind():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-2.0, 2.0, (200, 2))
+    box = Domain.box([-1.0, 0.0], [1.0, 0.5])
+    np.testing.assert_array_equal(box.project(pts),
+                                  np.clip(pts, [-1.0, 0.0], [1.0, 0.5]))
+    # a ball keeps inside points and puts the others on its sphere, up to
+    # rounding: about a quarter of them land an ulp or two outside
+    ball = Domain.ball([0.5, -0.5], 0.75)
+    moved = ball.project(pts)
+    inside = ball.contains(pts)
+    np.testing.assert_array_equal(moved[inside], pts[inside])
+    radii = np.linalg.norm(moved[~inside] - [0.5, -0.5], axis=1)
+    assert np.all(np.abs(radii - 0.75) <= 1e-15)
+    tri = _triangle()
+    lo, hi = tri.bounding_box()
+    np.testing.assert_array_equal(tri.project(pts), np.clip(pts, lo, hi))
+
+
+def test_domain_boundary_walks():
+    walk = _triangle().boundary(1024)
+    assert np.all(walk @ np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]).T
+                  <= np.array([0.0, 0.0, 1.0]) + 1e-12)
+    # counterclockwise: positive shoelace area, the triangle's 1/2
+    area = 0.5 * np.sum(walk[:, 0] * np.roll(walk[:, 1], -1)
+                        - walk[:, 1] * np.roll(walk[:, 0], -1))
+    assert area == pytest.approx(0.5, rel=1e-12)
+    circle = Domain.ball([1.0, 2.0], 0.5).boundary(512)
+    np.testing.assert_allclose(np.linalg.norm(circle - [1.0, 2.0], axis=1),
+                               0.5, rtol=1e-14)
+    square = Domain.box([0.0, 0.0], [2.0, 1.0]).boundary(256)
+    assert square.shape == (256, 2)
+    with pytest.raises(DomainError):
+        Domain.box([0.0], [1.0]).boundary(64)
+
+
 # ---------------------------------------------------------------------------
 # envelopes
 

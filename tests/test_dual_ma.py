@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from maxaffine import (
-    ConvexBodySpec,
     Domain,
+    DomainError,
     GridFunction,
     QuadratureSpec,
     SupportRestriction,
     WeightFunction,
     catalog_entry,
     dual_approximation_sweep,
+    integrate,
     legendre_transform,
     monge_ampere_det,
     monge_ampere_subgradient,
-    support_function,
     weighted_affine_surface,
     weighted_mass,
 )
@@ -183,23 +183,45 @@ def test_huber_det_vanishes_outside_core():
 
 
 # ---------------------------------------------------------------------------
-# support functions and surface integrals
+# surface integrals
 
 
-def test_support_function_unit_square():
-    body = ConvexBodySpec(np.array([[1.0, 1.0], [1.0, -1.0],
-                                    [-1.0, 1.0], [-1.0, -1.0]]))
-    x = np.array([[0.5, 0.25], [-2.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(support_function(body, x),
-                               np.abs(x).sum(axis=1))
+def _surface_reference(v, region, quad):
+    # the surface integrand as written before it became weighted_mass
+    n = v.dim
+
+    def integrand(x):
+        det = np.maximum(v.hessian_det(x), 0.0)
+        return det ** (1.0 / (n + 2.0)) * np.exp(-n * v.value(x) / (n + 2.0))
+
+    return float(integrate(integrand, region, quad).value)
 
 
 def test_surface_integral_is_weighted_mass(quad_2d, w_exp):
-    # with v = u and supp = dom the surface functional is the p=1 mass
-    supp = SupportRestriction(quad_2d.domain)
-    surf = weighted_affine_surface(quad_2d, supp)
-    mass = weighted_mass(quad_2d, 1.0, w_exp, quad_2d.domain)
-    assert surf == pytest.approx(mass, rel=1e-10)
+    # with v = u and supp = dom the surface functional is the p=1 mass,
+    # and on these cases it equals the separately written integrand too
+    # (exp(-t)^(n/(n+2)) and exp(-n t/(n+2)) can round apart elsewhere)
+    cases = [
+        quad_2d,
+        catalog_entry("quadratic", {"hessian": [[1.0]]},
+                      Domain.box([-1.0], [1.0])),
+        catalog_entry("huber", {"delta": 0.5},
+                      Domain.box([-1.0, -1.0], [1.0, 1.0])),
+        catalog_entry("cosh_quadratic", {}, Domain.ball([0.0, 0.0], 1.0)),
+    ]
+    for v in cases:
+        quad = QuadratureSpec(kind="tensor_grid",
+                              level=256 if v.dim == 1 else 128)
+        surf = weighted_affine_surface(v, SupportRestriction(v.domain))
+        assert surf == weighted_mass(v, 1.0, w_exp, v.domain, quad)
+        assert surf == _surface_reference(v, v.domain, quad)
+
+
+def test_surface_refuses_support_beyond_domain():
+    v = catalog_entry("quadratic", {}, Domain.box([0.0, 0.0], [1.0, 1.0]))
+    with pytest.raises(DomainError, match="exceeds"):
+        weighted_affine_surface(
+            v, SupportRestriction(Domain.box([0.0, 0.0], [2.0, 1.0])))
 
 
 def test_surface_1d_frozen_value():

@@ -14,12 +14,10 @@ from maxaffine import (
     DomainError,
     QuadratureSpec,
     WeightFunction,
-    ZetaFunction,
     catalog_entry,
     hexagonal_moment,
     theoretical_limit,
     weighted_mass,
-    z_zeta,
     zador_closed_form_1d,
     zador_estimate,
     zador_reference,
@@ -138,32 +136,6 @@ def test_weighted_mass_scales_with_hessian(w_const):
     dom = Domain.box([0.0], [1.0])
     f = catalog_entry("quadratic", {"hessian": [[8.0]]}, dom)
     assert weighted_mass(f, 1.0, w_const) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_z_zeta_power_and_warning(quad_2d):
-    rep = z_zeta(quad_2d, ZetaFunction.power(0.25))
-    assert rep.value == pytest.approx(1.0, rel=1e-10)
-    assert not rep.conc_warning
-    with pytest.warns(UserWarning):
-        rep2 = z_zeta(quad_2d, ZetaFunction.power(2.0))
-    assert rep2.conc_warning
-    # capped linear stays in the concave class
-    rep3 = z_zeta(quad_2d, ZetaFunction.capped_linear(0.5))
-    assert rep3.value == pytest.approx(0.5, rel=1e-10)
-    assert not rep3.conc_warning
-
-
-def test_zeta_function_validation_and_tabulated():
-    with pytest.raises(ValueError):
-        ZetaFunction.power(-1.0)
-    with pytest.raises(ValueError):
-        ZetaFunction("sigmoid", {})
-    # concave, zero at the origin, and flat at the far end (sublinear probe)
-    zt = ZetaFunction.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
-    assert zt.in_conc
-    assert zt(np.array([0.5]))[0] == pytest.approx(0.5)
-    convex_tab = ZetaFunction.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
-    assert not convex_tab.in_conc
 
 
 def test_zador_estimate_smoke_and_upper_bound_contract():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -281,3 +282,45 @@ def test_package_runs_as_module():
          "--help"], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "sweep" in proc.stdout
+
+
+def test_public_api_resolves():
+    # every exported name exists, a star import works, and deleted API
+    # stays gone
+    import maxaffine
+
+    for name in maxaffine.__all__:
+        assert hasattr(maxaffine, name), name
+    scope = {}
+    exec("from maxaffine import *", scope)
+    assert set(maxaffine.__all__) <= set(scope)
+    for gone in ("ConvexBodySpec", "support_function", "FunctionalResult",
+                 "ZetaFunction", "z_zeta"):
+        assert not hasattr(maxaffine, gone), gone
+
+
+@pytest.mark.parametrize("how", ["--p nan", "--p inf", "json NaN"])
+def test_non_finite_p_is_exit_2(tmp_path, capsys, how):
+    # a non-finite p once ran a 1-d exact_1d sweep for minutes (NaN) or
+    # died in a division (inf); it is a config error now
+    if how == "json NaN":
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(_cfg(m_list=[4, 8], p=float("nan"))))
+        argv = ["sweep", "--config", str(path)]
+    else:
+        argv = ["sweep", "--config", _write_cfg(tmp_path, m_list=[4, 8]),
+                "--p", how.split()[1]]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "p must be a positive finite number" in capsys.readouterr().err
+
+
+def test_cli_overrides_are_validated(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    for argv in (["--p", "0"], ["--strategy", "exact1d"], ["--m-list", "4,0"],
+                 ["--m-list", "4,x"]):
+        assert main(["sweep", "--config", cfg] + argv) == 2
+        assert "config error" in capsys.readouterr().err
+    assert main(["zador", "--n", "1", "--p", "nan"]) == 2
+    assert main(["zador", "--n", "1", "--m-list", "0"]) == 2
