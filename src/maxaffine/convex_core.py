@@ -63,9 +63,9 @@ class Domain:
     """Compact region: axis-aligned box, closed ball, or bounded polytope.
 
     Polytopes are stored as ``A x <= b`` and handled through their bounding
-    box plus rejection, so only membership, bounding box, sampling and the
-    boundary walk are exact; volume is closed-form for boxes and balls
-    only, and :meth:`project` clips a polytope to its bounding box.
+    box plus rejection, so only membership, bounding box, sampling,
+    projection and the boundary walk are exact; volume is closed-form for
+    boxes and balls only.
     """
 
     def __init__(self, kind, dim, **data):
@@ -221,19 +221,40 @@ class Domain:
         return np.where(self.contains(x), vals, 0.0)
 
     def project(self, pts):
-        """Points (N, n) moved into the region.
+        """Points (N, n) moved into the closed region: ``contains`` holds
+        for every finite returned point.
 
-        A box clips, a ball pulls outside points onto its sphere along the
-        ray from its center, and a polytope clips to its bounding box.
+        A box clips.  A ball pulls each outside point onto its sphere, and
+        a polytope onto the first face it crosses, along the ray from the
+        center (the Chebyshev center of a polytope); a point that rounding
+        leaves outside steps an ulp at a time toward the center.
         """
+        if self.kind == "box":
+            return np.clip(pts, self._data["lower"], self._data["upper"])
+        c = self.centroid()
         if self.kind == "ball":
-            c, r = self._data["center"], self._data["radius"]
+            # inside points go through the ray arithmetic too (scale 1), so
+            # iterates that never leave the ball round as they always have
+            out = np.arange(len(pts))
             d = pts - c
             norms = np.linalg.norm(d, axis=1)
+            r = self._data["radius"]
             scale = np.where(norms > r, r / np.maximum(norms, 1e-300), 1.0)
-            return c + d * scale[:, None]
-        lo, hi = self.bounding_box()
-        return np.clip(pts, lo, hi)
+        else:
+            out = np.flatnonzero(~self.contains(pts))
+            d = pts[out] - c
+            a, b = self._data["a"], self._data["b"]
+            reach = d @ a.T
+            with np.errstate(divide="ignore"):
+                scale = np.min(np.where(reach > 0, (b - a @ c) / reach,
+                                        np.inf), axis=1)
+        moved = np.array(pts, dtype=float)
+        while out.size:
+            moved[out] = c + d * scale[:, None]
+            bad = ~self.contains(moved[out]) \
+                & np.all(np.isfinite(moved[out]), axis=1)
+            out, d, scale = out[bad], d[bad], np.nextafter(scale[bad], 0.0)
+        return moved
 
     def boundary(self, budget):
         """Closed counterclockwise polyline along the boundary of a planar

@@ -134,7 +134,8 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
     left + right, and the cell totals are added in cell order.
 
     Returns an :class:`ErrorReport` with the panels' node count (96 per
-    panel) and ``rel_tol * value`` as its error bar.
+    panel) and, as its error bar, the sum over accepted panels of
+    ``|left + right - whole|``.
     """
     if f.dim != 1:
         raise ValueError("exact integration path requires one dimension")
@@ -159,10 +160,10 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
         w = np.asarray(omega(pts, vals), dtype=float)
         return g ** p * w
 
-    vals, nodes, _ = adaptive_panels(integrand, edges[:-1], edges[1:], tol)
+    vals, nodes, bar = adaptive_panels(integrand, edges[:-1], edges[1:], tol)
     # a running sum in cell order, not numpy's pairwise np.sum
     total = float(max(np.cumsum(np.concatenate(([0.0], vals)))[-1], 0.0))
-    return ErrorReport(value=total, error_bar=rel_tol * total, nodes_used=nodes)
+    return ErrorReport(value=total, error_bar=bar, nodes_used=nodes)
 
 
 def weighted_lp_error(f, l, p, omega, quad=None):

@@ -1,7 +1,12 @@
 """Strategy construction: exact 1-d solver, partitions, budgets, covariance."""
 
+import logging
+import math
+import time
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from maxaffine import (
     Domain,
@@ -16,11 +21,13 @@ from maxaffine import (
     is_circumscribed,
     max_violation,
     partition_domain,
+    run_sweep,
     weighted_lp_error,
 )
 from maxaffine.approximator import (
     _envelope_at,
     _fd_tridiag_jacobian,
+    _split_cell_halves,
     envelope_error_1d,
     optimal_tangent_abscissas_1d,
     quantile_abscissas,
@@ -122,6 +129,85 @@ def test_exact_1d_weighted_ratio(w_exp, quad_1d):
     assert np.max(np.abs(res)) < 1e-10
 
 
+def _cosh_gap(t, x):
+    """cosh x - cosh t - sinh t (x - t), free of cancellation near t."""
+    d = x - t
+    # sinh d - d by its series; |d| <= 2 here, so 15 terms reach 1e-25
+    k = np.arange(1, 16)
+    sinh_less_d = float(np.sum(d ** (2 * k + 1)
+                               / np.array([math.factorial(2 * j + 1)
+                                           for j in k], dtype=float)))
+    return math.cosh(t) * 2.0 * math.sinh(d / 2.0) ** 2 \
+        + math.sinh(t) * sinh_less_d
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.0])
+def test_split_cell_kernel_matches_quad(p, w_exp):
+    # every cell's residual and objective against scipy's quad, broken at
+    # the tangency point, with the gap written without cancellation.  The
+    # residual is a difference of its halves, so it is held to the cell's
+    # integral of |integrand|.  The points are jittered midpoints: in a
+    # half far shorter than its cell, the rounding of f - l_j near t_j
+    # (not the rule) limits agreement to about 1e-10.
+    f = catalog_entry("cosh_quadratic", {}, Domain.box([-1.0], [1.0]))
+    jitter = rng_for("split-cell", 0).uniform(-0.3, 0.3, 7)
+    t = -1.0 + (np.arange(7) + 0.5 + jitter) * 2.0 / 7.0
+    edges = np.concatenate([[-1.0], tangent_crossings_1d(f, t), [1.0]])
+    res = stationarity_residual_1d(f, w_exp, p, t, (-1.0, 1.0))
+    obj = _split_cell_halves(f, w_exp, p, t, (-1.0, 1.0),
+                             objective=True).sum(axis=1)
+    for j, tj in enumerate(t):
+        def term(x, power, lever):
+            gap = _cosh_gap(tj, x)
+            if gap <= 0.0:
+                return 0.0
+            return gap ** power * lever(x) * math.exp(-math.cosh(x))
+
+        def want(power, lever):
+            return quad(term, edges[j], edges[j + 1], args=(power, lever),
+                        points=[tj], epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+        scale = want(p - 1.0, lambda x: abs(x - tj))
+        assert abs(res[j] - want(p - 1.0, lambda x: x - tj)) <= 1e-10 * scale
+        assert obj[j] == pytest.approx(want(p, lambda x: 1.0), rel=1e-10), j
+    assert envelope_error_1d(f, w_exp, p, t, (-1.0, 1.0)) == \
+        pytest.approx(obj.sum(), rel=1e-15)
+
+
+def test_split_cell_kernel_edge_cases(w_const):
+    f = catalog_entry("cosh_quadratic", {}, Domain.box([-1.0], [1.0]))
+    # a tangency point on the interval's edge: that half has zero width
+    for p in (0.5, 1.0, 1.5):
+        halves = _split_cell_halves(f, w_const, p, np.array([-1.0, 0.5]),
+                                    (-1.0, 1.0))
+        assert np.all(np.isfinite(halves)) and halves[0, 0] == 0.0
+    # f = 0: the gap vanishes everywhere, and each term is 0, not inf
+    flat = catalog_entry("quadratic", {"hessian": [[0.0]]},
+                         Domain.box([-1.0], [1.0]))
+    for objective in (False, True):
+        halves = _split_cell_halves(flat, w_const, 0.5, np.array([0.3]),
+                                    (-1.0, 1.0), objective=objective)
+        assert np.array_equal(halves, [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75])
+def test_exact_1d_below_p1_reaches_the_law(p, w_const, caplog):
+    # the split-cell residual lets the one Newton solve serve p < 1
+    f = catalog_entry("cosh_quadratic", {}, Domain.box([-1.0], [1.0]))
+    start = time.perf_counter()
+    with caplog.at_level(logging.WARNING, logger="maxaffine.approximator"):
+        out = run_sweep(f, w_const, p, [64], "exact_1d")
+    elapsed = time.perf_counter() - start
+    assert not caplog.records
+    assert not out.partial
+    rec, = out.records
+    assert abs(rec.ratio - 1.0) <= 1e-3
+    t0 = quantile_abscissas(f, w_const, p, 64)
+    assert rec.error <= weighted_lp_error(f, _envelope_at(f, t0[:, None]), p,
+                                          w_const).value
+    assert elapsed < 1.0
+
+
 def test_exact_1d_huber_flat_pieces(w_const):
     dom = Domain.box([-1.0], [1.0])
     f = catalog_entry("huber", {"delta": 0.5}, dom)
@@ -129,6 +215,15 @@ def test_exact_1d_huber_flat_pieces(w_const):
     assert l.npieces <= 8
     x = np.linspace(-1, 1, 2001)[:, None]
     assert max_violation(f, l, x) <= 1e-12
+
+
+def test_exact_1d_warns_when_newton_stops_off_a_root(w_const, caplog):
+    # huber at p < 1: the optimum puts a tangent on a linear arm, where the
+    # residual jumps from +inf to below 0, so Newton has no root to find
+    f = catalog_entry("huber", {"delta": 0.5}, Domain.box([-1.0], [1.0]))
+    with caplog.at_level(logging.WARNING, logger="maxaffine.approximator"):
+        exact_1d_optimal(f, w_const, 0.5, 16)
+    assert "not stationary" in caplog.text
 
 
 def test_exact_1d_rejects_higher_dimensions(quad_2d, w_const):

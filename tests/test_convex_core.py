@@ -123,17 +123,28 @@ def test_domain_project_per_kind():
     box = Domain.box([-1.0, 0.0], [1.0, 0.5])
     np.testing.assert_array_equal(box.project(pts),
                                   np.clip(pts, [-1.0, 0.0], [1.0, 0.5]))
-    # a ball keeps inside points and puts the others on its sphere, up to
-    # rounding: about a quarter of them land an ulp or two outside
+    # a ball keeps inside points and puts the others on its sphere; one
+    # that rounding leaves an ulp outside is pulled back in
     ball = Domain.ball([0.5, -0.5], 0.75)
     moved = ball.project(pts)
     inside = ball.contains(pts)
     np.testing.assert_array_equal(moved[inside], pts[inside])
+    assert np.all(ball.contains(moved))
     radii = np.linalg.norm(moved[~inside] - [0.5, -0.5], axis=1)
     assert np.all(np.abs(radii - 0.75) <= 1e-15)
+    # a polytope cuts the ray from its Chebyshev center at the first face
     tri = _triangle()
-    lo, hi = tri.bounding_box()
-    np.testing.assert_array_equal(tri.project(pts), np.clip(pts, lo, hi))
+    moved = tri.project(pts)
+    inside = tri.contains(pts)
+    np.testing.assert_array_equal(moved[inside], pts[inside])
+    assert np.all(tri.contains(moved))
+    a = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    assert np.all(np.abs(np.max(moved[~inside] @ a.T - b, axis=1)) <= 1e-15)
+    ray, step = pts[~inside] - tri.centroid(), moved[~inside] - tri.centroid()
+    np.testing.assert_allclose(ray[:, 0] * step[:, 1] - ray[:, 1] * step[:, 0],
+                               0.0, atol=1e-14)
+    assert np.all(np.einsum("ij,ij->i", ray, step) > 0)
 
 
 def test_domain_boundary_walks():

@@ -16,6 +16,7 @@ from maxaffine import (
     sup_gap,
     weighted_lp_error,
 )
+from maxaffine import error_eval
 from maxaffine.approximator import _envelope_at
 from maxaffine.convex_core import DomainError, tangent_plane
 from maxaffine.error_eval import envelope_cells_1d, exact_1d_piecewise_integral
@@ -284,6 +285,25 @@ def test_exact_path_reports_its_nodes(quad_1d, w_const):
     rep = weighted_lp_error(quad_1d, l, 1.5, w_const)
     assert rep.nodes_used >= 96 * cells
     assert rep.nodes_used == _reference_exact_1d(quad_1d, l, 1.5, w_const)[1]
+
+
+@pytest.mark.parametrize("cid, p", [("quadratic", 1.0), ("exp_sum", 1.5)])
+def test_exact_path_bar_is_the_panel_sum(cid, p, w_exp, monkeypatch):
+    # the bar is the sum of the accepted panels' |left + right - whole|,
+    # which adaptive_panels returns, not the nominal rel_tol * value
+    bars = []
+
+    def spy(*args):
+        out = adaptive_panels(*args)
+        bars.append(out[2])
+        return out
+
+    monkeypatch.setattr(error_eval, "adaptive_panels", spy)
+    f = catalog_entry(cid, {}, Domain.box([-1.0], [1.0]))
+    rep = weighted_lp_error(f, _tangents(f, np.linspace(-0.9, 0.9, 16)), p,
+                            w_exp)
+    assert len(bars) == 1 and rep.error_bar == bars[0]
+    assert 0.0 < rep.error_bar != QuadratureSpec().rel_tol * rep.value
 
 
 @pytest.mark.parametrize("cid", CATALOG_1D)

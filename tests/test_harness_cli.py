@@ -163,6 +163,21 @@ def test_sweep_verb_fit_flag(tmp_path, capsys):
     assert fit.c_infinity == pytest.approx(1 / 24, rel=1e-8)
 
 
+def test_sweep_verb_exact_1d_below_p1(tmp_path, capsys):
+    # p < 1 takes the same Newton solve as every other p
+    cfg = _write_cfg(tmp_path, p=0.5, m_list=[16, 64], function={
+        "catalog_id": "cosh_quadratic", "parameters": {},
+        "domain": {"kind": "box", "lower": [-1.0], "upper": [1.0]}})
+    start = time.perf_counter()
+    assert main(["sweep", "--config", cfg]) == 0
+    assert time.perf_counter() - start < 5.0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "m,error,error_bar,rescaled,theory,ratio"
+    ratios = [float(line.split(",")[-1]) for line in lines[1:]]
+    assert len(ratios) == 2
+    assert all(abs(r - 1.0) <= 1e-2 for r in ratios)
+
+
 def test_sweep_verb_numeric_failure_is_exit_3(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, function={
         "catalog_id": "quadratic", "parameters": {},
