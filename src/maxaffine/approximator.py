@@ -46,6 +46,12 @@ Strategies
     omega^(1/(1+2p)) (for p = 1 and small m a dynamic program over a
     breakpoint grid is used instead), then polished by one damped Newton
     method with a tridiagonal finite-difference Jacobian, for every p > 0.
+    A merely convex f may want a tangent at the edge of an affine piece,
+    where the residual jumps (p < 1) or its slope is singular (p < 2), and
+    Newton stops short there; red-black bisection sweeps from the start
+    then put those tangents on the piece's line and hold them while Newton
+    solves for the rest.  A solve that still stops far from a root raises
+    ArithmeticError, so a sweep records a failure, not a wrong envelope.
     For a quadratic with constant weight the quantile initialization is
     already stationary (uniform midpoints) and the result is exact to
     machine precision.
@@ -191,6 +197,7 @@ def allocate_budget(partition, f, omega, p, m):
 _GAUSS_ORDER = 24
 _GX, _GW = leggauss(_GAUSS_ORDER)
 _HALF_ORDER = _GAUSS_ORDER // 2     # nodes per half-cell of the split rule
+_FD_STEP = 1e-7                     # Jacobian difference step, per unit length
 
 
 def _interval(f):
@@ -249,13 +256,20 @@ def _split_cell_halves(f, omega, p, t, interval, objective=False):
     width adds 0; where the gap vanishes the term is 0.
     """
     a, b = interval
-    beta, e = (2.0 * p, p) if objective else (2.0 * p - 1.0, p - 1.0)
-    u, wts = _half_rule(beta)
     ft = f.value(t.reshape(-1, 1))
     gt = f.gradient(t.reshape(-1, 1))[:, 0]
     inner = _crossings(t, ft, gt) if len(t) > 1 else np.empty(0)
-    h = np.maximum(np.stack([t - np.concatenate([[a], inner]),
-                             np.concatenate([inner, [b]]) - t], axis=1), 0.0)
+    h = np.stack([t - np.concatenate([[a], inner]),
+                  np.concatenate([inner, [b]]) - t], axis=1)
+    return _halves(f, omega, p, t, ft, gt, h, objective)
+
+
+def _halves(f, omega, p, t, ft, gt, h, objective=False):
+    """The split-cell rule for tangents (t, ft, gt) whose halves have
+    widths h, shape (cells, 2); a negative width counts as 0."""
+    beta, e = (2.0 * p, p) if objective else (2.0 * p - 1.0, p - 1.0)
+    u, wts = _half_rule(beta)
+    h = np.maximum(h, 0.0)
     dx = np.array([-1.0, 1.0])[:, None] * h[:, :, None] * u
     nodes = t[:, None, None] + dx
     fx = f.value(nodes.reshape(-1, 1)).reshape(nodes.shape)
@@ -355,21 +369,49 @@ def optimal_tangent_abscissas_1d(f, omega, p, m, max_newton=60):
 
 
 def _newton_polish(f, omega, p, t, interval, max_newton):
-    """Damped Newton on the residual; a line search that finds no decrease
-    ends the solve."""
-    a, b = interval
+    """Damped Newton on the residual.  A merely convex f may want a tangent
+    at the edge of an affine piece, where the residual jumps or its slope
+    is singular, and there Newton stops short: bisection sweeps from the
+    start then move every point to a sign change, and Newton resumes with
+    the points at such an edge held."""
+    held = np.zeros(t.size, dtype=bool)
+    start = t
+    t, res, ref = _newton(f, omega, p, t, held, interval, max_newton)
+    if not f.strictly_convex and np.max(np.abs(res)) > 1e-12 * ref:
+        t, held = _bisection_sweeps(f, omega, p, start, interval)
+        t, res, ref = _newton(f, omega, p, t, held, interval, max_newton)
+    # rounding floors stay below 1e-3 * ref (p = 0.1, m = 2048)
+    worst = float(np.max(np.abs(res[~held]), initial=0.0))
+    if worst > 1e-2 * ref:
+        raise ArithmeticError(
+            f"exact_1d: Newton stopped at residual {worst / ref:.2e} of its "
+            "scale; the abscissas are not stationary")
+    return t
+
+
+def _newton(f, omega, p, t, held, interval, max_newton):
+    """Damped Newton on the residuals of the points not held; a line search
+    that finds no decrease ends the solve.  Returns the points, their
+    residuals and the scale the stop is measured against: the largest
+    free cell's integral of (f - l_j)^(p-1) |x - t_j| omega at the start."""
     halves = _split_cell_halves(f, omega, p, t, interval)
     res = halves[:, 1] - halves[:, 0]
-    # the largest cell's integral of (f - l_j)^(p-1) |x - t_j| omega
-    ref = max(float(np.max(np.sum(halves, axis=1))), 1e-300)
+    ref = max(float(np.max(np.sum(halves[~held], axis=1), initial=0.0)),
+              1e-300)
     tol = 1e-12 * ref
+    a, b = interval
+    fixed = np.flatnonzero(held)
     for _ in range(max_newton):
-        rnorm = float(np.max(np.abs(res)))
+        rnorm = float(np.max(np.abs(res[~held]), initial=0.0))
         if rnorm <= tol:
             break
         try:
             jac = _fd_tridiag_jacobian(f, omega, p, t, interval, res)
-            step = solve_banded((1, 1), jac, res)
+            # a held point's row becomes t_j' = t_j
+            jac[1, fixed] = 1.0
+            jac[0, fixed[fixed < t.size - 1] + 1] = 0.0
+            jac[2, fixed[fixed > 0] - 1] = 0.0
+            step = solve_banded((1, 1), jac, np.where(held, 0.0, res))
         except (ValueError, np.linalg.LinAlgError):
             break
         if not np.all(np.isfinite(step)):
@@ -383,21 +425,63 @@ def _newton_polish(f, omega, p, t, interval, max_newton):
                                                     interval)
                 except ValueError:
                     tres = None
-                if tres is not None and \
-                        np.max(np.abs(tres)) <= (1 - 1e-4 * lam) * rnorm:
+                if tres is not None and np.max(np.abs(tres[~held])) <= \
+                        (1 - 1e-4 * lam) * rnorm:
                     t, res = trial, tres
                     break
             lam /= 2.0
         else:
             break
-    # rounding floors stay below 1e-3 * ref (p = 0.1, m = 2048); a stop far
-    # above is no root, as where a merely convex f at p < 1 wants a tangent
-    # on a flat piece and the residual jumps there
-    worst = float(np.max(np.abs(res)))
-    if worst > 1e-2 * ref:
-        log.warning("exact_1d: Newton stopped at residual %.2e of its scale; "
-                    "the abscissas are not stationary", worst / ref)
-    return t
+    return t, res, ref
+
+
+def _bisection_sweeps(f, omega, p, t, interval, sweeps=8):
+    """Red-black per-point re-solve.  With its neighbours fixed, a point's
+    residual is positive next to the left one and negative next to the
+    right one, so bisection between them finds a sign change: a root, or
+    the edge of an affine piece of f, where the residual jumps.  A point
+    there takes that piece's line and is held.  The points of one colour
+    share no cell and are bisected together.  Returns the points and the
+    mask of those held."""
+    a, b = interval
+    m = t.size
+    t = t.copy()
+    held = np.zeros(m, dtype=bool)
+    margin, eps = 1e-13 * (b - a), _FD_STEP * (b - a)
+    for _ in range(sweeps):
+        for colour in (0, 1):
+            j = np.arange(colour, m, 2)
+            first, last = j == 0, j == m - 1
+            tl, tr = t[np.maximum(j - 1, 0)], t[np.minimum(j + 1, m - 1)]
+            vl, vr = f.value(tl[:, None]), f.value(tr[:, None])
+            gl = f.gradient(tl[:, None])[:, 0]
+            gr = f.gradient(tr[:, None])[:, 0]
+            lo = np.where(first, a, tl) + margin
+            hi = np.where(last, b, tr) - margin
+            move = lo < hi
+            for _ in range(60):
+                s = (lo + hi) / 2.0
+                vs, gs = f.value(s[:, None]), f.gradient(s[:, None])[:, 0]
+                # a neighbour on the same affine piece is the same line,
+                # and the half towards it has no width
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    left = np.where(first, a, np.where(
+                        gl < gs, (vs - vl + tl * gl - s * gs) / (gl - gs), s))
+                    right = np.where(last, b, np.where(
+                        gs < gr, (vr - vs + s * gs - tr * gr) / (gs - gr), s))
+                r = _halves(f, omega, p, s, vs, gs,
+                            np.stack([s - left, right - s], axis=1))
+                up = r[:, 1] > r[:, 0]
+                lo, hi = np.where(up, s, lo), np.where(up, hi, s)
+            # a sign change within the Jacobian's difference step of an
+            # affine piece is held too: the residual's slope is singular
+            # at the piece's edge (p < 2), and Newton's model fails there
+            flat = [f.hessian_det(x[:, None]) == 0
+                    for x in (lo, hi, lo - eps, hi + eps)]
+            t[j[move]] = np.where(flat[1], hi, np.where(
+                flat[0], lo, (lo + hi) / 2.0))[move]
+            held[j] = move & (flat[2] | flat[3])
+    return t, held
 
 
 def _ordered(t, a, b):
@@ -408,7 +492,7 @@ def _fd_tridiag_jacobian(f, omega, p, t, interval, base):
     """Tridiagonal Jacobian of the residual by 3-coloring finite differences;
     returned in solve_banded's (1, 1) layout."""
     m = t.size
-    eps = 1e-7 * (interval[1] - interval[0])
+    eps = _FD_STEP * (interval[1] - interval[0])
     jac = np.zeros((3, m))
     # solve_banded layout: jac[0, j] = dR_{j-1}/dt_j (superdiagonal),
     # jac[1, j] = dR_j/dt_j, jac[2, j] = dR_{j+1}/dt_j (subdiagonal).

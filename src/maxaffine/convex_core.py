@@ -227,7 +227,8 @@ class Domain:
         A box clips.  A ball pulls each outside point onto its sphere, and
         a polytope onto the first face it crosses, along the ray from the
         center (the Chebyshev center of a polytope); a point that rounding
-        leaves outside steps an ulp at a time toward the center.
+        leaves outside steps each coordinate an ulp toward the center until
+        it is inside.
         """
         if self.kind == "box":
             return np.clip(pts, self._data["lower"], self._data["upper"])
@@ -249,11 +250,12 @@ class Domain:
                 scale = np.min(np.where(reach > 0, (b - a @ c) / reach,
                                         np.inf), axis=1)
         moved = np.array(pts, dtype=float)
+        moved[out] = c + d * scale[:, None]
         while out.size:
-            moved[out] = c + d * scale[:, None]
             bad = ~self.contains(moved[out]) \
                 & np.all(np.isfinite(moved[out]), axis=1)
-            out, d, scale = out[bad], d[bad], np.nextafter(scale[bad], 0.0)
+            out = out[bad]
+            moved[out] = np.nextafter(moved[out], c)
         return moved
 
     def boundary(self, budget):

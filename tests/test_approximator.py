@@ -24,6 +24,7 @@ from maxaffine import (
     run_sweep,
     weighted_lp_error,
 )
+from maxaffine import approximator
 from maxaffine.approximator import (
     _envelope_at,
     _fd_tridiag_jacobian,
@@ -217,13 +218,41 @@ def test_exact_1d_huber_flat_pieces(w_const):
     assert max_violation(f, l, x) <= 1e-12
 
 
-def test_exact_1d_warns_when_newton_stops_off_a_root(w_const, caplog):
-    # huber at p < 1: the optimum puts a tangent on a linear arm, where the
-    # residual jumps from +inf to below 0, so Newton has no root to find
+@pytest.mark.parametrize("p, m", [(0.5, 16), (0.5, 64), (1.5, 16),
+                                  (1.5, 64)])
+def test_exact_1d_huber_holds_the_arms(p, m, w_const):
+    # the optimum takes the two arms' lines, tangent at +-delta, and spaces
+    # the other m - 2 points evenly between them; each of the m - 1 gaps
+    # adds the integral of (x^2/2)^p over [-h/2, h/2], h = 2 delta/(m - 1).
+    # Newton alone stops short there: for p < 1 the residual jumps at
+    # +-delta, and for p < 2 its slope is singular
     f = catalog_entry("huber", {"delta": 0.5}, Domain.box([-1.0], [1.0]))
-    with caplog.at_level(logging.WARNING, logger="maxaffine.approximator"):
+    start = time.perf_counter()
+    out = run_sweep(f, w_const, p, [m], "exact_1d")
+    assert time.perf_counter() - start < 2.0
+    assert not out.partial
+    h = 1.0 / (m - 1)
+    gap_cost = 2.0 * (h / 2.0) ** (2 * p + 1) / ((2 * p + 1) * 2.0 ** p)
+    assert out.records[0].error == pytest.approx((m - 1) * gap_cost,
+                                                 rel=1e-9)
+    # at p = 1.5 the end points are roots 1.5e-8 (m = 16) inside the arms
+    l = exact_1d_optimal(f, w_const, p, m)
+    assert l.npieces == m
+    assert np.allclose(l.slopes[[0, -1], 0], [-0.5, 0.5], rtol=0, atol=1e-7)
+
+
+def test_exact_1d_fails_when_newton_stops_off_a_root(w_const, monkeypatch):
+    # without the sweeps that hold huber's arms, Newton stops far from a
+    # root; the sweep records a failure instead of a wrong envelope
+    f = catalog_entry("huber", {"delta": 0.5}, Domain.box([-1.0], [1.0]))
+    monkeypatch.setattr(approximator, "_bisection_sweeps",
+                        lambda f, omega, p, t, interval:
+                        (t, np.zeros(t.size, dtype=bool)))
+    with pytest.raises(ArithmeticError, match="not stationary"):
         exact_1d_optimal(f, w_const, 0.5, 16)
-    assert "not stationary" in caplog.text
+    out = run_sweep(f, w_const, 0.5, [1, 16], "exact_1d")
+    assert out.partial and len(out.records) == 1
+    assert "not stationary" in out.failure
 
 
 def test_exact_1d_rejects_higher_dimensions(quad_2d, w_const):

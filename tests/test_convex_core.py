@@ -1,5 +1,6 @@
 """Domains, catalog functions, envelopes, and tangency primitives."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,18 @@ def test_domain_project_per_kind():
     np.testing.assert_allclose(ray[:, 0] * step[:, 1] - ray[:, 1] * step[:, 0],
                                0.0, atol=1e-14)
     assert np.all(np.einsum("ij,ij->i", ray, step) > 0)
+    # a small ball far from the origin: a point that rounding leaves
+    # outside steps toward the center an ulp of itself at a time, so a
+    # few passes bring it in
+    for center in ([1e3, 0.0], [1e8, -1e8]):
+        ball = Domain.ball(center, 1e-3)
+        far = np.asarray(center) + 1e-3 * pts
+        start = time.perf_counter()
+        moved = ball.project(far)
+        assert time.perf_counter() - start < 1.0
+        assert np.all(ball.contains(moved))
+        inside = ball.contains(far)
+        np.testing.assert_array_equal(moved[inside], far[inside])
 
 
 def test_domain_boundary_walks():
