@@ -25,8 +25,8 @@ from .functionals import (ZadorConstant, hexagonal_moment, theoretical_limit,
                           zador_reference)
 from .approximator import (Allocation, Partition, STRATEGIES,
                            allocate_budget, build_approximation,
-                           dp_1d_abscissas, exact_1d_optimal,
-                           optimal_tangent_abscissas_1d, partition_domain)
+                           exact_1d_optimal, optimal_tangent_abscissas_1d,
+                           partition_domain)
 from .error_eval import exact_1d_piecewise_integral, weighted_lp_error
 from .sweep import SweepOutcome, SweepRecord, run_sweep, spearman_trend
 from .dual_ma import (GridFunction, SupportRestriction,
@@ -46,8 +46,8 @@ __all__ = [
     "STRATEGIES", "SmoothConvexFunction", "SupportRestriction",
     "SweepOutcome", "SweepRecord", "WeightError", "WeightFunction",
     "ZadorConstant", "allocate_budget", "brute_force_1d",
-    "build_approximation", "catalog_entry", "dp_1d_abscissas",
-    "dual_approximation_sweep", "emit", "exact_1d_optimal",
+    "build_approximation", "catalog_entry", "dual_approximation_sweep",
+    "emit", "exact_1d_optimal",
     "exact_1d_piecewise_integral", "fit_limit", "hessian_fd_check",
     "hexagonal_moment", "integrate", "is_circumscribed",
     "legendre_transform", "main", "max_violation", "monge_ampere_det",

@@ -18,10 +18,9 @@ estimator backed by the Lloyd quantizer is provided for cross-checks.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sp_integrate
 
 from .convex_core import Domain, DomainError, WeightError
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, adaptive_panels, integrate
 
 
 @dataclass(frozen=True)
@@ -111,14 +110,15 @@ def hexagonal_moment(p):
     """Moment of order 2p of a unit-area regular hexagon about its center.
 
     Computed in polar form: 12 * int_0^{pi/6} a^{2p+2} / ((2p+2) cos^{2p+2})
-    with apothem a = (2 sqrt 3)^{-1/2}.  For p = 1 this equals
+    with apothem a = (2 sqrt 3)^{-1/2}, by one adaptive Gauss-32 panel
+    (the integrand is smooth on [0, pi/6]).  For p = 1 this equals
     5 sqrt(3)/54 = 0.16037507477...
     """
     a = (2.0 * np.sqrt(3.0)) ** -0.5
-    val, _ = _sp_integrate.quad(
-        lambda t: a ** (2 * p + 2) / np.cos(t) ** (2 * p + 2) / (2 * p + 2),
-        0.0, np.pi / 6.0, epsabs=1e-15, epsrel=1e-13)
-    return 12.0 * val
+    e = 2.0 * p + 2.0
+    vals, _, _ = adaptive_panels(lambda t, _: a ** e / np.cos(t) ** e,
+                                 [0.0], [np.pi / 6.0], 1e-13 * a ** e)
+    return 6.0 / (p + 1.0) * float(vals[0])
 
 
 def zador_reference(n, p):

@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -271,57 +271,36 @@ def fit_limit(records):
 # ---------------------------------------------------------------------------
 # emission
 
-_CSV_HEADER = "m,error,error_bar,rescaled,theory,ratio"
-_FIT_FIELDS = ("c_infinity", "amplitude", "exponent", "residual", "degenerate")
-
-
 def _fmt(x):
     return f"{x:.17g}"
 
 
+def _texts(obj):
+    """The fields of a SweepRecord or FitResult as text: an int or bool as
+    its integer, a float at %.17g so it round-trips."""
+    return [str(int(getattr(obj, fd.name))) if fd.type in (int, bool)
+            else _fmt(getattr(obj, fd.name)) for fd in fields(obj)]
+
+
 def emit(payload, fmt="csv", path=None):
     """Serialize records or a fit result; returns the text, optionally
-    writing it to ``path``.  CSV rows are %.17g so floats round-trip."""
+    writing it to ``path``.  A CSV has a header of the field names; the
+    record format puts one ``name value`` line per field and a blank line
+    between records."""
     if fmt not in ("csv", "record"):
         raise ConfigError(f"unknown output format {fmt!r}")
     if isinstance(payload, SweepOutcome):
         payload = payload.records
-    if isinstance(payload, FitResult):
-        if fmt == "csv":
-            text = (",".join(_FIT_FIELDS) + "\n"
-                    + ",".join([_fmt(payload.c_infinity),
-                                _fmt(payload.amplitude),
-                                _fmt(payload.exponent),
-                                _fmt(payload.residual),
-                                str(int(payload.degenerate))]) + "\n")
-        else:
-            lines = [f"c_infinity {_fmt(payload.c_infinity)}",
-                     f"amplitude {_fmt(payload.amplitude)}",
-                     f"exponent {_fmt(payload.exponent)}",
-                     f"residual {_fmt(payload.residual)}",
-                     f"degenerate {int(payload.degenerate)}"]
-            text = "\n".join(lines) + "\n"
+    cls = FitResult if isinstance(payload, FitResult) else SweepRecord
+    items = [payload] if cls is FitResult else list(payload)
+    names = [fd.name for fd in fields(cls)]
+    if fmt == "csv":
+        text = "\n".join([",".join(names)]
+                         + [",".join(_texts(r)) for r in items]) + "\n"
     else:
-        records = list(payload)
-        if fmt == "csv":
-            rows = [_CSV_HEADER]
-            for r in records:
-                rows.append(",".join([str(r.m), _fmt(r.error),
-                                      _fmt(r.error_bar), _fmt(r.rescaled),
-                                      _fmt(r.theory), _fmt(r.ratio)]))
-            text = "\n".join(rows) + "\n"
-        else:
-            blocks = []
-            for r in records:
-                blocks.append("\n".join([
-                    f"m {r.m}",
-                    f"error {_fmt(r.error)}",
-                    f"error_bar {_fmt(r.error_bar)}",
-                    f"rescaled {_fmt(r.rescaled)}",
-                    f"theory {_fmt(r.theory)}",
-                    f"ratio {_fmt(r.ratio)}",
-                ]))
-            text = "\n\n".join(blocks) + "\n"
+        text = "\n\n".join(
+            "\n".join(f"{k} {v}" for k, v in zip(names, _texts(r)))
+            for r in items) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -329,30 +308,18 @@ def emit(payload, fmt="csv", path=None):
 
 
 def parse_records(text):
-    """Parse the record format (or record-format fit) back to objects."""
+    """Parse the record format (or record-format fit) back to objects,
+    converting each value by its field's type."""
     blocks = [b for b in text.strip().split("\n\n") if b.strip()]
     out = []
     for block in blocks:
-        fields = {}
-        for line in block.splitlines():
-            if not line.strip():
-                continue
-            key, _, val = line.partition(" ")
-            fields[key] = val
-        if "c_infinity" in fields:
-            out.append(FitResult(
-                c_infinity=float(fields["c_infinity"]),
-                amplitude=float(fields["amplitude"]),
-                exponent=float(fields["exponent"]),
-                residual=float(fields["residual"]),
-                degenerate=bool(int(fields["degenerate"]))))
-        else:
-            out.append(SweepRecord(
-                m=int(fields["m"]), error=float(fields["error"]),
-                error_bar=float(fields["error_bar"]),
-                rescaled=float(fields["rescaled"]),
-                theory=float(fields["theory"]),
-                ratio=float(fields["ratio"])))
+        values = dict(line.partition(" ")[::2] for line in block.splitlines()
+                      if line.strip())
+        cls = FitResult if "c_infinity" in values else SweepRecord
+        out.append(cls(**{
+            fd.name: (bool(int(values[fd.name])) if fd.type is bool
+                      else fd.type(values[fd.name]))
+            for fd in fields(cls)}))
     return out
 
 

@@ -66,19 +66,13 @@ def run_sweep(f, omega, p, m_list, strategy, quad=None, seed=0, delta=None,
                            rescaled=rescaled, theory=theory,
                            ratio=rescaled / theory)
 
-    if threads <= 1:
-        for m in m_list:
-            try:
-                outcome.records.append(run_one(m))
-            except Exception as exc:           # abort, keep partial results
-                outcome.partial = True
-                outcome.failure = f"m={m}: {exc}"
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(_safe, [(run_one, m) for m in m_list]))
+    jobs = [(run_one, m) for m in m_list]
+    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
+        # the built-in map is lazy, so a serial sweep runs no budget after
+        # a failure; the pool starts no thread until it is given work
+        results = map(_safe, jobs) if threads <= 1 else pool.map(_safe, jobs)
         for m, res in zip(m_list, results):
-            if isinstance(res, Exception):
+            if isinstance(res, Exception):     # abort, keep partial results
                 outcome.partial = True
                 outcome.failure = f"m={m}: {res}"
                 break

@@ -79,6 +79,15 @@ def test_hexagonal_moment_against_triangle_oracle():
     assert hexagonal_moment(1) < 1.0 / 6.0
 
 
+def test_hexagonal_moment_is_pinned():
+    # the values of the former scipy quad evaluation
+    assert hexagonal_moment(1) == 0.16037507477489604
+    assert hexagonal_moment(1.5) == 0.07287862509141316
+    assert hexagonal_moment(2) == 0.034567901234567905
+    for p, old in ((0.5, 0.3771967354844369), (3, 0.008451511877026273)):
+        assert abs(hexagonal_moment(p) - old) <= np.spacing(old)
+
+
 def test_zador_reference_dispatch():
     assert zador_reference(1, 2.0).value == pytest.approx(1.0 / 80.0)
     ref2 = zador_reference(2, 1.0)

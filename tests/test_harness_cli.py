@@ -137,6 +137,42 @@ def test_emit_fit_round_trip_and_csv_shape(tmp_path):
         emit(fit, fmt="yaml")
 
 
+def test_emit_bytes_are_pinned():
+    # both layouts are read from the dataclass fields; the bytes are
+    # fixed, as sweep CSVs must stay byte-identical across versions
+    records = [SweepRecord(m=4, error=0.0026041666666666665,
+                           error_bar=4.336808689942018e-19,
+                           rescaled=0.041666666666666664,
+                           theory=0.041666666666666664, ratio=1.0),
+               SweepRecord(m=16, error=0.00013825719863552822,
+                           error_bar=0.0, rescaled=0.035393842850695225,
+                           theory=0.03466806511224932,
+                           ratio=1.0209350473212163)]
+    fit = FitResult(c_infinity=0.03466806511224932, amplitude=-1.5e-300,
+                    exponent=2.0, residual=float("nan"), degenerate=True)
+    assert emit(records, fmt="csv") == (
+        "m,error,error_bar,rescaled,theory,ratio\n"
+        "4,0.0026041666666666665,4.3368086899420177e-19,"
+        "0.041666666666666664,0.041666666666666664,1\n"
+        "16,0.00013825719863552822,0,0.035393842850695224,"
+        "0.034668065112249319,1.0209350473212162\n")
+    assert emit(records, fmt="record") == (
+        "m 4\nerror 0.0026041666666666665\n"
+        "error_bar 4.3368086899420177e-19\nrescaled 0.041666666666666664\n"
+        "theory 0.041666666666666664\nratio 1\n\n"
+        "m 16\nerror 0.00013825719863552822\nerror_bar 0\n"
+        "rescaled 0.035393842850695224\ntheory 0.034668065112249319\n"
+        "ratio 1.0209350473212162\n")
+    assert emit(fit, fmt="csv") == (
+        "c_infinity,amplitude,exponent,residual,degenerate\n"
+        "0.034668065112249319,-1.5000000000000001e-300,2,nan,1\n")
+    assert emit(fit, fmt="record") == (
+        "c_infinity 0.034668065112249319\n"
+        "amplitude -1.5000000000000001e-300\nexponent 2\nresidual nan\n"
+        "degenerate 1\n")
+    assert parse_records(emit(records, fmt="record")) == records
+
+
 # ---------------------------------------------------------------------------
 # CLI verbs
 
@@ -299,6 +335,23 @@ def test_package_runs_as_module():
     assert "sweep" in proc.stdout
 
 
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    # a fresh interpreter pays for every scipy submodule the import loads
+    import maxaffine
+
+    src = os.path.dirname(os.path.dirname(maxaffine.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, maxaffine; print(sorted(m for m in sys.modules "
+         "if m in ('scipy.integrate', 'scipy.optimize')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_public_api_resolves():
     # every exported name exists, a star import works, and deleted API
     # stays gone
@@ -310,7 +363,7 @@ def test_public_api_resolves():
     exec("from maxaffine import *", scope)
     assert set(maxaffine.__all__) <= set(scope)
     for gone in ("ConvexBodySpec", "support_function", "FunctionalResult",
-                 "ZetaFunction", "z_zeta"):
+                 "ZetaFunction", "z_zeta", "dp_1d_abscissas"):
         assert not hasattr(maxaffine, gone), gone
 
 
