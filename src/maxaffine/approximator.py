@@ -101,7 +101,7 @@ def _safe_form(matrix, dim):
         return QuadraticForm.from_matrix(np.eye(dim))
 
 
-def partition_domain(f, omega, p, l_pieces):
+def partition_domain(f, l_pieces):
     """Grid partition of the domain with per-piece frozen anchor data.
 
     The longest axis gets ``l_pieces`` cells; the other axes get counts
@@ -561,10 +561,10 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
 
     # paper_partition
     pieces = l_pieces or max(1, int(round(m ** (1.0 / (n + 1)))))
-    part = partition_domain(f, omega, p, pieces)
+    part = partition_domain(f, pieces)
     while len(part.cells) > m and pieces > 1:
         pieces -= 1
-        part = partition_domain(f, omega, p, pieces)
+        part = partition_domain(f, pieces)
     alloc = allocate_budget(part, f, omega, p, m)
     all_points = []
     nb = law_exponents(p, n)[1]

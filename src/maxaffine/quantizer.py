@@ -10,21 +10,14 @@ alternate nearest-point assignment (in the whitened metric, where q is the
 squared Euclidean norm) with per-cell minimization.  For p = 1 the cell
 minimizer is the mean; for p = 2 it is found by damped Newton steps on the
 quartic cell objective, assembled from cell moments so no extra passes
-over the cloud are needed; other exponents fall back to damped
-reweighted-mean steps.  The empirical objective is monotone across
-iterations by construction and this is asserted.
-
-The reweighted-mean update runs up to 20 steps per Lloyd iteration on
-clouds that are often small, so its cost is in the number of passes, not
-in arithmetic.  Each step gathers centers with ``np.take``, makes one
-``bincount`` over (cell, coordinate) keys for all weighted sums (each bin
-still adds its points in cloud order), and carries every point's squared
-distance to its center from the accepted trial instead of recomputing it.
-The step rule, step sizes and acceptance test are unchanged, and the
-centers are bit-identical to computing every quantity afresh with
-``einsum`` row norms: the norms are explicit coordinate sums only in
-dims 1 and 2, where they round as ``einsum`` does, and stay ``einsum``
-above.
+over the cloud are needed.  Other exponents run a damped Newton per cell
+on the cell objective, convex for p >= 1/2, whose minimizer is the
+generalized centroid (Du, Faber and Gunzburger, SIAM Review 1999); each
+cell takes its own step, with its own line search, and stops once its
+predicted decrease is below 1e-15 of its objective, so a call costs about
+three passes for the cell sums and two trial evaluations.  The empirical
+objective is monotone across iterations by construction and this is
+asserted.
 
 Assignment reuses distance bounds across iterations (Hamerly, "Making
 k-means even faster", SDM 2010): each cloud point keeps its label, its
@@ -49,6 +42,9 @@ The slack, also added to the neighbourhood radius, exceeds the rounding
 of the distance, bound and radius arithmetic, so every skipped point has
 a unique nearest center and every tie goes back to the kd-tree: labels
 and distances are bit-identical to a full query.
+On a line there are no bounds: the cloud is sorted once per restart, and
+each call cuts it at the sorted midpoints, with the labels of a
+``searchsorted`` of the unsorted cloud.
 
 Farthest-point seeding keeps each row's squared distance to the nearest
 pick in ``_BucketArgmax``, a running argmax over a grid of buckets of
@@ -326,6 +322,14 @@ def _p2_cell_update(start, count, s1, s2, s3, s2tr, s4, steps=20):
     return s, val
 
 
+def _sq_norms(d):
+    """Row-wise squared norms, summed coordinate by coordinate."""
+    sq = d[:, 0] * d[:, 0]
+    for k in range(1, d.shape[1]):
+        sq += d[:, k] * d[:, k]
+    return sq
+
+
 def _assign(cloud_w, centers_w):
     if centers_w.shape[1] == 1:
         # on a line the Voronoi cells are intervals between midpoints
@@ -349,15 +353,32 @@ class _BoundedAssigner:
     the centers, whose pair search finds each cell's neighbourhood for the
     next bound update (see the module docstring).  The own-center distance
     is summed coordinate by coordinate, as the kd-tree sums fewer than
-    eight coordinates, so other dimensions fall back to ``_assign``.
+    eight coordinates, so eight or more dimensions fall back to ``_assign``.
+    On a line the cloud is sorted once instead, so each cell is one run of
+    the sorted cloud, cut where the sorted midpoints fall.
     """
 
     def __init__(self, cloud_w):
         self.cloud_w = cloud_w
         self.bounded = 1 < cloud_w.shape[1] < 8
         self.centers = None
+        if cloud_w.shape[1] == 1:
+            self.order = np.argsort(cloud_w[:, 0], kind="stable")
+            self.line = cloud_w[self.order, 0]
+
+    def _assign_line(self, centers_w):
+        order = np.argsort(centers_w[:, 0], kind="stable")
+        c = centers_w[order, 0]
+        # a point on a midpoint goes to the left cell, as in _assign
+        ends = np.searchsorted(self.line, 0.5 * (c[1:] + c[:-1]), side="right")
+        idx = np.empty(self.line.size, dtype=np.intp)
+        idx[self.order] = np.repeat(order, np.diff(ends, prepend=0,
+                                                   append=self.line.size))
+        return np.abs(self.cloud_w[:, 0] - centers_w[idx, 0]), idx
 
     def __call__(self, centers_w):
+        if self.cloud_w.shape[1] == 1:
+            return self._assign_line(centers_w)
         if not self.bounded:
             return _assign(self.cloud_w, centers_w)
         cloud_w = self.cloud_w
@@ -387,11 +408,8 @@ class _BoundedAssigner:
             # the (1 - slack) factor absorbs the rounding of this update
             self.bound = (self.bound * (1.0 - _SLACK)
                           - np.take(local, self.idx) * (1.0 + _SLACK))
-            diff = cloud_w - np.take(centers_w, self.idx, axis=0)
-            sq = diff[:, 0] * diff[:, 0]
-            for k in range(1, diff.shape[1]):
-                sq += diff[:, k] * diff[:, k]
-            dist = np.sqrt(sq)
+            dist = np.sqrt(_sq_norms(
+                cloud_w - np.take(centers_w, self.idx, axis=0)))
             stale = np.flatnonzero(dist * (1.0 + _SLACK) >= self.bound)
         # the tree is built on a copy: it does not copy its data, and the
         # empty-cell branch of quantize edits centers in place
@@ -507,8 +525,8 @@ def quantize(region, density, config, _cloud=None):
                     np.zeros_like(means), count, s1, s2, s3, s2tr, s4)
                 centers = means + shift
             else:
-                centers = _generic_cell_update(cloud_w, idx, config, counts,
-                                               centers)
+                centers = _generic_cell_update(cloud_w, idx, centers,
+                                               config.p)
             # keep iterates inside the closed region (in original coordinates)
             centers = region.project(centers @ w_inv.T) @ w.T
 
@@ -530,64 +548,88 @@ def quantize(region, density, config, _cloud=None):
     return best
 
 
-def _sq_norms(d):
-    """Row-wise squared norms, bit for bit those of einsum("ij,ij->i", d, d).
+def _generic_cell_update(cloud_w, idx, centers, p, steps=20):
+    """Per-cell damped Newton for exponents other than 1 and 2.
 
-    Explicit coordinate sums are cheaper on short rows; they round as
-    einsum does only in dims 1 and 2, so einsum stays for dim >= 3.
+    Cell j's objective is F_j(c), the sum of |x - c|^(2p) over its points.
+    With d = x - c and r^2 = |d|^2 the cell sums are S = sum r^(2p-2),
+    g = sum r^(2p-2) d and K = sum r^(2p-4) d d^T: the gradient of F_j is
+    -2p g and its Hessian 2p H, with H = S I + 2(p - 1) K.  As 0 <= K <= S I,
+    H >= S I for p > 1, and the step is H^-1 g.  For p < 1 the Hessian is
+    unbounded near the points and need not be positive definite, so H = S I
+    there, a step to the reweighted mean, and r^2 is floored.  Such a step
+    barely moves a center that sits on a point, as farthest-point seeding
+    puts them, so for p < 1 a cell first moves to its mean where that is
+    better.
+
+    A cell stops once its predicted decrease p g^T H^-1 g is at most 1e-15
+    of |F_j|.  Its line search halves the step from 1 until F_j falls, and
+    the cell stops when the halved step predicts no decrease above that
+    threshold.  Each cell accepts its own step, so no cell objective
+    increases.
     """
-    if d.shape[1] > 2:
-        return np.einsum("ij,ij->i", d, d)
-    sq = d[:, 0] * d[:, 0]
-    if d.shape[1] == 2:
-        sq += d[:, 1] * d[:, 1]
-    return sq
+    m, dim = centers.shape
+    curved = p > 1.0
+    # points by column: d is (dim, N), so every pass below is contiguous.
+    # One bincount over (column, cell) keys gives S, g and, for p > 1, K
+    cloud_t = np.ascontiguousarray(cloud_w.T)
+    ncol = 1 + dim + (dim * dim if curved else 0)
+    keys = (np.arange(ncol)[:, None] * m + idx).ravel()
+    terms = np.empty((ncol, idx.size))
 
+    def evaluate(c):
+        # one power per center gives both the weights and the value
+        d = cloud_t - np.take(c.T, idx, axis=1)
+        r2 = _sq_norms(d.T)
+        wgt = (r2 if curved else np.maximum(r2, 1e-300)) ** (p - 1.0)
+        return d, r2, wgt, np.bincount(idx, weights=r2 * wgt, minlength=m)
 
-def _generic_cell_update(cloud_w, idx, config, counts, centers, steps=20):
-    """Damped reweighted-mean descent for exponents other than 1 and 2.
-
-    Starts from the better of the incumbent center and the cell mean and
-    accepts only improvements, so the cell objective never increases.
-    """
-    m, dim, p = config.m, cloud_w.shape[1], config.p
-    # one bincount over (cell, coordinate) keys gives every weighted sum;
-    # each bin still adds its points in cloud order
-    keys = (idx[:, None] * dim + np.arange(dim)).ravel()
-
-    def coord_sums(weighted):
-        return np.bincount(keys, weights=weighted.ravel(),
-                           minlength=m * dim).reshape(m, dim)
-
-    def sq_dist(c):
-        return _sq_norms(cloud_w - np.take(c, idx, axis=0))
-
-    r2 = sq_dist(centers)
-    val = np.bincount(idx, weights=r2 ** p, minlength=m)
-    means = coord_sums(cloud_w) / np.maximum(counts, 1)[:, None]
-    mr2 = sq_dist(means)
-    mval = np.bincount(idx, weights=mr2 ** p, minlength=m)
-    take = mval < val
-    centers = np.where(take[:, None], means, centers)
-    val = np.minimum(val, mval)
-    # each point's squared distance to its current center, carried along
-    r2 = np.where(np.take(take, idx), mr2, r2)
+    if not curved:
+        sums = np.stack([np.bincount(idx, weights=x, minlength=m)
+                         for x in cloud_t], axis=1)
+        means = sums / np.maximum(np.bincount(idx, minlength=m), 1)[:, None]
+        take = evaluate(means)[3] < evaluate(centers)[3]
+        centers = np.where(take[:, None], means, centers)
+    d, r2, wgt, val = evaluate(centers)
+    active = np.ones(m, dtype=bool)
+    eye = np.eye(dim)
     for _ in range(steps):
-        wgt = np.maximum(r2, 1e-300) ** (p - 1.0)
-        wsum = np.bincount(idx, weights=wgt, minlength=m)
-        target = (coord_sums(wgt[:, None] * cloud_w)
-                  / np.maximum(wsum, 1e-300)[:, None])
-        for alpha in (1.0, 0.5, 0.25):
-            trial = centers + alpha * (target - centers)
-            tr2 = sq_dist(trial)
-            tval = np.bincount(idx, weights=tr2 ** p, minlength=m)
-            accept = tval < val - 1e-15 * np.abs(val)
-            if accept.any():
-                centers = np.where(accept[:, None], trial, centers)
-                val = np.where(accept, tval, val)
-                r2 = np.where(np.take(accept, idx), tr2, r2)
-                break
-        else:  # no step size improved any cell
+        terms[0] = wgt
+        np.multiply(wgt, d, out=terms[1:1 + dim])
+        if curved:
+            # r^(2p-4) d d^T, where a point on its center adds nothing
+            kd = (wgt / np.where(r2 > 0.0, r2, 1.0)) * d
+            np.multiply(kd[:, None], d,
+                        out=terms[1 + dim:].reshape(dim, dim, -1))
+        sums = np.bincount(keys, weights=terms.ravel(),
+                           minlength=ncol * m).reshape(ncol, m).T
+        # divided by S: H / S = I + 2(p - 1) K / S is well conditioned, and
+        # a cell with S = 0 has g = 0
+        wsum = np.where(sums[:, 0] > 0.0, sums[:, 0], 1.0)
+        scaled = sums[:, 1:] / wsum[:, None]
+        grad = step = scaled[:, :dim]
+        if curved:
+            hess = scaled[:, dim:].reshape(m, dim, dim) * (2.0 * (p - 1.0))
+            hess += eye
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        decrease = p * wsum * np.einsum("ij,ij->i", grad, step)
+        active &= decrease > 1e-15 * np.abs(val)
+        tried, alpha = active.copy(), 1.0
+        while tried.any():
+            trial = np.where(tried[:, None], centers + alpha * step, centers)
+            # the trial's state is exact for every cell that kept or took
+            # its center; a rejected cell is tried again or stops
+            d, r2, wgt, tval = evaluate(trial)
+            better = tried & (tval < val)
+            rejected = tried & ~better
+            centers = np.where(better[:, None], trial, centers)
+            val = np.where(better, tval, val)
+            # a rejected cell halves its step while the step still promises
+            # a decrease above the stop threshold, and stops after that
+            alpha *= 0.5
+            tried = rejected & (alpha * decrease > 1e-15 * np.abs(val))
+            active &= ~rejected | tried
+        if not active.any():
             break
     return centers
 

@@ -196,7 +196,7 @@ def test_criterion_6_property_suite(quad_2d, w_const):
         f = catalog_entry("quadratic",
                           {"hessian": (mat.T @ mat
                                        + 0.2 * np.eye(2)).tolist()}, dom2)
-        part = partition_domain(f, w_const, 1.0, int(rng.integers(1, 5)))
+        part = partition_domain(f, int(rng.integers(1, 5)))
         m = int(rng.integers(len(part.cells), 65))
         p = float(rng.choice([1.0, 1.5, 2.0]))
         alloc = allocate_budget(part, f, w_const, p, m)

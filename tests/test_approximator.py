@@ -283,8 +283,8 @@ def test_exact_1d_rejects_higher_dimensions(quad_2d, w_const):
 # partition and budgets
 
 
-def test_partition_tiles_the_box(quad_2d, w_const):
-    part = partition_domain(quad_2d, w_const, 1.0, 6)
+def test_partition_tiles_the_box(quad_2d):
+    part = partition_domain(quad_2d, 6)
     assert len(part.cells) == 36  # 6 per axis on the unit square
     vols = np.array([np.prod(hi - lo) for lo, hi in part.cells])
     assert vols.sum() == pytest.approx(1.0, rel=1e-9)
@@ -292,15 +292,15 @@ def test_partition_tiles_the_box(quad_2d, w_const):
         assert np.all(anchor > lo - 1e-12) and np.all(anchor < hi + 1e-12)
 
 
-def test_partition_clips_on_ball(w_const):
+def test_partition_clips_on_ball():
     ball = Domain.ball([0.0, 0.0], 1.0)
     f = catalog_entry("quadratic", {}, ball)
-    part = partition_domain(f, w_const, 1.0, 4)
+    part = partition_domain(f, 4)
     assert ball.contains(part.anchors).all()
 
 
 def test_allocation_floors_and_total(quad_2d, w_const):
-    part = partition_domain(quad_2d, w_const, 1.0, 2)  # 4 cells
+    part = partition_domain(quad_2d, 2)  # 4 cells
     for m in (4, 7, 16, 64):
         alloc = allocate_budget(part, quad_2d, w_const, 1.0, m)
         assert alloc.budgets.sum() == m
@@ -312,7 +312,7 @@ def test_allocation_floors_and_total(quad_2d, w_const):
 
 
 def test_allocation_needs_enough_budget(quad_2d, w_const):
-    part = partition_domain(quad_2d, w_const, 1.0, 3)  # 9 cells
+    part = partition_domain(quad_2d, 3)  # 9 cells
     with pytest.raises(ValueError):
         allocate_budget(part, quad_2d, w_const, 1.0, 5)
 
