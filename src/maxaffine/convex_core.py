@@ -63,9 +63,9 @@ class Domain:
     """Compact region: axis-aligned box, closed ball, or bounded polytope.
 
     Polytopes are stored as ``A x <= b`` and handled through their bounding
-    box plus rejection, so only membership, bounding box, sampling,
-    projection and the boundary walk are exact; volume is closed-form for
-    boxes and balls only.
+    box plus rejection, so only membership, half-spaces, bounding box,
+    sampling, projection and the boundary walk are exact; volume is
+    closed-form for boxes and balls only.
     """
 
     def __init__(self, kind, dim, **data):
@@ -164,6 +164,18 @@ class Domain:
             c, r = self._data["center"], self._data["radius"]
             return c - r, c + r
         return self._data["lower"], self._data["upper"]
+
+    def halfspaces(self):
+        """``(A, b)`` with the region ``{x : A x <= b}``: a box's upper
+        faces then its lower ones, a polytope's own rows.  A ball is no
+        finite intersection of half-spaces and raises ``DomainError``."""
+        if self.kind == "box":
+            eye = np.eye(self.dim)
+            return (np.vstack([eye, -eye]),
+                    np.concatenate([self._data["upper"], -self._data["lower"]]))
+        if self.kind == "ball":
+            raise DomainError("a ball has no half-space description")
+        return self._data["a"], self._data["b"]
 
     def contains(self, x):
         pts = as_points(x, self.dim)

@@ -15,6 +15,10 @@ The config file is JSON:
       "support":    {...domain...}        (dual-sweep only, optional)
     }
 
+The optional "quadrature" section overrides the error's default, which
+integrates exactly over the envelope's cells in one and two dimensions
+(``error_eval.weighted_lp_error``); leave it out to keep that default.
+
 Unknown keys are rejected with a close-match suggestion.  Results are
 emitted either as CSV with the fixed header
 

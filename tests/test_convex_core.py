@@ -118,6 +118,20 @@ def test_domain_mask_per_kind():
         assert out.tolist() == [1.0, 0.0, 3.0]
 
 
+def test_domain_halfspaces_describe_the_region():
+    rng = np.random.default_rng(5)
+    for dom in (Domain.box([-1.0, 0.0], [1.0, 0.5]),
+                Domain.box([0.5, -2.0, 1.0], [0.75, 3.0, 4.0]), _triangle()):
+        a, b = dom.halfspaces()
+        lo, hi = dom.bounding_box()
+        pts = lo - 0.5 * (hi - lo) + 2.0 * rng.random((4000, dom.dim)) * (hi - lo)
+        inside = np.all(pts @ a.T <= b, axis=1)
+        assert 0 < inside.sum() < len(pts)
+        np.testing.assert_array_equal(dom.contains(pts), inside)
+    with pytest.raises(DomainError):
+        Domain.ball([0.0, 0.0], 1.0).halfspaces()
+
+
 def test_domain_project_per_kind():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2.0, 2.0, (200, 2))

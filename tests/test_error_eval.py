@@ -28,7 +28,7 @@ CATALOG_1D = ("quadratic", "cosh_quadratic", "exp_sum", "quartic", "huber")
 
 def _tangents(f, ts):
     return PiecewiseAffineMax.from_pieces(
-        [tangent_plane(f, np.array([t])) for t in ts])
+        [tangent_plane(f, np.atleast_1d(t)) for t in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +346,8 @@ def test_tensor_grid_agrees_with_exact_2d(quad_2d, w_const):
                              QuadratureSpec("tensor_grid", level=128))
     assert t128.value == pytest.approx(t64.value, rel=1e-3)
     assert t128.nodes_used >= 128 * 128
+    exact = weighted_lp_error(quad_2d, l, 1.0, w_const)
+    assert abs(t128.value - exact.value) <= t128.error_bar
 
 
 def test_fractional_p_integral_consistency(quad_1d, w_const):
@@ -432,3 +434,222 @@ def test_property_error_decreases_under_refinement(quad_1d, w_const):
         e_more = weighted_lp_error(quad_1d, _tangents(quad_1d, extra), 1.0,
                                    w_const).value
         assert e_more <= e_base + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# two dimensions: exact integrals over power-diagram cells
+
+_TRIANGLE = Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                            [0.0, 0.0, 1.0])
+
+
+def _box_moment(half, p):
+    """Integral of (|x - t|^2 / 2)^p over a box of half-widths ``half``
+    about t, for p in {1, 2}."""
+    a, b = half
+
+    def m(k, h):          # integral of x^k over [-h, h]
+        return 2.0 * h ** (k + 1) / (k + 1)
+    if p == 1:
+        return 0.5 * (m(2, a) * m(0, b) + m(0, a) * m(2, b))
+    return 0.25 * (m(4, a) * m(0, b) + 2 * m(2, a) * m(2, b)
+                   + m(0, a) * m(4, b))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_cells_match_lattice_closed_forms(quad_2d, w_const, p):
+    # 1/(12 k^2) and 7/(720 k^4) for every k, divisor of 128 or not
+    for k in range(8, 33, 4):
+        l = build_approximation(quad_2d, w_const, p, k * k, "uniform_grid")
+        rep = weighted_lp_error(quad_2d, l, p, w_const)
+        want = 1.0 / (12 * k ** 2) if p == 1 else 7.0 / (720 * k ** 4)
+        assert rep.value == pytest.approx(want, rel=1e-13, abs=0), k
+        assert rep.error_bar <= 1e-12 * want
+        assert rep.nodes_used > 0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_cells_with_one_and_two_pieces(quad_2d, w_const, p):
+    one = _tangents(quad_2d, [[0.5, 0.5]])
+    two = _tangents(quad_2d, [[0.25, 0.5], [0.75, 0.5]])
+    assert weighted_lp_error(quad_2d, one, p, w_const).value == pytest.approx(
+        _box_moment((0.5, 0.5), p), rel=1e-13)
+    assert weighted_lp_error(quad_2d, two, p, w_const).value == pytest.approx(
+        2 * _box_moment((0.25, 0.5), p), rel=1e-13)
+    # one tangent at the centre of the unit disc: 2 pi / (2^p (2p + 2))
+    disc = quad_2d.restricted_to(Domain.ball([0.0, 0.0], 1.0))
+    rep = weighted_lp_error(disc, _tangents(disc, [[0.0, 0.0]]), p, w_const)
+    assert rep.value == pytest.approx(2 * np.pi / (2 ** p * (2 * p + 2)),
+                                      rel=1e-12)
+
+
+def _affine(domain):
+    return catalog_entry("quadratic", {"hessian": [[0.0, 0.0], [0.0, 0.0]],
+                                       "linear": [0.7, -0.4], "offset": 2.0},
+                         domain)
+
+
+@pytest.mark.parametrize("domain, area", [
+    (Domain.box([-0.5, 1.0], [2.0, 1.75]), 2.5 * 0.75),
+    (_TRIANGLE, 0.5),
+    (Domain.ball([0.3, -1.2], 0.8), np.pi * 0.64)])
+def test_cells_tile_the_domain(w_const, domain, area):
+    # l = f - 1 on the domain, so the cells' fans must add up to its area.
+    # Each extra plane rises above f - 1 only beyond a line that misses
+    # the domain but crosses its bounding disc, so its cell is clipped
+    # away; every fourth one lies far below everywhere.
+    f = _affine(domain)
+    lo, hi = domain.bounding_box()
+    centre = (lo + hi) / 2.0
+    reach = float(np.hypot(*(hi - lo))) / 2.0
+    rng = rng_for("tiling", int(area * 100))
+    angle = rng.uniform(0.0, 2.0 * np.pi, 60)
+    u = np.column_stack([np.cos(angle), np.sin(angle)])
+    support = np.max(u @ (domain.boundary(4096) - centre).T, axis=1)
+    touch = centre + (support + rng.uniform(0.05, 0.95, 60)
+                      * (reach - support))[:, None] * u
+    steep = rng.uniform(0.2, 3.0, 60)[:, None] * u
+    slopes = np.vstack([[0.7, -0.4], [0.7, -0.4] + steep])
+    touch = np.vstack([centre, touch])
+    offsets = f.value(touch) - 1.0 - np.einsum("ij,ij->i", slopes, touch)
+    offsets[1::4] -= 50.0
+    l = PiecewiseAffineMax(slopes, offsets)
+    inside = domain.sample(rng, 4000)
+    assert np.all(l.evaluate(inside) <= f.value(inside) - 1.0 + 1e-12)
+    around = Domain.ball(centre, reach).sample(rng, 4000)
+    assert np.any(l.evaluate(around) > f.value(around) - 1.0 + 1e-3)
+    rep = weighted_lp_error(f, l, 1.0, w_const)
+    assert rep.value == pytest.approx(area, rel=1e-13)
+
+
+def _greedy_triangle(m=64):
+    f = catalog_entry("cosh_quadratic", {}, _TRIANGLE)
+    w = WeightFunction.exp_neg_t()
+    return f, w, build_approximation(f, w, 2.0, m, "greedy_insertion", seed=1)
+
+
+def test_cells_ignore_piece_order_duplicates_and_losers():
+    f, w, l = _greedy_triangle()
+    base = weighted_lp_error(f, l, 2.0, w)
+    rng = rng_for("cells-order", 0)
+    perm = rng.permutation(l.npieces)
+    shuffled = PiecewiseAffineMax(l.slopes[perm], l.offsets[perm])
+    assert weighted_lp_error(f, shuffled, 2.0, w).value == pytest.approx(
+        base.value, rel=1e-12)
+    # repeats of ten pieces, copies lowered by 1e-3 (below their original
+    # everywhere) and planes far below: none of them changes l
+    again = rng.choice(l.npieces, 10)
+    padded = PiecewiseAffineMax(
+        np.vstack([l.slopes, l.slopes[again], l.slopes[again],
+                   rng.normal(size=(5, 2))]),
+        np.concatenate([l.offsets, l.offsets[again], l.offsets[again] - 1e-3,
+                        np.full(5, -100.0)]))
+    assert weighted_lp_error(f, padded, 2.0, w).value == pytest.approx(
+        base.value, rel=1e-12)
+
+
+def _collapsed_triangle_reference(f, l, p, omega, panels, order=4):
+    """Composite Gauss-Legendre over the unit square mapped onto the
+    triangle by x = s, y = (1 - s) t, with no indicator."""
+    g, wg = leggauss(order)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    nodes = ((edges[:-1, None] + edges[1:, None]) / 2
+             + (edges[1:, None] - edges[:-1, None]) / 2 * g).ravel()
+    weights = np.tile(wg / (2 * panels), panels)
+    s, t = np.meshgrid(nodes, nodes, indexing="ij")
+    pts = np.column_stack([s.ravel(), ((1 - s) * t).ravel()])
+    fx = f.value(pts)
+    vals = (np.maximum(fx - l.evaluate(pts), 0.0) ** p * omega(pts, fx)
+            * (1 - pts[:, 0])).reshape(s.shape)
+    return float(weights @ vals @ weights)
+
+
+def _polar_disc_reference(f, l, p, omega, panels, order=4):
+    """Composite Gauss-Legendre in radius and angle over the unit disc."""
+    g, wg = leggauss(order)
+    r_edges = np.linspace(0.0, 1.0, panels + 1)
+    r = ((r_edges[:-1, None] + r_edges[1:, None]) / 2
+         + g / (2 * panels)).ravel()
+    wr = np.tile(wg / (2 * panels), panels)
+    th_edges = np.linspace(0.0, 2 * np.pi, 4 * panels + 1)
+    th = ((th_edges[:-1, None] + th_edges[1:, None]) / 2
+          + g * np.pi / (4 * panels)).ravel()
+    wth = np.tile(wg * np.pi / (4 * panels), 4 * panels)
+    rr, tt = np.meshgrid(r, th, indexing="ij")
+    pts = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
+    fx = f.value(pts)
+    vals = (np.maximum(fx - l.evaluate(pts), 0.0) ** p * omega(pts, fx)
+            ).reshape(rr.shape) * rr
+    return float(wr @ vals @ wth)
+
+
+def test_cells_match_unmasked_references():
+    # the allowance is each reference's own change between two resolutions
+    f, w, l = _greedy_triangle()
+    rep = weighted_lp_error(f, l, 2.0, w)
+    coarse, fine = (_collapsed_triangle_reference(f, l, 2.0, w, n)
+                    for n in (48, 96))
+    assert abs(rep.value - fine) <= abs(fine - coarse)
+    assert rep.error_bar <= 1e-9 * rep.value
+
+    disc = catalog_entry("cosh_quadratic", {}, Domain.ball([0.0, 0.0], 1.0))
+    l = build_approximation(disc, w, 1.5, 64, "paper_partition", seed=1)
+    rep = weighted_lp_error(disc, l, 1.5, w)
+    coarse, fine = (_polar_disc_reference(disc, l, 1.5, w, n)
+                    for n in (48, 96))
+    assert abs(rep.value - fine) <= abs(fine - coarse)
+    assert rep.error_bar <= 1e-9 * rep.value
+
+
+def _huber_1d_gap(ts, delta):
+    """The 1-d gap h - max_i l_i of huber tangents at ts, with the points
+    where it changes formula (crossings, tangency points, +-delta)."""
+    h = catalog_entry("huber", {"delta": delta}, Domain.box([-1.0], [1.0]))
+    l1 = _tangents(h, ts)
+    _, edges = envelope_cells_1d(l1, (-1.0, 1.0))
+    breaks = np.unique(np.concatenate([edges, ts, [-delta, delta]]))
+
+    def gap(x):
+        return np.maximum(h.value(x.reshape(-1, 1))
+                          - l1.evaluate(x.reshape(-1, 1)), 0.0)
+    return gap, breaks
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_cells_on_huber(w_const, p):
+    # tangents on a product grid: l(x, y) = L(x) + L(y) for the 1-d
+    # envelope L, so f - l = g(x) + g(y), smooth inside each rectangle
+    # of the 1-d break points
+    delta = 0.5
+    ts = np.array([-0.8, -0.35, 0.05, 0.4, 0.7])
+    f = catalog_entry("huber", {"delta": delta},
+                      Domain.box([-1.0, -1.0], [1.0, 1.0]))
+    grid = np.stack(np.meshgrid(ts, ts, indexing="ij"), -1).reshape(-1, 2)
+    rep = weighted_lp_error(f, _tangents(f, grid), p, w_const)
+    gap, breaks = _huber_1d_gap(ts, delta)
+
+    def tensor(order):
+        g, wg = leggauss(order)
+        x = ((breaks[:-1, None] + breaks[1:, None]) / 2
+             + (breaks[1:, None] - breaks[:-1, None]) / 2 * g).ravel()
+        wx = ((breaks[1:, None] - breaks[:-1, None]) / 2 * wg).ravel()
+        gx = gap(x)
+        return float(wx @ (gx[:, None] + gx[None, :]) ** p @ wx)
+
+    # Newton has no tangency point on the arms, where the gap vanishes on
+    # part of a cell; there a sector can read zero at every node next to a
+    # sliver where it is not, and its bar is then the gap's largest value
+    # at its corners (the gap is convex) times its area
+    assert 0 < rep.error_bar <= 1e-2 * rep.value
+    if p == 1:
+        # g is piecewise quadratic: 8 nodes per piece are exact
+        assert abs(rep.value - tensor(8)) <= rep.error_bar
+    else:
+        coarse, fine = tensor(24), tensor(48)
+        assert abs(rep.value - fine) <= abs(fine - coarse) + rep.error_bar
+
+
+def test_cells_reject_envelope_above_function(quad_2d, w_const):
+    l = build_approximation(quad_2d, w_const, 1.0, 16, "uniform_grid")
+    with pytest.raises(CircumscriptionError):
+        weighted_lp_error(quad_2d, l.shifted(1e-3), 1.0, w_const)
