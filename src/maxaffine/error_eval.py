@@ -218,8 +218,8 @@ def _power_diagram(a, b, centre, radius):
     the top offset taken out, so its points are of the size of the
     envelope's variation over the disc.
 
-    Returns (kept, i, j, start, end): the kept piece indices, and per edge
-    its two pieces and end points.
+    Returns (owners, i, j, start, end): the pieces that own a cell, and
+    per edge its two pieces and end points.
     """
     _, first = np.unique(np.column_stack([a, b]), axis=0, return_index=True)
     first = np.sort(first)
@@ -247,7 +247,13 @@ def _power_diagram(a, b, centre, radius):
     j = simplex[facet, (slot + 2) % 3]
     real = (i < kept.size) & (j < kept.size)
     facet, i, j = facet[real], i[real], j[real]
-    return kept, kept[i], kept[j], vert[facet], vert[nb[facet, slot[real]]]
+    # the domain's sides are cut among the pieces the hull gives a cell,
+    # so a piece that ties another up to rounding (huber's arms give
+    # tangents whose offsets differ by an ulp) sits on the same side of
+    # both decisions
+    owners = np.unique(simplex[lower])
+    owners = kept[owners[owners < kept.size]]
+    return owners, kept[i], kept[j], vert[facet], vert[nb[facet, slot[real]]]
 
 
 def _clip_halfspaces(start, vec, a, b, lo, hi):
@@ -268,14 +274,16 @@ def _segments(piece, start, vec, lo, hi):
             (hi - lo)[keep, None] * vec[keep])
 
 
-def _polygon_boundary(domain, a, b, kept):
-    """Sides of a box or polytope, cut where the winning piece changes.
+def _polygon_boundary(ha, hb, a, b, kept, inset):
+    """Sides of the polygon {ha x <= hb}, cut where the winning piece
+    changes.
 
     Along each side the envelope restricted to the side's line is a 1-d
-    envelope, and :func:`envelope_cells_1d` cuts it into cells.  Sides run
-    counterclockwise, so each lies with its cell on the left.
+    envelope, and :func:`envelope_cells_1d` cuts it into cells.  It is
+    read ``inset`` inside the side, so of two pieces tied along the side
+    the one that wins inside takes it.  Sides run counterclockwise, so
+    each lies with its cell on the left.
     """
-    ha, hb = domain.halfspaces()
     piece, start, vec = [], [], []
     for k in range(hb.size):
         normal = ha[k]
@@ -286,7 +294,8 @@ def _polygon_boundary(domain, a, b, kept):
                                   hb[other], -np.inf, np.inf)
         if not hi[0] > lo[0]:
             continue
-        idx, edges = _side_cells(a[kept] @ along, a[kept] @ base + b[kept],
+        inside = base - inset * normal / np.sqrt(normal @ normal)
+        idx, edges = _side_cells(a[kept] @ along, a[kept] @ inside + b[kept],
                                  lo[0], hi[0])
         piece.append(kept[idx])
         start.append(base + edges[:-1, None] * along)
@@ -536,8 +545,8 @@ def _cell_boundaries(a, b, domain):
     """
     lo, hi = domain.bounding_box()
     centre = (lo + hi) / 2.0
-    kept, i, j, start, end = _power_diagram(a, b, centre,
-                                            float(np.hypot(*(hi - lo))) / 2.0)
+    reach = float(np.hypot(*(hi - lo))) / 2.0
+    kept, i, j, start, end = _power_diagram(a, b, centre, reach)
     vec = end - start
     radius = float(hi[0] - lo[0]) / 2.0
     if domain.kind == "ball":
@@ -551,7 +560,16 @@ def _cell_boundaries(a, b, domain):
     else:
         ha, hb = domain.halfspaces()
         t0, t1 = _clip_halfspaces(start, vec, ha, hb, 0.0, 1.0)
-        rim_piece, rim_s, rim_d = _polygon_boundary(domain, a, b, kept)
+        # An edge along a side, to rounding, parts the cell inside from one
+        # with no area in the domain; it is dropped, and the side, read a
+        # hair inside, goes to the inner cell.
+        hair = 1e-13 * (np.abs(centre).max() + reach)
+        room = [hb - (start + t[:, None] * vec) @ ha.T for t in (t0, t1)]
+        flat = np.linalg.norm(ha, axis=1) * hair
+        t1 = np.where(np.any((room[0] <= flat) & (room[1] <= flat), axis=1),
+                      t0, t1)
+        rim_piece, rim_s, rim_d = _polygon_boundary(ha, hb, a, b, kept,
+                                                    10 * hair)
     i, s, d = _segments(i, start, vec, t0, t1)
     j = _segments(j, start, vec, t0, t1)[0]
     turn = _cross(d, a[i] - a[j])
@@ -609,12 +627,19 @@ def exact_2d_cell_integral(f, l, p, omega, rel_tol=1e-9):
     A sector's bar is its fine (4 x 6) minus its coarse (3 x 4) rule; for
     the halves of a cut sector it is also half of how far they moved
     their parent's value, and for a sector that reads zero at every node
-    it is also the largest corner gap to the p times its area.  The
-    largest bars are cut, across the edge or, where the ray rule (3 x 6)
-    carries most of the bar, across the rays, until the summed bar is at
-    most ``rel_tol`` of the total, or every bar is at its rounding floor,
-    or after 40 rounds or 16 times the first sector count.  Returns an
-    :class:`ErrorReport` with that sum as its bar and the nodes evaluated.
+    it is also the largest corner gap to the p times its area.  Sectors
+    from an apex that is no tangency point are cut across their rays
+    once; then the largest bars are cut, across the edge or, where the
+    ray rule (3 x 6) carries most of the bar, across the rays, until the
+    summed bar is at most ``rel_tol`` of the total, or every bar is at
+    its rounding floor, or after 40 rounds or 16 times the first sector
+    count.  Returns an :class:`ErrorReport` with that sum as its bar and
+    the nodes evaluated.
+
+    Where f's Hessian jumps inside a cell (``huber``), the gap is only
+    piecewise polynomial, and a sector whose nodes all fall on one piece
+    reads the same under both rules: its bar can then understate its
+    error.
     """
     if f.dim != 2:
         raise ValueError("cell integration is planar")
@@ -635,22 +660,30 @@ def exact_2d_cell_integral(f, l, p, omega, rel_tol=1e-9):
     val, floor = first[:, 0], first[:, 2]
     bar = np.maximum(np.abs(first[:, 0] - first[:, 1]), first[:, 3])
     nodes = n * _NODES
+    # From an apex that is not a tangency point the gap can be flat near
+    # it and polynomial past a kink that no node of the sector sees; its
+    # sectors are cut across their rays once, so the halves' move shows it.
+    split = np.flatnonzero(~sec.tangent)
+    along = np.ones(split.size, dtype=bool)
     for _ in range(_MAX_ROUNDS):
-        target = rel_tol * abs(float(np.sum(val)))
-        over = np.flatnonzero(bar > floor)
-        if (float(np.sum(bar)) <= target or over.size == 0
-                or sec.size >= _MAX_GROWTH * n):
-            break
-        # cut the largest bars until what is left is within half the target
-        order = over[np.argsort(-bar[over], kind="stable")]
-        count = np.searchsorted(np.cumsum(bar[order]),
-                                float(np.sum(bar)) - target / 2.0) + 1
-        split = order[:count]
-        part = sec.take(split)
-        ray = sums(part, (_RAY_RULE,))[:, 0]
-        children = part.halves(2 * np.abs(val[split] - ray) > bar[split])
+        if split.size == 0:
+            target = rel_tol * abs(float(np.sum(val)))
+            over = np.flatnonzero(bar > floor)
+            if (float(np.sum(bar)) <= target or over.size == 0
+                    or sec.size >= _MAX_GROWTH * n):
+                break
+            # cut the largest bars until what is left is within half the
+            # target, along the rays where the ray rule carries the bar
+            order = over[np.argsort(-bar[over], kind="stable")]
+            count = np.searchsorted(np.cumsum(bar[order]),
+                                    float(np.sum(bar)) - target / 2.0) + 1
+            split = order[:count]
+            ray = sums(sec.take(split), (_RAY_RULE,))[:, 0]
+            nodes += split.size * _RAY_RULE[0] * _RAY_RULE[1]
+            along = 2 * np.abs(val[split] - ray) > bar[split]
+        children = sec.take(split).halves(along)
         new = sums(children)
-        nodes += split.size * _RAY_RULE[0] * _RAY_RULE[1] + 2 * split.size * _NODES
+        nodes += 2 * split.size * _NODES
         # where the gap vanishes on part of a sector, or has a kink, both
         # rules can miss a sliver of it and agree by chance
         moved = np.abs(new[:split.size, 0] + new[split.size:, 0] - val[split])
@@ -662,6 +695,7 @@ def exact_2d_cell_integral(f, l, p, omega, rel_tol=1e-9):
             np.abs(new[:, 0] - new[:, 1]), np.tile(moved / 2.0, 2),
             new[:, 3]])])
         floor = np.concatenate([floor[rest], new[:, 2]])
+        split = np.empty(0, dtype=int)
     return ErrorReport(value=max(float(np.sum(val)), 0.0),
                        error_bar=float(np.sum(bar)), nodes_used=nodes)
 

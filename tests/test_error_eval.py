@@ -483,6 +483,23 @@ def test_cells_with_one_and_two_pieces(quad_2d, w_const, p):
                                       rel=1e-12)
 
 
+def test_cells_with_edges_along_the_sides(w_const):
+    # tangents mirrored across two sides of the square: the edges between
+    # a lattice cell and its mirror lie on the side, and the mirror cells
+    # have no area inside
+    wide = catalog_entry("quadratic", {}, Domain.box([-1.0, -1.0], [2.0, 2.0]))
+    f = wide.restricted_to(Domain.box([0.0, 0.0], [1.0, 1.0]))
+    for k in (4, 5, 8):
+        c = (np.arange(k) + 0.5) / k
+        pts = np.stack(np.meshgrid(c, c, indexing="ij"), -1).reshape(-1, 2)
+        mirrors = [pts[pts[:, 1] == c[0]] * [1.0, -1.0],
+                   pts[pts[:, 0] == c[-1]] * [-1.0, 1.0] + [2.0, 0.0]]
+        l = _envelope_at(wide, np.vstack([pts] + mirrors))
+        for p, want in ((1.0, 1.0 / (12 * k ** 2)), (2.0, 7.0 / (720 * k ** 4))):
+            assert weighted_lp_error(f, l, p, w_const).value == pytest.approx(
+                want, rel=1e-13), (k, p)
+
+
 def _affine(domain):
     return catalog_entry("quadratic", {"hessian": [[0.0, 0.0], [0.0, 0.0]],
                                        "linear": [0.7, -0.4], "offset": 2.0},
@@ -494,7 +511,8 @@ def _affine(domain):
     (_TRIANGLE, 0.5),
     (Domain.ball([0.3, -1.2], 0.8), np.pi * 0.64)])
 def test_cells_tile_the_domain(w_const, domain, area):
-    # l = f - 1 on the domain, so the cells' fans must add up to its area.
+    # l = f - 1 on the domain (to an ulp), so the cells' fans must add up
+    # to its area.
     # Each extra plane rises above f - 1 only beyond a line that misses
     # the domain but crosses its bounding disc, so its cell is clipped
     # away; every fourth one lies far below everywhere.
@@ -513,6 +531,11 @@ def test_cells_tile_the_domain(w_const, domain, area):
     touch = np.vstack([centre, touch])
     offsets = f.value(touch) - 1.0 - np.einsum("ij,ij->i", slopes, touch)
     offsets[1::4] -= 50.0
+    # copies of the main piece an ulp above and below it: the hull keeps
+    # one of the three, and the domain's sides must go to the same one
+    slopes = np.vstack([slopes, slopes[:1], slopes[:1]])
+    offsets = np.concatenate([offsets, np.nextafter(offsets[:1], np.inf),
+                              np.nextafter(offsets[:1], -np.inf)])
     l = PiecewiseAffineMax(slopes, offsets)
     inside = domain.sample(rng, 4000)
     assert np.all(l.evaluate(inside) <= f.value(inside) - 1.0 + 1e-12)
