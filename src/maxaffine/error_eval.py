@@ -268,12 +268,6 @@ def _clip_halfspaces(start, vec, a, b, lo, hi):
     return lo, np.where(blocked, lo, hi)
 
 
-def _segments(piece, start, vec, lo, hi):
-    keep = hi > lo
-    return (piece[keep], start[keep] + lo[keep, None] * vec[keep],
-            (hi - lo)[keep, None] * vec[keep])
-
-
 def _polygon_boundary(ha, hb, a, b, kept, inset):
     """Sides of the polygon {ha x <= hb}, cut where the winning piece
     changes.
@@ -570,8 +564,10 @@ def _cell_boundaries(a, b, domain):
                       t0, t1)
         rim_piece, rim_s, rim_d = _polygon_boundary(ha, hb, a, b, kept,
                                                     10 * hair)
-    i, s, d = _segments(i, start, vec, t0, t1)
-    j = _segments(j, start, vec, t0, t1)[0]
+    cut = t1 > t0
+    i, j = i[cut], j[cut]
+    s = start[cut] + t0[cut, None] * vec[cut]
+    d = (t1 - t0)[cut, None] * vec[cut]
     turn = _cross(d, a[i] - a[j])
     fwd = (turn > 0)[:, None]
     keep = turn != 0
