@@ -190,10 +190,10 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
 # two dimensions: power-diagram cells
 
 _RULES = ((4, 6), (3, 4))   # (ray, edge) nodes of the fine and coarse rule
-_RAY_RULE = (3, 6)          # the coarse rule's ray nodes, the fine rule's edge
 _NODES = sum(nu * nv for nu, nv in _RULES)
 _SECTOR_BLOCK = 1024        # sectors per integrand call: 36,864 nodes
 _ARC_STEP = np.pi / 8       # widest arc of a ball's boundary in one sector
+_REL_TOL = 1e-9             # summed bar sought, relative to the value
 _MAX_ROUNDS = 40            # refinement rounds before the bar is taken as is
 _MAX_GROWTH = 16            # sectors, at most, per initial sector
 _NEWTON_STEPS = 30
@@ -289,35 +289,14 @@ def _polygon_boundary(ha, hb, a, b, kept, inset):
         if not hi[0] > lo[0]:
             continue
         inside = base - inset * normal / np.sqrt(normal @ normal)
-        idx, edges = _side_cells(a[kept] @ along, a[kept] @ inside + b[kept],
-                                 lo[0], hi[0])
+        idx, edges = envelope_cells_1d(
+            PiecewiseAffineMax((a[kept] @ along)[:, None],
+                               a[kept] @ inside + b[kept]), (lo[0], hi[0]))
         piece.append(kept[idx])
         start.append(base + edges[:-1, None] * along)
         vec.append(np.diff(edges)[:, None] * along)
     return (np.concatenate(piece), np.concatenate(start),
             np.concatenate(vec))
-
-
-def _side_cells(slope, offset, lo, hi):
-    """:func:`envelope_cells_1d` of the pieces ``(slope, offset)`` on
-    [lo, hi], run on the pieces that win at a few points of it.
-
-    Pieces that beat its result at one of its cuts join them, until none
-    does.  On each cell a piece minus the envelope is affine, so a piece
-    that beats it anywhere beats it at a cut.
-    """
-    t = np.linspace(lo, hi, 2 * int(np.sqrt(slope.size)) + 3)
-    pick = np.unique(np.argmax(np.outer(t, slope) + offset, axis=1))
-    while True:
-        idx, edges = envelope_cells_1d(
-            PiecewiseAffineMax(slope[pick, None], offset[pick]), (lo, hi))
-        top = np.outer(edges, slope) + offset
-        env = top[:, pick].max(axis=1, keepdims=True)
-        beat = np.any(top > env + 1e-12 * np.abs(top).max(), axis=0)
-        beat[pick] = False
-        if not beat.any():
-            return pick[idx], edges
-        pick = np.union1d(pick, np.flatnonzero(beat))
 
 
 def _clip_ball(start, vec, centre, radius):
@@ -392,6 +371,21 @@ class _Sectors:
                       * np.stack([-unit[..., 1], unit[..., 0]], axis=-1))
         return pt, tan
 
+    def hull(self, centre, radius):
+        """Six points whose convex hull holds each sector, shape
+        (sectors, 6, 2): for u = u0 and u1, the ends of the edge and the
+        point where the tangents at its ends meet (the middle of a
+        segment).  Corners come first at each u."""
+        v = np.column_stack([self.v, self.v.mean(axis=1)])
+        g, _ = self.curve(v, centre, radius)
+        if self.arc.any():
+            k = self.arc
+            half = (self.v[k, 1] - self.v[k, 0]) * self.s[k, 1] / 2.0
+            g[k, 2] = centre + (g[k, 2] - centre) / np.cos(half)[:, None]
+        rel = (g - self.z[:, None, :])[:, None]
+        return (self.z[:, None, None, :]
+                + self.u[:, :, None, None] * rel).reshape(-1, 6, 2)
+
     def halves(self, along_ray):
         """Each sector cut in two: its rays halved (u) where ``along_ray``,
         its edge halved (v) elsewhere."""
@@ -402,6 +396,16 @@ class _Sectors:
             getattr(first, name)[cut, 1] = mid
             getattr(second, name)[cut, 0] = mid
         return _Sectors.join([first, second])
+
+    def longer_rays(self, centre, radius):
+        """Where a sector is longer along its rays than across them, both
+        measured through the middle of its edge."""
+        g, dg = self.curve(self.v.mean(axis=1, keepdims=True), centre,
+                           radius)
+        ray = (self.u[:, 1] - self.u[:, 0]) * np.hypot(*(g[:, 0] - self.z).T)
+        edge = (self.u[:, 1] * (self.v[:, 1] - self.v[:, 0])
+                * np.hypot(*dg[:, 0].T))
+        return ray > edge
 
 
 @lru_cache(maxsize=None)
@@ -418,9 +422,9 @@ def _gauss01(order):
     return (1.0 + x) / 2.0, w / 2.0
 
 
-def _sector_sums(f, omega, p, sec, a, b, centre, radius, rules=_RULES):
-    """Each rule's value of the sectors, their rounding floors, and what
-    sectors that read zero everywhere can still hold.
+def _sector_sums(f, omega, p, sec, a, b, centre, radius):
+    """Each rule's value of the sectors, their rounding floors, and the
+    bars of sectors whose nodes can miss part of the gap.
 
     Along a ray from a tangency point the gap f - l_j vanishes like u^2,
     so (gap / u^2)^p is smooth and a Gauss-Jacobi rule of weight u^(2p+1)
@@ -430,7 +434,7 @@ def _sector_sums(f, omega, p, sec, a, b, centre, radius, rules=_RULES):
     nodes).  The floor is what rounding the gap by a few ulps of its terms
     could put into a sector's bar.
     """
-    out = np.empty((sec.size, len(rules) + 2))
+    out = np.empty((sec.size, len(_RULES) + 2))
     for s in range(0, sec.size, _SECTOR_BLOCK):
         blk = sec.take(slice(s, s + _SECTOR_BLOCK))
         n = blk.size
@@ -440,7 +444,7 @@ def _sector_sums(f, omega, p, sec, a, b, centre, radius, rules=_RULES):
         tangent = blk.tangent[:, None]
         beta = np.where(tangent, 2.0 * p + 1.0, 1.0)
         pts, weights, crosses = [], [], []
-        for nu, nv in rules:
+        for nu, nv in _RULES:
             xu, wu = _gauss01(nu)
             xv, wv = _gauss01(nv)
             ts, tw = _jacobi01(nu, 2.0 * p + 1.0)
@@ -470,7 +474,7 @@ def _sector_sums(f, omega, p, sec, a, b, centre, radius, rules=_RULES):
         ulps = 16 * _EPS * (np.abs(fx) + np.abs(plane) + np.abs(offset))
         fuzz = (gap + ulps) ** p * w - vals
         at = 0
-        for r, ((nu, nv), wt, cr) in enumerate(zip(rules, weights, crosses)):
+        for r, ((nu, nv), wt, cr) in enumerate(zip(_RULES, weights, crosses)):
             cut = slice(at, at + nu * nv)
             out[s:s + n, r] = np.einsum("iuv,iuv,iv->i",
                                         vals[:, cut].reshape(n, nu, nv), wt, cr)
@@ -479,23 +483,44 @@ def _sector_sums(f, omega, p, sec, a, b, centre, radius, rules=_RULES):
                     "iuv,iuv,iv->i", fuzz[:, cut].reshape(n, nu, nv),
                     np.abs(wt), np.abs(cr))
             at += nu * nv
-        # Where every node reads the gap as zero, the rules cannot see a
-        # sliver where it is not.  The gap is convex, so on a sector with
-        # straight sides it is at most its largest value at the corners.
-        blind = np.flatnonzero(np.all(gap <= ulps, axis=1))
+        # Where every node reads the gap as zero, or f's Hessian is the same
+        # at every node but not at every corner (f not strictly convex:
+        # huber's jumps), the rules can miss a sliver of the gap or a kink
+        # in it.  The gap is convex, so on a sector it is at most its
+        # largest value on a polygon around it (:meth:`_Sectors.hull`), and
+        # at least the least value there of its tangent plane at any
+        # corner.  The sector's value lies between its area times the
+        # least and the most the integrand can be, and its bar is the
+        # rule's distance to the farther of the two.
+        hidden = np.all(gap <= ulps, axis=1)
+        hull = None
+        if not f.strictly_convex:
+            hull = blk.hull(centre, radius)
+            probe = np.concatenate([x, hull[:, [0, 1, 3, 4]]], axis=1)
+            h = f.hessian(probe.reshape(-1, 2)).reshape(n, -1, 4)
+            same = h == h[:, :1]
+            hidden |= (np.all(same[:, :x.shape[1]], axis=(1, 2))
+                       & ~np.all(same, axis=(1, 2)))
+        hidden = np.flatnonzero(hidden)
         out[s:s + n, -1] = 0.0
-        if blind.size:
-            corner = blk.take(blind)
-            g, _ = corner.curve(corner.v, centre, radius)
-            x = (corner.z[:, None, None, :] + corner.u[:, :, None, None]
-                 * (g - corner.z[:, None, :])[:, None]).reshape(-1, 4, 2)
-            top = np.max(f.value(x.reshape(-1, 2)).reshape(-1, 4)
-                         - x[..., 0] * slope[blind, :1]
-                         - x[..., 1] * slope[blind, 1:]
-                         - offset[blind], axis=1)
-            out[s + blind, -1] = (_area(corner, rules[0], crosses[0][blind])
-                                  * np.maximum(top, 0.0) ** p
-                                  * w[blind].max(axis=1))
+        if hidden.size:
+            part = blk.take(hidden)
+            hx = part.hull(centre, radius) if hull is None else hull[hidden]
+            ha, hb = slope[hidden, None], offset[hidden]
+            hgap = (f.value(hx.reshape(-1, 2)).reshape(-1, 6)
+                    - np.einsum("ijk,ijk->ij", hx, ha) - hb)
+            corner = hx[:, [0, 1, 3, 4]]
+            grad = f.gradient(corner.reshape(-1, 2)).reshape(-1, 4, 2) - ha
+            plane = (hgap[:, [0, 1, 3, 4], None]
+                     + np.einsum("ick,icvk->icv", grad,
+                                 hx[:, None] - corner[:, :, None]))
+            least = np.maximum(plane.min(axis=2).max(axis=1), 0.0) ** p
+            most = np.maximum(hgap.max(axis=1), 0.0) ** p
+            area = _area(part, _RULES[0], crosses[0][hidden])
+            val = out[s + hidden, 0]
+            out[s + hidden, -1] = np.maximum(
+                np.abs(val - area * least * w[hidden].min(axis=1)),
+                np.abs(val - area * most * w[hidden].max(axis=1)))
     return out
 
 
@@ -606,7 +631,7 @@ def _apexes(f, a, b, sec, centre, radius):
     return np.where(ok[:, None], z, mean)[inv], ok[inv]
 
 
-def exact_2d_cell_integral(f, l, p, omega, rel_tol=1e-9):
+def exact_2d_cell_integral(f, l, p, omega):
     """Cell-by-cell integral of (f - l)^p omega over a planar domain.
 
     The cells of l (:func:`_power_diagram`), clipped to the domain
@@ -622,20 +647,20 @@ def exact_2d_cell_integral(f, l, p, omega, rel_tol=1e-9):
 
     A sector's bar is its fine (4 x 6) minus its coarse (3 x 4) rule; for
     the halves of a cut sector it is also half of how far they moved
-    their parent's value, and for a sector that reads zero at every node
-    it is also the largest corner gap to the p times its area.  Sectors
-    from an apex that is no tangency point are cut across their rays
-    once; then the largest bars are cut, across the edge or, where the
-    ray rule (3 x 6) carries most of the bar, across the rays, until the
-    summed bar is at most ``rel_tol`` of the total, or every bar is at
-    its rounding floor, or after 40 rounds or 16 times the first sector
-    count.  Returns an :class:`ErrorReport` with that sum as its bar and
-    the nodes evaluated.
-
-    Where f's Hessian jumps inside a cell (``huber``), the gap is only
-    piecewise polynomial, and a sector whose nodes all fall on one piece
-    reads the same under both rules: its bar can then understate its
-    error.
+    their parent's value.  Where the nodes can miss part of the gap (all
+    of them read zero, or f is not strictly convex and all of them see
+    one Hessian while a corner sees another, as across ``huber``'s
+    |x_k| = delta), it is also how far the rule can be from the bounds
+    that convexity puts on the gap over the sector (:func:`_sector_sums`).
+    Sectors from an apex that is no tangency point are cut across their
+    rays once.  Then the largest bars are cut until the summed bar is at
+    most 1e-9 of the total, or every bar is at its rounding floor, or
+    after 40 rounds or 16 times the first sector count: across the edge
+    from a tangency point, where the integrand is slow along the edge,
+    and across the longer side elsewhere or when f is not strictly
+    convex, where a kink can run in any direction.  Returns an
+    :class:`ErrorReport` with that sum as its bar and the nodes
+    evaluated.
     """
     if f.dim != 2:
         raise ValueError("cell integration is planar")
@@ -649,8 +674,8 @@ def exact_2d_cell_integral(f, l, p, omega, rel_tol=1e-9):
                    u=np.tile([0.0, 1.0], (n, 1)), v=np.tile([0.0, 1.0], (n, 1)))
     sec.z, sec.tangent = _apexes(f, a, b, sec, centre, radius)
 
-    def sums(part, rules=_RULES):
-        return _sector_sums(f, omega, p, part, a, b, centre, radius, rules)
+    def sums(part):
+        return _sector_sums(f, omega, p, part, a, b, centre, radius)
 
     first = sums(sec)
     val, floor = first[:, 0], first[:, 2]
@@ -658,26 +683,26 @@ def exact_2d_cell_integral(f, l, p, omega, rel_tol=1e-9):
     nodes = n * _NODES
     # From an apex that is not a tangency point the gap can be flat near
     # it and polynomial past a kink that no node of the sector sees; its
-    # sectors are cut across their rays once, so the halves' move shows it.
+    # sectors are cut across their rays once, so the halves' move shows it
     split = np.flatnonzero(~sec.tangent)
-    along = np.ones(split.size, dtype=bool)
+    cut = np.ones(split.size, dtype=bool)
     for _ in range(_MAX_ROUNDS):
         if split.size == 0:
-            target = rel_tol * abs(float(np.sum(val)))
+            target = _REL_TOL * abs(float(np.sum(val)))
             over = np.flatnonzero(bar > floor)
             if (float(np.sum(bar)) <= target or over.size == 0
                     or sec.size >= _MAX_GROWTH * n):
                 break
             # cut the largest bars until what is left is within half the
-            # target, along the rays where the ray rule carries the bar
+            # target
             order = over[np.argsort(-bar[over], kind="stable")]
             count = np.searchsorted(np.cumsum(bar[order]),
                                     float(np.sum(bar)) - target / 2.0) + 1
             split = order[:count]
-            ray = sums(sec.take(split), (_RAY_RULE,))[:, 0]
-            nodes += split.size * _RAY_RULE[0] * _RAY_RULE[1]
-            along = 2 * np.abs(val[split] - ray) > bar[split]
-        children = sec.take(split).halves(along)
+            cut = sec.take(split).longer_rays(centre, radius)
+            if f.strictly_convex:
+                cut &= ~sec.tangent[split]
+        children = sec.take(split).halves(cut)
         new = sums(children)
         nodes += 2 * split.size * _NODES
         # where the gap vanishes on part of a sector, or has a kink, both
@@ -720,8 +745,7 @@ def weighted_lp_error(f, l, p, omega, quad=None):
             f"envelope exceeds the function by {worst:.3e} on the probe cloud")
 
     if quad is None and f.dim == 2:
-        return exact_2d_cell_integral(f, l, p, omega_fn,
-                                      rel_tol=QuadratureSpec().rel_tol)
+        return exact_2d_cell_integral(f, l, p, omega_fn)
     if quad is None:
         quad = QuadratureSpec(kind="exact_1d" if f.dim == 1 else "tensor_grid",
                               level=128)
