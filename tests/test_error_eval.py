@@ -727,8 +727,8 @@ def test_cells_on_huber_bar_covers_the_error(w_const, case, p):
     # 13 huber tangents in a random box and four of them mirrored across
     # one side: kinks of huber's Hessian at |x_k| = delta cross cells
     # whose apex is a tangency point as well as cells whose apex is not.
-    # In these cases a bar from the rules' differences alone reads 13 to
-    # 23 times below the error at p = 2, or at p = 1 and 2.
+    # The cases are ones where the rules' difference alone puts the bar
+    # 13 to 23 times below the error at p = 2.
     delta = 0.3
     rng = rng_for("huber-mirrored", case)
     lo = rng.uniform(-1.0, 0.0, 2)
