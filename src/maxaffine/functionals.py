@@ -49,7 +49,8 @@ def law_density(det, w, p, n):
     """The law density max(det, 0)^(p/(n+2p)) * max(w, 0)^(n/(n+2p)),
     from already computed values of det D^2 f and of omega."""
     a, b = law_exponents(p, n)
-    # in place: the mass integral calls this on a million nodes at a time
+    # in place, one temporary fewer; the mass integral and the Lloyd cloud
+    # draw pass at most quadrature._ROW_BLOCK rows at a time
     dens = np.maximum(det, 0.0) ** a
     dens *= np.maximum(w, 0.0) ** b
     return dens

@@ -18,11 +18,16 @@ Three kinds are supported, selected by :class:`QuadratureSpec`:
     runs over the cells of an envelope).  The error bar is the sum of the
     accepted panels' refinement deltas.
 
-All reductions run single threaded (numpy pairwise summation, or one
-BLAS ddot per Gauss panel), so a fixed spec and seed give bit-stable
-results.
+The grid and Monte Carlo kinds build and evaluate their nodes in blocks
+of 65,536 rows (:func:`evaluate_rows`), so their memory is bounded by
+the block, plus one value array (and, for the grid, one weight array) of
+8 bytes a node.  All reductions run single threaded (numpy pairwise
+summation over the whole value array, one ``bincount`` per block of whole
+strata, or one BLAS ddot per Gauss panel), so a fixed spec and seed give
+bit-stable results, whatever the block size.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,7 @@ _GX32, _GW32 = leggauss(32)
 _PANEL_BLOCK = 256      # panels per integrand call: 24,576 nodes, 192 KB
 _SPLIT_BLOCK = 2048     # split panels whose halves are refined together
 _MAX_DEPTH = 24         # bisection levels before a panel is taken as is
+_ROW_BLOCK = 65_536     # rows per whole-cloud integrand call: 1 MB of 2-d nodes
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,29 @@ def _composite_gl_axis(lo, hi, panels, order):
     return nodes, weights
 
 
+def _tensor_axes(lower, upper, level, order=None):
+    """Per-axis composite Gauss-Legendre (nodes, weights) on a box."""
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    n = lower.size
+    if order is None:
+        order = 4 if n == 1 else 2
+    return [_composite_gl_axis(lower[k], upper[k], level, order)
+            for k in range(n)]
+
+
+def _tensor_rows(axes, block):
+    """Nodes and weights of the tensor grid's rows in the slice ``block``,
+    numbered in C order over the axes."""
+    shape = tuple(x.size for x, _ in axes)
+    index = np.unravel_index(np.arange(block.start, block.stop), shape)
+    nodes = np.stack([x[i] for (x, _), i in zip(axes, index)], axis=-1)
+    weights = np.ones(nodes.shape[0])
+    for (_, w), i in zip(axes, index):
+        weights = weights * w[i]
+    return nodes, weights
+
+
 def tensor_nodes(lower, upper, level, order=None):
     """Tensor-product composite Gauss-Legendre nodes on a box.
 
@@ -102,26 +131,19 @@ def tensor_nodes(lower, upper, level, order=None):
     order defaults to 4 in one dimension and 2 otherwise, which keeps the
     node count at ``(order*level)**n``.
     """
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    n = lower.size
-    if order is None:
-        order = 4 if n == 1 else 2
-    axes = [_composite_gl_axis(lower[k], upper[k], level, order) for k in range(n)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for wg in wgrids:
-        weights = weights * wg.ravel()
-    return nodes, weights
+    axes = _tensor_axes(lower, upper, level, order)
+    return _tensor_rows(axes, slice(0, math.prod(x.size for x, _ in axes)))
 
 
-def stratified_nodes(lower, upper, samples, rng):
+def stratified_sampler(lower, upper, samples, rng):
     """Jittered stratified sample of a box over a 2^k per-axis panel grid.
 
-    Returns (nodes, strata_index, per_stratum) where strata_index labels
-    samples by stratum so callers can form the stratified variance.
+    Returns (draw, total, per): ``per`` samples in each of the
+    ``total // per`` strata, numbered in C order over the panel grid.
+    ``draw(block)`` returns the samples of the rows in the slice
+    ``block``, which must hold whole strata; called on consecutive blocks
+    from row 0, it draws the same numbers from ``rng`` as one draw of all
+    ``total`` rows.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -135,12 +157,30 @@ def stratified_nodes(lower, upper, samples, rng):
     cells = np.stack(
         np.meshgrid(*[np.arange(s)] * n, indexing="ij"), axis=-1
     ).reshape(-1, n)
-    base = np.repeat(cells, per, axis=0).astype(float)
-    u = rng.random(base.shape)
-    unit = (base + u) / s
-    nodes = lower + unit * (upper - lower)
-    idx = np.repeat(np.arange(s ** n), per)
-    return nodes, idx, per
+
+    def draw(block):
+        base = np.repeat(cells[block.start // per:block.stop // per], per,
+                         axis=0).astype(float)
+        u = rng.random(base.shape)
+        unit = (base + u) / s
+        return lower + unit * (upper - lower)
+
+    return draw, s ** n * per, per
+
+
+def evaluate_rows(func, rows, total, step=_ROW_BLOCK):
+    """``func`` at ``total`` rows, called on at most ``step`` rows at a time.
+
+    ``rows(block)`` builds the rows of the slice ``block``.  The blocks
+    go in order, so a random stream drawn inside ``rows`` gives the same
+    numbers as one draw of every row, and no temporary of ``func`` grows
+    with ``total``.  Returns the values as one float array.
+    """
+    out = np.empty(total)
+    for start in range(0, total, step):
+        block = slice(start, min(start + step, total))
+        out[block] = func(rows(block))
+    return out
 
 
 def panel_tolerance(probe, width, rel_tol, floor=0.0):
@@ -162,7 +202,10 @@ def adaptive_panels(func, lo, hi, tol):
     of shape (panels, nodes).  A panel is integrated whole and as two
     halves; it is accepted when ``|left + right - whole| <= tol`` or at
     depth 24, and its value is then ``left + right``; otherwise both
-    halves become panels of the next level.
+    halves become panels of the next level.  A panel whose 96 nodes all
+    read zero is accepted only if ``func`` is also zero at both of its
+    ends (below depth 24); for the gap of a convex function this catches
+    a sliver of nonzero gap that falls between the nodes.
 
     The work is breadth first: each level's panels are evaluated in
     blocks of at most 256, and a split panel's value is rebuilt bottom up
@@ -173,7 +216,8 @@ def adaptive_panels(func, lo, hi, tol):
     interval at a time, bit for bit.
 
     Returns (values per interval, nodes used, error bar), counting 96
-    nodes per panel; the bar is the sum of the accepted panels' deltas.
+    nodes per panel (the end checks are not counted); the bar is the sum
+    of the accepted panels' deltas.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -196,6 +240,7 @@ def _refine(func, lo, hi, cell, tol, depth):
     mid = (hi + lo) / 2.0
     h2 = h / 2.0
     sums = np.empty((lo.size, 3))
+    blind = np.empty(lo.size, dtype=bool)
     for s in range(0, lo.size, _PANEL_BLOCK):
         b = slice(s, s + _PANEL_BLOCK)
         xs = np.concatenate(
@@ -204,9 +249,18 @@ def _refine(func, lo, hi, cell, tol, depth):
              mid[b, None] + h2[b, None] + h2[b, None] * _GX32], axis=1)
         rows = np.asarray(func(xs, cell[b]), dtype=float).reshape(-1, 32)
         sums[b] = _panel_sums(rows).reshape(-1, 3)
+        blind[b] = ~rows.reshape(-1, 96).any(axis=1)
     val = h2 * sums[:, 1] + h2 * sums[:, 2]
     delta = np.abs(val - h * sums[:, 0])
     accept = (delta <= tol) | (depth >= _MAX_DEPTH)
+    # a panel whose nodes all read zero can hide a sliver where the
+    # integrand rises between them; a convex gap that is also zero at
+    # both ends of the panel is zero all over it
+    check = np.flatnonzero(accept & blind & (depth < _MAX_DEPTH))
+    if check.size:
+        ends = np.asarray(func(np.stack([lo[check], hi[check]], axis=1),
+                               cell[check]), dtype=float).reshape(-1, 2)
+        accept[check[ends.any(axis=1)]] = False
     nodes, bar = 96 * lo.size, float(np.sum(delta[accept]))
     split = np.flatnonzero(~accept)
     for s in range(0, split.size, _SPLIT_BLOCK):
@@ -247,29 +301,42 @@ def integrate(func, domain, spec):
                            nodes_used=nodes_used)
 
     if spec.kind == "tensor_grid":
-        nodes, weights = tensor_nodes(lower, upper, spec.level)
-        fine = float(np.dot(weights, masked(nodes)))
-        c_level = max(2, spec.level // 2)
-        cnodes, cweights = tensor_nodes(lower, upper, c_level)
-        coarse = float(np.dot(cweights, masked(cnodes)))
-        return ErrorReport(
-            value=fine,
-            error_bar=abs(fine - coarse),
-            nodes_used=nodes.shape[0] + cnodes.shape[0],
-        )
+        fine, fine_nodes = _tensor_sum(masked, lower, upper, spec.level)
+        coarse, coarse_nodes = _tensor_sum(masked, lower, upper,
+                                           max(2, spec.level // 2))
+        return ErrorReport(value=fine, error_bar=abs(fine - coarse),
+                           nodes_used=fine_nodes + coarse_nodes)
 
-    # monte_carlo
+    # monte_carlo: per >= 4, as samples >= 1000; the stratum sums come
+    # from one bincount per block of whole strata
     rng = np.random.default_rng(spec.seed)
-    nodes, idx, per = stratified_nodes(lower, upper, spec.samples, rng)
-    vals = masked(nodes)
-    nstrata = idx[-1] + 1
-    value = vol * float(np.mean(vals))
-    if per >= 2:
-        sums = np.bincount(idx, weights=vals, minlength=nstrata)
-        sqs = np.bincount(idx, weights=vals * vals, minlength=nstrata)
-        var_within = (sqs - sums ** 2 / per) / (per - 1)
-        var_mean = float(np.sum(var_within / per)) / nstrata ** 2
-        se = vol * np.sqrt(max(var_mean, 0.0))
-    else:
-        se = vol * float(np.std(vals)) / np.sqrt(len(vals))
-    return ErrorReport(value=value, error_bar=float(se), nodes_used=len(vals))
+    draw, total, per = stratified_sampler(lower, upper, spec.samples, rng)
+    step = per * max(1, _ROW_BLOCK // per)
+    vals = evaluate_rows(masked, draw, total, step)
+    nstrata = total // per
+    idx = np.repeat(np.arange(step // per), per)
+    sums, sqs = np.empty(nstrata), np.empty(nstrata)
+    for start in range(0, total, step):
+        v = vals[start:start + step]
+        strata = slice(start // per, (start + v.size) // per)
+        sums[strata] = np.bincount(idx[:v.size], weights=v)
+        sqs[strata] = np.bincount(idx[:v.size], weights=v * v)
+    var_within = (sqs - sums ** 2 / per) / (per - 1)
+    var_mean = float(np.sum(var_within / per)) / nstrata ** 2
+    se = vol * np.sqrt(max(var_mean, 0.0))
+    return ErrorReport(value=vol * float(np.mean(vals)), error_bar=float(se),
+                       nodes_used=total)
+
+
+def _tensor_sum(func, lower, upper, level):
+    """Tensor-grid sum of ``func`` at ``level``, with its node count."""
+    axes = _tensor_axes(lower, upper, level)
+    total = math.prod(x.size for x, _ in axes)
+    weights = np.empty(total)
+
+    def rows(block):
+        nodes, weights[block] = _tensor_rows(axes, block)
+        return nodes
+
+    vals = evaluate_rows(func, rows, total)
+    return float(np.dot(weights, vals)), total

@@ -67,6 +67,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .convex_core import _SLACK, DomainError, MetricError, QuadraticForm
+from .quadrature import ErrorReport, evaluate_rows, tensor_nodes
 
 log = logging.getLogger(__name__)
 
@@ -138,7 +139,9 @@ def _draw_cloud(region, density, count, rng):
     got = proposed = accepted = 0
     while got < count:
         batch = lo + rng.random((max(4 * count, 4096), region.dim)) * (hi - lo)
-        vals = region.mask(batch, np.asarray(density(batch), dtype=float))
+        vals = evaluate_rows(
+            lambda x: region.mask(x, np.asarray(density(x), dtype=float)),
+            lambda block: batch[block], len(batch))
         vmax = vals.max() if vals.size else 0.0
         if vmax > bound:  # envelope was too low; restart with more headroom
             bound = 1.5 * vmax
@@ -641,8 +644,6 @@ def quantizer_objective(region, density, q, p, points, sample_spec):
     from rho (standard error reported), tensor_grid uses deterministic
     nodes weighted by rho.
     """
-    from .quadrature import ErrorReport, tensor_nodes
-
     if not isinstance(q, QuadraticForm):
         q = QuadraticForm.from_matrix(q)
     w = whiten(q)

@@ -174,8 +174,9 @@ def test_exact_integral_frozen_values(quad_1d, w_const):
     assert val2 == pytest.approx(1.0 / 5120.0, rel=1e-12)
 
 
-# The cell-at-a-time integrator that the batched one replaced, verbatim.
-# The batched path must reproduce its value and node count bit for bit.
+# The cell-at-a-time integrator that the batched one replaced, verbatim
+# but for the end check of a panel whose nodes all read zero.  The batched
+# path must reproduce its value and node count bit for bit.
 _GX32, _GW32 = leggauss(32)
 
 
@@ -183,11 +184,15 @@ def _adaptive_cell(func, lo, hi, rel_tol, scale, depth=0):
     """Gauss-32 with interval bisection until the panel delta is small."""
     h = (hi - lo) / 2.0
     mid = (hi + lo) / 2.0
-    whole = h * float(np.dot(_GW32, func(mid + h * _GX32)))
+    rows = [func(mid + h * _GX32)]
+    whole = h * float(np.dot(_GW32, rows[0]))
     h2 = h / 2.0
-    left = h2 * float(np.dot(_GW32, func(lo + h2 + h2 * _GX32)))
-    right = h2 * float(np.dot(_GW32, func(mid + h2 + h2 * _GX32)))
-    if abs(left + right - whole) <= rel_tol * scale or depth >= 24:
+    rows += [func(lo + h2 + h2 * _GX32), func(mid + h2 + h2 * _GX32)]
+    left = h2 * float(np.dot(_GW32, rows[1]))
+    right = h2 * float(np.dot(_GW32, rows[2]))
+    # a panel whose nodes all read zero must also read zero at its ends
+    if depth >= 24 or (abs(left + right - whole) <= rel_tol * scale
+                       and (np.any(rows) or not np.any(func(np.array([lo, hi]))))):
         return left + right, 96
     lv, ln = _adaptive_cell(func, lo, mid, rel_tol, scale, depth + 1)
     rv, rn = _adaptive_cell(func, mid, hi, rel_tol, scale, depth + 1)
@@ -285,6 +290,28 @@ def test_exact_path_reports_its_nodes(quad_1d, w_const):
     rep = weighted_lp_error(quad_1d, l, 1.5, w_const)
     assert rep.nodes_used >= 96 * cells
     assert rep.nodes_used == _reference_exact_1d(quad_1d, l, 1.5, w_const)[1]
+
+
+@pytest.mark.parametrize("m", [1500, 2048])
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_exact_path_finds_a_sliver_between_the_nodes(m, p, w_const):
+    # huber with tangents at linspace(-delta, delta, m): the first cell is
+    # [-1, -0.5 + h/2], its gap zero on the arm, and at these m the curved
+    # sliver past -0.5 falls between the nodes of the whole panel and of
+    # both halves, which read zero; the panel's nonzero right end sends it
+    # down.  Reference: cut at +-delta and at the tangency points, where
+    # the gap is (x - t)^2 / 2 on the cell of t and zero on the arms
+    delta = 0.5
+    f = catalog_entry("huber", {"delta": delta}, Domain.box([-1.0], [1.0]))
+    t = np.linspace(-delta, delta, m)
+    rep = exact_1d_piecewise_integral(f, _envelope_at(f, t[:, None]), p,
+                                      w_const)
+    mids = (t[1:] + t[:-1]) / 2.0
+    a = np.concatenate(([-delta], mids))
+    b = np.concatenate((mids, [delta]))
+    ref = np.sum(((b - t) ** (2 * p + 1) + (t - a) ** (2 * p + 1))
+                 / ((2 * p + 1) * 2.0 ** p))
+    assert abs(rep.value - ref) <= rep.error_bar + 1e-12 * ref
 
 
 @pytest.mark.parametrize("cid, p", [("quadratic", 1.0), ("exp_sum", 1.5)])

@@ -6,6 +6,10 @@ triangle-decomposition quadrature, and high-level quadrature runs for the
 weighted mass values.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -160,3 +164,28 @@ def test_zador_estimate_smoke_and_upper_bound_contract():
     assert est.value == est2.value
     with pytest.raises(ValueError):
         zador_estimate(1, 1.0, [], trials=2)
+
+
+def test_disc_mass_memory_stays_bounded():
+    # the default disc mass is a 1,000,000-sample Monte Carlo; evaluated
+    # in blocks it keeps one 8 MB value array, where one whole-cloud call
+    # raised maxrss by about 108 MB
+    import maxaffine
+
+    src = os.path.dirname(os.path.dirname(maxaffine.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import resource, maxaffine as mx\n"
+        "f = mx.catalog_entry('cosh_quadratic', {},"
+        " mx.Domain.ball([0.0, 0.0], 1.0))\n"
+        "w = mx.WeightFunction.exp_neg_t()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "mx.weighted_mass(f, 1.5, w)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) / 1024)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 40.0

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from maxaffine import Domain, QuadratureSpec, integrate
-from maxaffine.quadrature import (_GW32, _panel_sums, stratified_nodes,
-                                  tensor_nodes)
+from maxaffine import (Domain, ErrorReport, QuadratureSpec, WeightFunction,
+                       catalog_entry, integrate)
+from maxaffine.functionals import law_density
+from maxaffine.quadrature import (_GW32, _composite_gl_axis, _panel_sums,
+                                  stratified_sampler, tensor_nodes)
 from conftest import rng_for
 
 
@@ -31,13 +33,15 @@ def test_tensor_nodes_integrate_polynomials_exactly():
 
 def test_stratified_nodes_cover_box():
     rng = np.random.default_rng(11)
-    nodes, idx, per = stratified_nodes([0.0, 0.0], [1.0, 1.0], 4096, rng)
-    assert nodes.shape[0] == idx.size
+    draw, total, per = stratified_sampler([0.0, 0.0], [1.0, 1.0], 4096, rng)
+    # blocks of whole strata, the last one short
+    nodes = np.concatenate([draw(slice(s, min(s + 5 * per, total)))
+                            for s in range(0, total, 5 * per)])
+    assert nodes.shape == (total, 2) and total % per == 0
     assert nodes.min() >= 0.0 and nodes.max() <= 1.0
-    counts = np.bincount(idx)
-    assert np.all(counts == per)
+    idx = np.repeat(np.arange(total // per), per)
     # every stratum hits its own sub-box
-    s = int(round(counts.size ** 0.5))
+    s = int(round((total // per) ** 0.5))
     cell = np.floor(nodes * s).clip(max=s - 1)
     flat = (cell[:, 0] * s + cell[:, 1]).astype(int)
     assert np.array_equal(flat, idx)
@@ -112,3 +116,172 @@ def test_panel_sums_match_one_dot_per_row(count):
         # the panel sums as adaptive_panels first took them, verbatim
         want = np.array([np.dot(_GW32, r) for r in rows])
         np.testing.assert_array_equal(_panel_sums(rows), want, strict=True)
+
+
+# ---------------------------------------------------------------------------
+# block evaluation: the whole-array code it replaced, verbatim, as reference
+
+
+def _tensor_nodes_whole(lower, upper, level, order=None):
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    n = lower.size
+    if order is None:
+        order = 4 if n == 1 else 2
+    axes = [_composite_gl_axis(lower[k], upper[k], level, order) for k in range(n)]
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    weights = np.ones(nodes.shape[0])
+    for wg in wgrids:
+        weights = weights * wg.ravel()
+    return nodes, weights
+
+
+def _stratified_nodes_whole(lower, upper, samples, rng):
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    n = lower.size
+    k = 0
+    # largest power of two with at least ~4 samples per stratum
+    while (2 ** (k + 1)) ** n * 4 <= samples:
+        k += 1
+    s = 2 ** k
+    per = max(1, samples // s ** n)
+    cells = np.stack(
+        np.meshgrid(*[np.arange(s)] * n, indexing="ij"), axis=-1
+    ).reshape(-1, n)
+    base = np.repeat(cells, per, axis=0).astype(float)
+    u = rng.random(base.shape)
+    unit = (base + u) / s
+    nodes = lower + unit * (upper - lower)
+    idx = np.repeat(np.arange(s ** n), per)
+    return nodes, idx, per
+
+
+def _integrate_whole(func, domain, spec):
+    """``integrate`` as it evaluated the whole grid or cloud in one call."""
+    lower, upper = domain.bounding_box()
+    vol = float(np.prod(upper - lower))
+
+    def masked(x):
+        return domain.mask(x, np.asarray(func(x), dtype=float))
+
+    if spec.kind == "tensor_grid":
+        nodes, weights = _tensor_nodes_whole(lower, upper, spec.level)
+        fine = float(np.dot(weights, masked(nodes)))
+        c_level = max(2, spec.level // 2)
+        cnodes, cweights = _tensor_nodes_whole(lower, upper, c_level)
+        coarse = float(np.dot(cweights, masked(cnodes)))
+        return ErrorReport(
+            value=fine,
+            error_bar=abs(fine - coarse),
+            nodes_used=nodes.shape[0] + cnodes.shape[0],
+        )
+
+    # monte_carlo
+    rng = np.random.default_rng(spec.seed)
+    nodes, idx, per = _stratified_nodes_whole(lower, upper, spec.samples, rng)
+    vals = masked(nodes)
+    nstrata = idx[-1] + 1
+    value = vol * float(np.mean(vals))
+    if per >= 2:
+        sums = np.bincount(idx, weights=vals, minlength=nstrata)
+        sqs = np.bincount(idx, weights=vals * vals, minlength=nstrata)
+        var_within = (sqs - sums ** 2 / per) / (per - 1)
+        var_mean = float(np.sum(var_within / per)) / nstrata ** 2
+        se = vol * np.sqrt(max(var_mean, 0.0))
+    else:
+        se = vol * float(np.std(vals)) / np.sqrt(len(vals))
+    return ErrorReport(value=value, error_bar=float(se), nodes_used=len(vals))
+
+
+@pytest.mark.parametrize("lower, upper, level, order", [
+    ([0.0], [1.0], 8, None), ([-1.0, 0.5], [2.0, 0.75], 33, None),
+    ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], 5, 3), ([0.0, 0.0], [1.0, 1.0], 4, 5)])
+def test_tensor_nodes_match_meshgrid(lower, upper, level, order):
+    got = tensor_nodes(lower, upper, level, order)
+    want = _tensor_nodes_whole(lower, upper, level, order)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
+def test_stratified_blocks_match_one_draw():
+    # blocks of whole strata from one stream join to the one draw, bit
+    # for bit, including a short last block
+    for lower, upper, samples in [([0.0], [1.0], 5000),
+                                  ([-1.0, 0.0], [1.0, 3.0], 200_000),
+                                  ([0.0] * 3, [1.0, 2.0, 0.5], 70_000)]:
+        want, _, per_want = _stratified_nodes_whole(
+            lower, upper, samples, np.random.default_rng(4))
+        draw, total, per = stratified_sampler(lower, upper, samples,
+                                              np.random.default_rng(4))
+        step = per * 1365
+        got = np.concatenate([draw(slice(s, min(s + step, total)))
+                              for s in range(0, total, step)])
+        assert per == per_want
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+_TRIANGLE = Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                            [0.0, 0.0, 1.0])
+_DOMAINS_2D = {"box": Domain.box([-0.5, 0.0], [1.0, 1.0]),
+               "ball": Domain.ball([0.1, -0.2], 0.9),
+               "polytope": _TRIANGLE}
+# every catalog function; quadratic carries a linear term, which goes
+# through a BLAS product (x @ b), as do the polytope's contains and the
+# affine weight
+_FUNCTIONS_2D = [("quadratic", {"hessian": [[2.0, 0.5], [0.5, 1.0]],
+                                "linear": [0.3, -0.7], "offset": 0.2}),
+                 ("cosh_quadratic", {}), ("exp_sum", {"alpha": [0.7, -0.4]}),
+                 ("quartic", {}), ("huber", {"delta": 0.4})]
+_WEIGHTS = [WeightFunction.exp_neg_t(), WeightFunction.affine_x([0.2, -0.1],
+                                                                offset=2.0)]
+
+
+def _mass_integrand(f, omega, p):
+    def integrand(x):
+        return law_density(f.hessian_det(x), omega(x, f.value(x)), p, f.dim)
+    return integrand
+
+
+@pytest.mark.parametrize("spec", [
+    # 196,608 samples: three blocks of 1,365 strata and a short one
+    QuadratureSpec(kind="monte_carlo", samples=200_000, seed=7),
+    # 160,000 fine nodes in three blocks, 40,000 coarse in one
+    QuadratureSpec(kind="tensor_grid", level=200)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("dom", sorted(_DOMAINS_2D))
+@pytest.mark.parametrize("cid, params", _FUNCTIONS_2D,
+                         ids=[c for c, _ in _FUNCTIONS_2D])
+def test_block_integrate_matches_whole_array(cid, params, dom, spec):
+    domain = _DOMAINS_2D[dom]
+    f = catalog_entry(cid, params, domain)
+    for omega in _WEIGHTS:
+        for p in (1.0, 1.5):
+            func = _mass_integrand(f, omega, p)
+            assert integrate(func, domain, spec) == _integrate_whole(
+                func, domain, spec)
+
+
+@pytest.mark.parametrize("spec", [
+    QuadratureSpec(kind="monte_carlo", samples=300_000, seed=2),
+    QuadratureSpec(kind="tensor_grid", level=20_000)], ids=lambda s: s.kind)
+def test_block_integrate_matches_whole_array_1d(spec):
+    domain = Domain.box([-1.0], [1.5])
+    for cid, params in [("quadratic", {"hessian": [[1.0]], "linear": [0.4]}),
+                        ("cosh_quadratic", {}), ("huber", {})]:
+        f = catalog_entry(cid, params, domain)
+        func = _mass_integrand(f, WeightFunction.affine_x([0.3]), 1.5)
+        assert integrate(func, domain, spec) == _integrate_whole(
+            func, domain, spec)
+
+
+def test_block_integrate_matches_whole_array_3d():
+    # 110,592 fine nodes: two blocks; the 3-d determinant is batched LAPACK
+    domain = Domain.ball([0.0, 0.0, 0.0], 1.0)
+    f = catalog_entry("cosh_quadratic", {}, domain)
+    func = _mass_integrand(f, WeightFunction.exp_neg_t(), 1.0)
+    for spec in (QuadratureSpec(kind="tensor_grid", level=24),
+                 QuadratureSpec(kind="monte_carlo", samples=100_000, seed=1)):
+        assert integrate(func, domain, spec) == _integrate_whole(
+            func, domain, spec)

@@ -10,12 +10,16 @@ from maxaffine import (
     QuadraticForm,
     QuadratureSpec,
     QuantizerConfig,
+    WeightFunction,
     brute_force_1d,
+    catalog_entry,
     quantize,
     quantizer_objective,
     whiten,
 )
 from maxaffine import quantizer
+from maxaffine.approximator import _law_density
+from maxaffine.convex_core import DomainError
 from maxaffine.quantizer import (_SLACK, _BoundedAssigner, _assign,
                                  _fps_select, _generic_cell_update)
 from conftest import rng_for
@@ -503,3 +507,75 @@ def test_quantize_p15_disc_cell_matches_reference(monkeypatch):
     np.testing.assert_allclose(got.objective_history, want.objective_history,
                                rtol=1e-9, atol=0)
     np.testing.assert_allclose(got.points, want.points, rtol=0, atol=1e-9)
+
+
+def _draw_cloud_whole(region, density, count, rng):
+    """``quantizer._draw_cloud`` as it evaluated each batch in one call."""
+    lo, hi = region.bounding_box()
+    box_vol = float(np.prod(hi - lo))
+    if density is None:
+        pts = region.sample(rng, count)
+        try:
+            return pts, region.volume()
+        except DomainError:  # no closed form (polytopes)
+            return pts, None
+
+    # envelope constant from a probe lattice, with headroom
+    probe = lo + rng.random((4096, region.dim)) * (hi - lo)
+    pvals = np.asarray(density(probe), dtype=float)
+    if np.any(pvals < 0):
+        raise ValueError("density must be nonnegative")
+    bound = float(pvals.max())
+    if bound <= 0:
+        raise ValueError("density is zero over the probe sample; region carries no mass")
+    bound *= 1.5
+
+    pts = np.empty((count, region.dim))
+    got = proposed = accepted = 0
+    while got < count:
+        batch = lo + rng.random((max(4 * count, 4096), region.dim)) * (hi - lo)
+        vals = region.mask(batch, np.asarray(density(batch), dtype=float))
+        vmax = vals.max() if vals.size else 0.0
+        if vmax > bound:  # envelope was too low; restart with more headroom
+            bound = 1.5 * vmax
+            got = proposed = accepted = 0
+            continue
+        keep = rng.random(len(batch)) * bound < vals
+        proposed += len(batch)
+        accepted += int(keep.sum())
+        sel = batch[keep]
+        take = min(count - got, sel.shape[0])
+        pts[got:got + take] = sel[:take]
+        got += take
+        if proposed > 1000 * count:
+            raise ValueError("density appears to be (almost) everywhere zero")
+    mass = box_vol * bound * accepted / proposed
+    return pts, mass
+
+
+_CLOUD_REGIONS = {
+    "box": Domain.box([-0.5, 0.0], [1.0, 1.0]),
+    "ball": Domain.ball([0.1, -0.2], 0.9),
+    "polytope": Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                                [0.0, 0.0, 1.0])}
+
+
+@pytest.mark.parametrize("kind", sorted(_CLOUD_REGIONS))
+@pytest.mark.parametrize("cid, params", [
+    ("quadratic", {"hessian": [[2.0, 0.5], [0.5, 1.0]], "linear": [0.3, -0.7]}),
+    ("cosh_quadratic", {}), ("exp_sum", {"alpha": [0.7, -0.4]}),
+    ("quartic", {}), ("huber", {"delta": 0.4})],
+    ids=["quadratic", "cosh_quadratic", "exp_sum", "quartic", "huber"])
+def test_draw_cloud_matches_whole_batch(cid, params, kind):
+    # 20,000 points draw batches of 80,000 proposals: two slices each
+    region = _CLOUD_REGIONS[kind]
+    f = catalog_entry(cid, params, region)
+    for omega in (WeightFunction.exp_neg_t(),
+                  WeightFunction.affine_x([0.2, -0.1], offset=2.0)):
+        density = _law_density(f, omega, 1.5)
+        got = quantizer._draw_cloud(region, density, 20_000,
+                                    np.random.default_rng(3))
+        want = _draw_cloud_whole(region, density, 20_000,
+                                 np.random.default_rng(3))
+        np.testing.assert_array_equal(got[0], want[0], strict=True)
+        assert got[1] == want[1]
