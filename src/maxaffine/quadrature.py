@@ -38,7 +38,7 @@ _GX32, _GW32 = leggauss(32)
 _PANEL_BLOCK = 256      # panels per integrand call: 24,576 nodes, 192 KB
 _SPLIT_BLOCK = 2048     # split panels whose halves are refined together
 _MAX_DEPTH = 24         # bisection levels before a panel is taken as is
-_ROW_BLOCK = 65_536     # rows per whole-cloud integrand call: 1 MB of 2-d nodes
+_ROW_BLOCK = 65_536     # rows per whole-cloud integrand call: 1 MB in 2-d
 
 
 @dataclass(frozen=True)

@@ -191,8 +191,8 @@ def _adaptive_cell(func, lo, hi, rel_tol, scale, depth=0):
     left = h2 * float(np.dot(_GW32, rows[1]))
     right = h2 * float(np.dot(_GW32, rows[2]))
     # a panel whose nodes all read zero must also read zero at its ends
-    if depth >= 24 or (abs(left + right - whole) <= rel_tol * scale
-                       and (np.any(rows) or not np.any(func(np.array([lo, hi]))))):
+    seen = np.any(rows) or not np.any(func(np.array([lo, hi])))
+    if depth >= 24 or (abs(left + right - whole) <= rel_tol * scale and seen):
         return left + right, 96
     lv, ln = _adaptive_cell(func, lo, mid, rel_tol, scale, depth + 1)
     rv, rn = _adaptive_cell(func, mid, hi, rel_tol, scale, depth + 1)

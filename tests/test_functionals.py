@@ -169,7 +169,7 @@ def test_zador_estimate_smoke_and_upper_bound_contract():
 def test_disc_mass_memory_stays_bounded():
     # the default disc mass is a 1,000,000-sample Monte Carlo; evaluated
     # in blocks it keeps one 8 MB value array, where one whole-cloud call
-    # raised maxrss by about 108 MB
+    # raised maxrss by about 108 MB (ru_maxrss counts KiB on Linux)
     import maxaffine
 
     src = os.path.dirname(os.path.dirname(maxaffine.__file__))
