@@ -58,17 +58,15 @@ Strategies
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import roots_jacobi
 
 from .convex_core import (DomainError, Domain, PiecewiseAffineMax,
                           QuadraticForm, MetricError, below_reference,
                           tangent_plane)
 from .functionals import law_density, law_exponents
-from .quadrature import tensor_nodes
+from .quadrature import _jacobi01, tensor_nodes
 from .quantizer import QuantizerConfig, _BucketArgmax, quantize
 
 log = logging.getLogger(__name__)
@@ -204,14 +202,6 @@ def _crossings(t, v, g):
     return num / den
 
 
-@lru_cache(maxsize=None)
-def _half_rule(beta):
-    """Gauss-Jacobi rule on one half-cell: for a half of width h next to t,
-    the integral of |x - t|^beta g(x) is h^(beta+1) * sum(wts * g(t +- h u))."""
-    s, w = roots_jacobi(_HALF_ORDER, 0.0, beta)
-    return (1.0 + s) / 2.0, w / 2.0 ** (beta + 1.0)
-
-
 def _split_cell_halves(f, omega, p, t, interval, objective=False):
     """Per-cell integrals of the tangents at sorted t, split at t_j.
 
@@ -240,7 +230,7 @@ def _halves(f, omega, p, t, ft, gt, h, objective=False):
     """The split-cell rule for tangents (t, ft, gt) whose halves have
     widths h, shape (cells, 2); a negative width counts as 0."""
     beta, e = (2.0 * p, p) if objective else (2.0 * p - 1.0, p - 1.0)
-    u, wts = _half_rule(beta)
+    u, wts = _jacobi01(_HALF_ORDER, beta)
     h = np.maximum(h, 0.0)
     dx = np.array([-1.0, 1.0])[:, None] * h[:, :, None] * u
     nodes = t[:, None, None] + dx

@@ -10,17 +10,12 @@ one piece attains the maximum and integrates f - l_j over cell j.
 
 One dimension sorts the pieces by slope, prunes the ones that never
 attain the maximum and cuts at the crossing abscissas
-(:func:`envelope_cells_1d`), then integrates each cell by adaptive
-Gauss-32 panels (``quadrature.adaptive_panels``).  The panels of all
-cells are processed breadth first, one bisection level at a time, with
-the integrand evaluated in blocks of at most 256 panels (96 nodes each) so
-the working set stays small.  The result is the one a cell-by-cell
-recursion gives, bit for bit: every 32-node panel sum is its own BLAS
-ddot, a split panel's value is rebuilt as left + right, and the cell
-totals are added in cell order.  When every piece attains the maximum
+(:func:`envelope_cells_1d`).  When every piece attains the maximum
 (tangent envelopes of a strictly convex f), the cells come from one
 vectorised pass; the upper-envelope stack runs only when some piece must
-be pruned.
+be pruned.  Each cell is cut at the tangency point of its piece into two
+segments, where the gap vanishes to second order, so a Gauss-Jacobi rule
+sees a smooth integrand for every p > 0 (:func:`exact_1d_piecewise_integral`).
 
 Two dimensions take the cells from the lower convex hull of the lifted
 points (slope_j, -offset_j): they form a power diagram (Aurenhammer, SIAM
@@ -30,8 +25,9 @@ or its circle, and the domain's own sides are cut into cells by
 Each cell is a fan of collapsed sectors (Duffy, SIAM J. Numer. Anal. 1982)
 from the tangency point of its piece, where the gap vanishes to second
 order, so a Gauss-Jacobi rule sees a smooth integrand for every p > 0:
-the 2-d form of the split-cell rule of ``exact_1d``
-(:func:`exact_2d_cell_integral`).  Higher dimensions, or an explicit
+the 2-d form of the 1-d segments (:func:`exact_2d_cell_integral`).  Both
+dimensions halve the pieces with the largest bars until their sum is met
+(``quadrature.refine``).  Higher dimensions, or an explicit
 ``QuadratureSpec``, evaluate the integrand pointwise under tensor-grid or
 stratified Monte Carlo quadrature.
 
@@ -39,27 +35,23 @@ Every evaluation first verifies circumscription on a probe cloud and
 refuses (``CircumscriptionError``) when l pokes above f by more than
 1e-9: tangent-built envelopes violate only at rounding level, so anything
 larger is a corrupted envelope, not data.  In one dimension the probe
-(4,096 points) and the exact path's scale probe (257 points) score each
-point only against the pieces that can be largest near it
-(``PiecewiseAffineMax.evaluate``); the values are those of a scan over
-every piece, bit for bit, because a dropped piece is provably below a
-kept one after rounding and a one-coordinate product rounds once however
-it is formed.  In two or more dimensions the BLAS product's summation
-order depends on the shape of the call, so the probe scans envelopes
-whole; the 2-d cell path evaluates no envelope beyond it.
+(4,096 points) scores each point only against the pieces that can be
+largest near it (``PiecewiseAffineMax.evaluate``); the values are those
+of a scan over every piece, bit for bit, because a dropped piece is
+provably below a kept one after rounding and a one-coordinate product
+rounds once however it is formed.  In two or more dimensions the BLAS
+product's summation order depends on the shape of the call, so the probe
+scans envelopes whole.  The cell paths evaluate no envelope beyond the
+probe: each piece is evaluated only on its own cell.
 """
 
-from functools import lru_cache
-
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.spatial import ConvexHull
-from scipy.special import roots_jacobi
 
 from .convex_core import (CircumscriptionError, PiecewiseAffineMax,
                           WeightError, as_points, max_violation, sup_gap)
-from .quadrature import (ErrorReport, QuadratureSpec, adaptive_panels,
-                         integrate, panel_tolerance)
+from .quadrature import (_SEGMENT_RULES, ErrorReport, Pieces, QuadratureSpec,
+                         _gauss01, _jacobi01, integrate, refine)
 
 __all__ = [
     "QuadratureSpec", "ErrorReport", "weighted_lp_error",
@@ -68,6 +60,10 @@ __all__ = [
 ]
 
 _CIRC_TOL = 1e-9
+_SEGMENT_BLOCK = 2048       # 1-d segments per integrand call: 40,960 nodes
+_MAX_GROWTH = 16            # pieces, at most, per initial piece
+_NEWTON_STEPS = 30
+_EPS = np.finfo(float).eps
 
 
 def _probe_cloud(domain, count=4096, seed=202):
@@ -139,23 +135,130 @@ def _clip_cells(stack, cross, slopes, offsets, a, b):
     return idxs, edges
 
 
+def _tangency_points(f, slope, offset, start, scale, inside):
+    """Apexes of the pieces (slope, offset): Newton on grad f(z) = slope
+    from ``start``.
+
+    Returns (apex, found): z where Newton converged to a point where
+    ``inside(z)`` holds with the gap at rounding level, ``start`` elsewhere
+    (a singular Hessian, iterates that leave the finite numbers, or a
+    tangency point outside).
+    """
+    z = start.copy()
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            g = f.gradient(z) - slope
+            h = f.hessian(z)
+            if z.shape[1] == 1:
+                det = h[:, 0, 0]
+                step = g / det[:, None]
+            else:
+                det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+                step = np.column_stack([
+                    h[:, 1, 1] * g[:, 0] - h[:, 0, 1] * g[:, 1],
+                    h[:, 0, 0] * g[:, 1] - h[:, 1, 0] * g[:, 0]]) / det[:, None]
+            step[~(np.abs(det) > 1e-12 * np.einsum("ijk,ijk->i", h, h))] = np.nan
+            z = z - step
+            if not np.any(np.abs(step) > 4 * _EPS * scale):
+                break
+        fz = f.value(z)
+        pz = np.einsum("ij,ij->i", z, slope)
+        found = (inside(z) & np.isfinite(fz)
+                 & (np.abs(fz - pz - offset)
+                    <= 64 * _EPS * (np.abs(fz) + np.abs(pz) + np.abs(offset))))
+    return np.where(found[:, None], z, start), found
+
+
+def _segment_sums(f, omega, p, seg, slope, offset):
+    """Value, bar and rounding floor of each 1-d segment z + u (g - z),
+    u in [u0, u1], as :func:`_sector_sums` gives them for sectors.
+
+    The gap vanishes like (x - z)^2 at a tangency point, so a segment
+    from there (u0 = 0) takes a Gauss-Jacobi rule of weight u^(2p) and
+    sees a smooth integrand for every p > 0; others take Gauss-Legendre.
+    Where the nodes can miss part of the gap, which is convex and so at
+    most its larger end, the bar is also the value's distance to 0 and to
+    the length times that end's integrand (at the nodes' largest weight).
+    """
+    out = np.empty((3, seg.size))
+    jacobi = [_jacobi01(k, 2.0 * p) for k in _SEGMENT_RULES]
+    legendre = [_gauss01(k) for k in _SEGMENT_RULES]
+    jx = np.concatenate([x for x, _ in jacobi])
+    jw = np.concatenate([w / x ** (2.0 * p) for x, w in jacobi])
+    gx, gw = (np.concatenate(r) for r in zip(*legendre))
+    fine_nodes = _SEGMENT_RULES[0]
+    for s in range(0, seg.size, _SEGMENT_BLOCK):
+        blk = seg.take(slice(s, s + _SEGMENT_BLOCK))
+        n = blk.size
+        u0, du = blk.u[:, :1], blk.u[:, 1:] - blk.u[:, :1]
+        singular = (blk.tangent & (blk.u[:, 0] == 0))[:, None]
+        span = blk.g - blk.z
+        length = np.abs(span) * du[:, 0]
+        wt = np.where(singular, jw, gw)
+        x = (blk.z[:, None]
+             + (u0 + du * np.where(singular, jx, gx)) * span[:, None])
+        fx = f.value(x.reshape(-1, 1)).reshape(n, -1)
+        w = np.asarray(omega(x.reshape(-1, 1), fx.reshape(-1)),
+                       dtype=float).reshape(n, -1)
+        if np.any(w < 0):
+            raise WeightError("weight is negative on quadrature nodes")
+        plane = x * slope[blk.piece, None]
+        off = offset[blk.piece, None]
+        # l_j(x) rounds as the envelope's evaluation does, so where f is
+        # affine and formed the same way (huber's arms) the gap reads 0
+        gap = np.maximum(fx - (plane + off), 0.0)
+        vals = gap ** p * w
+        fine, coarse = (length * np.einsum("ij,ij->i", vals[:, r], wt[:, r])
+                        for r in (slice(fine_nodes), slice(fine_nodes, None)))
+        # how far a few ulps of the gap's terms can move the fine rule's
+        # value, at nodes that see the gap: one that reads it as zero
+        # reads the same in both rules, and on an affine stretch of f
+        # (huber's arms) ulps^p would hide a kink elsewhere for p < 1
+        part = (slice(None), slice(fine_nodes))
+        g = gap[part]
+        ulps = 16 * _EPS * (np.abs(fx[part]) + np.abs(plane[part])
+                            + np.abs(off))
+        fuzz = np.where(g > 0, (g + ulps) ** p
+                        - np.maximum(g - ulps, 0.0) ** p, 0.0) * w[part]
+        floor = length * np.einsum("ij,ij->i", fuzz, wt[part])
+        bar = np.abs(fine - coarse)
+        if p < 1:
+            bar = np.maximum(bar, floor)
+        # the rules can both miss a sliver of the gap where no node sees
+        # it, or a kink of it where f'' is the same at every node but not
+        # at an end (huber's |x| = delta)
+        ends = blk.z[:, None] + blk.u * span[:, None]
+        hidden = np.all(g <= ulps, axis=1)
+        if not f.strictly_convex:
+            h = f.hessian(np.hstack([x, ends]).reshape(-1, 1)).reshape(n, -1)
+            same = h == h[:, :1]
+            hidden |= np.all(same[:, :-2], axis=1) & ~np.all(same, axis=1)
+        hidden = np.flatnonzero(hidden)
+        if hidden.size:
+            ends = ends[hidden]
+            egap = (f.value(ends.reshape(-1, 1)).reshape(-1, 2)
+                    - (ends * slope[blk.piece[hidden], None] + off[hidden]))
+            most = (np.maximum(egap.max(axis=1), 0.0) ** p
+                    * w[hidden].max(axis=1) * length[hidden])
+            bar[hidden] = np.maximum.reduce([bar[hidden], fine[hidden],
+                                             np.abs(fine[hidden] - most)])
+        out[:, s:s + n] = fine, bar, floor
+    return out
+
+
 def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
     """Cell-by-cell integral of (f - l)^p omega in one dimension.
 
-    Exact up to the adaptive tolerance for any positive p: integer p gives
-    polynomial-in-smooth integrands that the Gauss panels capture at
-    machine precision; non-integer p falls back on the same adaptive
-    bisection, which keeps refining where gap^p loses smoothness.
-
-    All cells go through :func:`quadrature.adaptive_panels` together, one
-    level of panels at a time, each cell's panels with that cell's own
-    tangent.  The value is that of integrating the cells one by one: each
-    32-node panel sum is its own ddot, a split panel's value is rebuilt as
-    left + right, and the cell totals are added in cell order.
-
-    Returns an :class:`ErrorReport` with the panels' node count (96 per
-    panel) and, as its error bar, the sum over accepted panels of
-    ``|left + right - whole|``.
+    The 1-d case of :func:`exact_2d_cell_integral`: each cell of l
+    (:func:`envelope_cells_1d`) is two segments from the tangency point of
+    its piece (:func:`_tangency_points`, inside the cell), or from the
+    cell's middle where there is none (``huber``'s arms, a tangent
+    clipped away), under :func:`_segment_sums`.  For p < 1, where
+    rounding the gap near z moves the integral more than the rules can
+    show, a bar is at least its rounding floor.  ``quadrature.refine``
+    halves the largest bars until their sum is at most ``rel_tol`` of the
+    value, or 16 times the first segment count.  Returns an
+    :class:`ErrorReport` with that sum as its bar and 20 nodes a segment.
     """
     if f.dim != 1:
         raise ValueError("exact integration path requires one dimension")
@@ -163,27 +266,22 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
         raise ValueError("p must be positive")
     lo, hi = f.domain.bounding_box()
     idxs, edges = envelope_cells_1d(l, (float(lo[0]), float(hi[0])))
-    slopes = np.asarray(l.slopes, dtype=float).reshape(-1)[idxs, None]
-    offsets = np.asarray(l.offsets, dtype=float)[idxs, None]
-
-    # overall scale for the relative acceptance test
-    probe = np.linspace(float(lo[0]), float(hi[0]), 257)
-    fx = f.value(probe.reshape(-1, 1))
-    gap = np.maximum(fx - l.evaluate(probe.reshape(-1, 1)), 0.0)
-    wpx = np.asarray(omega(probe.reshape(-1, 1), fx), dtype=float)
-    tol = panel_tolerance(gap ** p * wpx, float(hi[0]) - float(lo[0]), rel_tol)
-
-    def integrand(xs, cell):
-        pts = xs.reshape(-1, 1)
-        vals = f.value(pts)
-        g = np.maximum(vals - (slopes[cell] * xs + offsets[cell]).ravel(), 0.0)
-        w = np.asarray(omega(pts, vals), dtype=float)
-        return g ** p * w
-
-    vals, nodes, bar = adaptive_panels(integrand, edges[:-1], edges[1:], tol)
-    # a running sum in cell order, not numpy's pairwise np.sum
-    total = float(max(np.cumsum(np.concatenate(([0.0], vals)))[-1], 0.0))
-    return ErrorReport(value=total, error_bar=bar, nodes_used=nodes)
+    slopes = np.asarray(l.slopes, dtype=float).reshape(-1)
+    offsets = np.asarray(l.offsets, dtype=float)
+    left, right = edges[:-1, None], edges[1:, None]
+    z, found = _tangency_points(
+        f, slopes[idxs, None], offsets[idxs], (left + right) / 2.0,
+        float(np.max(np.abs(edges))),
+        lambda z: ((left <= z) & (z <= right))[:, 0])
+    seg = Pieces(piece=np.repeat(idxs, 2), z=np.repeat(z[:, 0], 2),
+                 tangent=np.repeat(found, 2),
+                 g=np.column_stack([left, right]).reshape(-1),
+                 u=np.tile([0.0, 1.0], (2 * idxs.size, 1)))
+    value, bar, nodes = refine(
+        lambda part: _segment_sums(f, omega, p, part, slopes, offsets),
+        lambda part, idx: part.take(idx).halves(u=slice(None)),
+        seg, sum(_SEGMENT_RULES), rel_tol, _MAX_GROWTH * seg.size)
+    return ErrorReport(value=max(value, 0.0), error_bar=bar, nodes_used=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +292,6 @@ _NODES = sum(nu * nv for nu, nv in _RULES)
 _SECTOR_BLOCK = 1024        # sectors per integrand call: 36,864 nodes
 _ARC_STEP = np.pi / 8       # widest arc of a ball's boundary in one sector
 _REL_TOL = 1e-9             # summed bar sought, relative to the value
-_MAX_ROUNDS = 40            # refinement rounds before the bar is taken as is
-_MAX_GROWTH = 16            # sectors, at most, per initial sector
-_NEWTON_STEPS = 30
-_EPS = np.finfo(float).eps
 
 
 def _cross(u, v):
@@ -335,28 +429,10 @@ def _arcs(exits, a, b, kept, centre, radius):
     return kept[win], first, step
 
 
-class _Sectors:
+class _Sectors(Pieces):
     """Sectors x = z + u (g(v) - z) of cells, for u in [u0, u1] and v in
     [v0, v1], where g is a segment s + v d or an arc of the domain's
     circle (``arc``; s holds the first angle and the angle swept)."""
-
-    fields = ("piece", "z", "tangent", "arc", "s", "d", "u", "v")
-
-    def __init__(self, **kw):
-        for name in self.fields:
-            setattr(self, name, kw[name])
-
-    @property
-    def size(self):
-        return self.piece.size
-
-    def take(self, idx):
-        return _Sectors(**{n: getattr(self, n)[idx] for n in self.fields})
-
-    @staticmethod
-    def join(parts):
-        return _Sectors(**{n: np.concatenate([getattr(p, n) for p in parts])
-                           for n in _Sectors.fields})
 
     def curve(self, v, centre, radius):
         """Points g(v) and tangents g'(v), v of shape (sectors, nodes)."""
@@ -386,17 +462,6 @@ class _Sectors:
         return (self.z[:, None, None, :]
                 + self.u[:, :, None, None] * rel).reshape(-1, 6, 2)
 
-    def halves(self, along_ray):
-        """Each sector cut in two: its rays halved (u) where ``along_ray``,
-        its edge halved (v) elsewhere."""
-        first, second = self.take(np.arange(self.size)), self.take(
-            np.arange(self.size))
-        for name, cut in (("u", along_ray), ("v", ~along_ray)):
-            mid = getattr(self, name)[cut].mean(axis=1)
-            getattr(first, name)[cut, 1] = mid
-            getattr(second, name)[cut, 0] = mid
-        return _Sectors.join([first, second])
-
     def longer_rays(self, centre, radius):
         """Where a sector is longer along its rays than across them, both
         measured through the middle of its edge."""
@@ -408,31 +473,17 @@ class _Sectors:
         return ray > edge
 
 
-@lru_cache(maxsize=None)
-def _jacobi01(order, beta):
-    """Gauss-Jacobi rule for the integral over [0, 1] of s^beta g(s) ds."""
-    x, w = roots_jacobi(order, 0.0, beta)
-    return (1.0 + x) / 2.0, w / 2.0 ** (beta + 1.0)
-
-
-@lru_cache(maxsize=None)
-def _gauss01(order):
-    """Gauss-Legendre rule on [0, 1]."""
-    x, w = leggauss(order)
-    return (1.0 + x) / 2.0, w / 2.0
-
-
 def _sector_sums(f, omega, p, sec, a, b, centre, radius):
-    """Each rule's value of the sectors, their rounding floors, and the
-    bars of sectors whose nodes can miss part of the gap.
+    """Value, bar and rounding floor of each sector.
 
     Along a ray from a tangency point the gap f - l_j vanishes like u^2,
     so (gap / u^2)^p is smooth and a Gauss-Jacobi rule of weight u^(2p+1)
     takes the rest of the integrand; from any other apex the weight is
     the Jacobian's u.  Sectors that start past the apex (u0 > 0) have no
     singular end and use Gauss-Legendre.  A rule is (ray nodes, edge
-    nodes).  The floor is what rounding the gap by a few ulps of its terms
-    could put into a sector's bar.
+    nodes).  The value is the fine rule's, the bar its distance to the
+    coarse one, and the floor what rounding the gap by a few ulps of its
+    terms could put into the bar.
     """
     out = np.empty((sec.size, len(_RULES) + 2))
     for s in range(0, sec.size, _SECTOR_BLOCK):
@@ -521,7 +572,8 @@ def _sector_sums(f, omega, p, sec, a, b, centre, radius):
             out[s + hidden, -1] = np.maximum(
                 np.abs(val - area * least * w[hidden].min(axis=1)),
                 np.abs(val - area * most * w[hidden].max(axis=1)))
-    return out
+    fine, coarse, floor, missed = out.T
+    return fine, np.maximum(np.abs(fine - coarse), missed), floor
 
 
 def _area(sec, rule, cross):
@@ -529,25 +581,6 @@ def _area(sec, rule, cross):
     du = sec.u[:, 1] ** 2 - sec.u[:, 0] ** 2
     return np.abs(0.5 * du * (sec.v[:, 1] - sec.v[:, 0])
                   * (cross @ _gauss01(rule[1])[1]))
-
-
-def _tangency_points(f, slope, start, scale):
-    """Newton on grad f(z) = slope from ``start``; NaN rows where the
-    Hessian is singular or the iterates leave the finite numbers."""
-    z = start.copy()
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            g = f.gradient(z) - slope
-            h = f.hessian(z)
-            det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-            step = np.column_stack([
-                h[:, 1, 1] * g[:, 0] - h[:, 0, 1] * g[:, 1],
-                h[:, 0, 0] * g[:, 1] - h[:, 1, 0] * g[:, 0]]) / det[:, None]
-            step[~(np.abs(det) > 1e-12 * np.einsum("ijk,ijk->i", h, h))] = np.nan
-            z = z - step
-            if not np.any(np.abs(step) > 4 * _EPS * scale):
-                break
-    return z
 
 
 def _cell_boundaries(a, b, domain):
@@ -621,14 +654,10 @@ def _apexes(f, a, b, sec, centre, radius):
     mean = np.column_stack([np.bincount(inv, weights=ends[..., k].sum(axis=1),
                                         minlength=cells.size) / count
                             for k in range(2)])
-    z = _tangency_points(f, a[cells], mean, np.abs(centre).max() + radius)
-    with np.errstate(invalid="ignore"):
-        fz = f.value(z)
-        pz = np.einsum("ij,ij->i", z, a[cells])
-        ok = (f.domain.contains(z) & np.isfinite(fz)
-              & (np.abs(fz - pz - b[cells])
-                 <= 64 * _EPS * (np.abs(fz) + np.abs(pz) + np.abs(b[cells]))))
-    return np.where(ok[:, None], z, mean)[inv], ok[inv]
+    z, found = _tangency_points(f, a[cells], b[cells], mean,
+                                np.abs(centre).max() + radius,
+                                f.domain.contains)
+    return z[inv], found[inv]
 
 
 def exact_2d_cell_integral(f, l, p, omega):
@@ -653,14 +682,13 @@ def exact_2d_cell_integral(f, l, p, omega):
     |x_k| = delta), it is also how far the rule can be from the bounds
     that convexity puts on the gap over the sector (:func:`_sector_sums`).
     Sectors from an apex that is no tangency point are cut across their
-    rays once.  Then the largest bars are cut until the summed bar is at
-    most 1e-9 of the total, or every bar is at its rounding floor, or
-    after 40 rounds or 16 times the first sector count: across the edge
-    from a tangency point, where the integrand is slow along the edge,
-    and across the longer side elsewhere or when f is not strictly
-    convex, where a kink can run in any direction.  Returns an
-    :class:`ErrorReport` with that sum as its bar and the nodes
-    evaluated.
+    rays once.  Then ``quadrature.refine`` cuts the largest bars until
+    the summed bar is at most 1e-9 of the total, or 16 times the first
+    sector count: across the edge from a tangency point, where the
+    integrand is slow along the edge, and across the longer side
+    elsewhere or when f is not strictly convex, where a kink can run in
+    any direction.  Returns an :class:`ErrorReport` with that sum as its
+    bar and the nodes evaluated.
     """
     if f.dim != 2:
         raise ValueError("cell integration is planar")
@@ -674,51 +702,22 @@ def exact_2d_cell_integral(f, l, p, omega):
                    u=np.tile([0.0, 1.0], (n, 1)), v=np.tile([0.0, 1.0], (n, 1)))
     sec.z, sec.tangent = _apexes(f, a, b, sec, centre, radius)
 
-    def sums(part):
-        return _sector_sums(f, omega, p, part, a, b, centre, radius)
+    def split(part, idx):
+        cut = part.take(idx).longer_rays(centre, radius)
+        if f.strictly_convex:
+            cut &= ~part.tangent[idx]
+        return part.take(idx).halves(u=cut, v=~cut)
 
-    first = sums(sec)
-    val, floor = first[:, 0], first[:, 2]
-    bar = np.maximum(np.abs(first[:, 0] - first[:, 1]), first[:, 3])
-    nodes = n * _NODES
     # From an apex that is not a tangency point the gap can be flat near
     # it and polynomial past a kink that no node of the sector sees; its
     # sectors are cut across their rays once, so the halves' move shows it
-    split = np.flatnonzero(~sec.tangent)
-    cut = np.ones(split.size, dtype=bool)
-    for _ in range(_MAX_ROUNDS):
-        if split.size == 0:
-            target = _REL_TOL * abs(float(np.sum(val)))
-            over = np.flatnonzero(bar > floor)
-            if (float(np.sum(bar)) <= target or over.size == 0
-                    or sec.size >= _MAX_GROWTH * n):
-                break
-            # cut the largest bars until what is left is within half the
-            # target
-            order = over[np.argsort(-bar[over], kind="stable")]
-            count = np.searchsorted(np.cumsum(bar[order]),
-                                    float(np.sum(bar)) - target / 2.0) + 1
-            split = order[:count]
-            cut = sec.take(split).longer_rays(centre, radius)
-            if f.strictly_convex:
-                cut &= ~sec.tangent[split]
-        children = sec.take(split).halves(cut)
-        new = sums(children)
-        nodes += 2 * split.size * _NODES
-        # where the gap vanishes on part of a sector, or has a kink, both
-        # rules can miss a sliver of it and agree by chance
-        moved = np.abs(new[:split.size, 0] + new[split.size:, 0] - val[split])
-        rest = np.ones(sec.size, dtype=bool)
-        rest[split] = False
-        sec = _Sectors.join([sec.take(rest), children])
-        val = np.concatenate([val[rest], new[:, 0]])
-        bar = np.concatenate([bar[rest], np.maximum.reduce([
-            np.abs(new[:, 0] - new[:, 1]), np.tile(moved / 2.0, 2),
-            new[:, 3]])])
-        floor = np.concatenate([floor[rest], new[:, 2]])
-        split = np.empty(0, dtype=int)
-    return ErrorReport(value=max(float(np.sum(val)), 0.0),
-                       error_bar=float(np.sum(bar)), nodes_used=nodes)
+    forced = np.flatnonzero(~sec.tangent)
+    value, bar, nodes = refine(
+        lambda part: _sector_sums(f, omega, p, part, a, b, centre, radius),
+        split, sec, _NODES, _REL_TOL, _MAX_GROWTH * n,
+        first=((forced, sec.take(forced).halves(u=slice(None)))
+               if forced.size else None))
+    return ErrorReport(value=max(value, 0.0), error_bar=bar, nodes_used=nodes)
 
 
 def weighted_lp_error(f, l, p, omega, quad=None):

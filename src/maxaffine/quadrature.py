@@ -13,32 +13,33 @@ Three kinds are supported, selected by :class:`QuadratureSpec`:
     panel grid, with the usual stratified standard error.
 
 ``exact_1d``
-    Adaptive Gauss-Legendre bisection on an interval
-    (:func:`adaptive_panels`, the same integrator the exact 1-d error path
-    runs over the cells of an envelope).  The error bar is the sum of the
-    accepted panels' refinement deltas.
+    Gauss-Legendre segments on an interval, halved where their bars are
+    largest (:func:`refine`, the loop that also runs the exact 1-d and 2-d
+    error paths over the cells of an envelope).  A segment's bar is its
+    12-node minus its 8-node value; the error bar is their sum.
 
 The grid and Monte Carlo kinds build and evaluate their nodes in blocks
 of 65,536 rows (:func:`evaluate_rows`), so their memory is bounded by
 the block, plus one value array (and, for the grid, one weight array) of
 8 bytes a node.  All reductions run single threaded (numpy pairwise
 summation over the whole value array, one ``bincount`` per block of whole
-strata, or one BLAS ddot per Gauss panel), so a fixed spec and seed give
+strata, or one product per Gauss segment), so a fixed spec and seed give
 bit-stable results, whatever the block size.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi
 
 _VALID_KINDS = ("exact_1d", "tensor_grid", "monte_carlo")
-_GX32, _GW32 = leggauss(32)
-_PANEL_BLOCK = 256      # panels per integrand call: 24,576 nodes, 192 KB
-_SPLIT_BLOCK = 2048     # split panels whose halves are refined together
-_MAX_DEPTH = 24         # bisection levels before a panel is taken as is
 _ROW_BLOCK = 65_536     # rows per whole-cloud integrand call: 1 MB in 2-d
+_SEGMENT_RULES = (12, 8)    # nodes of a segment's fine and coarse rule
+_MAX_SEGMENTS = 1024        # segments of an ``exact_1d`` integral, at most
+_MAX_ROUNDS = 40            # refinement rounds before the bar is taken as is
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class ErrorReport:
     """Integral estimate with an honest uncertainty.
 
     ``error_bar`` is a standard error for stochastic kinds and a
-    panel-refinement delta for deterministic ones.
+    fine-minus-coarse rule difference for deterministic ones.
     """
 
     value: float
@@ -183,95 +184,92 @@ def evaluate_rows(func, rows, total, step=_ROW_BLOCK):
     return out
 
 
-def panel_tolerance(probe, width, rel_tol, floor=0.0):
-    """Acceptance bound for :func:`adaptive_panels`.
+@lru_cache(maxsize=None)
+def _jacobi01(order, beta):
+    """Gauss-Jacobi rule for the integral over [0, 1] of s^beta g(s) ds."""
+    x, w = roots_jacobi(order, 0.0, beta)
+    return (1.0 + x) / 2.0, w / 2.0 ** (beta + 1.0)
 
-    ``rel_tol`` times the scale of the integral, read as the largest
-    ``|probe|`` value times ``width`` (at least 1e-300), and never below
-    ``floor``.
+
+@lru_cache(maxsize=None)
+def _gauss01(order):
+    """Gauss-Legendre rule on [0, 1]."""
+    x, w = leggauss(order)
+    return (1.0 + x) / 2.0, w / 2.0
+
+
+class Pieces:
+    """Pieces of an integral: row k of each named array describes piece k."""
+
+    def __init__(self, **rows):
+        self.names = tuple(rows)
+        self.__dict__.update(rows)
+
+    @property
+    def size(self):
+        return len(getattr(self, self.names[0]))
+
+    def take(self, idx):
+        return type(self)(**{n: getattr(self, n)[idx] for n in self.names})
+
+    def join(self, parts):
+        return type(self)(**{n: np.concatenate([getattr(p, n) for p in parts])
+                             for n in self.names})
+
+    def halves(self, **cuts):
+        """Each piece cut in two at the middle of an interval: ``cuts``
+        maps the name of a (pieces, 2) array to the pieces cut in it.
+        The first halves of all pieces come first, then the second ones."""
+        first, second = (self.take(np.arange(self.size)) for _ in range(2))
+        for name, cut in cuts.items():
+            mid = getattr(self, name)[cut].mean(axis=1)
+            getattr(first, name)[cut, 1] = mid
+            getattr(second, name)[cut, 0] = mid
+        return self.join([first, second])
+
+
+def refine(sums, split, pieces, nodes, rel_tol, max_pieces, abs_tol=0.0,
+           first=None):
+    """Integral over ``pieces``, cutting those with the largest bars.
+
+    ``sums(pieces)`` gives each piece's value, bar and rounding floor
+    from ``nodes`` integrand values; ``split(pieces, idx)`` cuts the
+    pieces ``idx`` in two, ordered as :meth:`Pieces.halves` does.
+    ``first``, a pair (idx, halves), is cut before any test.  Each round
+    cuts the largest bars above their floors until what is left is within
+    half the target, max(rel_tol |value|, abs_tol).  Halves take at least
+    half of how far they moved their parent's value as their bar: where
+    the integrand vanishes on part of a piece, or has a kink, both rules
+    can miss a sliver of it and agree by chance.  Stops at the target,
+    when no bar is above its floor, at ``max_pieces`` pieces or after 40
+    rounds.  Returns (value, summed bar, integrand values used).
     """
-    scale = max(float(np.max(np.abs(probe))) * width, 1e-300)
-    return max(rel_tol * scale, floor)
-
-
-def adaptive_panels(func, lo, hi, tol):
-    """Adaptive Gauss-32 bisection over many intervals at once.
-
-    Integrates interval ``i`` = [lo[i], hi[i]].  ``func(xs, cell)`` returns
-    the integrand of interval ``cell[k]`` at the nodes ``xs[k]``, with xs
-    of shape (panels, nodes).  A panel is integrated whole and as two
-    halves; it is accepted when ``|left + right - whole| <= tol`` or at
-    depth 24, and its value is then ``left + right``; otherwise both
-    halves become panels of the next level.  A panel whose 96 nodes all
-    read zero is accepted only if ``func`` is also zero at both of its
-    ends (below depth 24); for the gap of a convex function this catches
-    a sliver of nonzero gap that falls between the nodes.
-
-    The work is breadth first: each level's panels are evaluated in
-    blocks of at most 256, and a split panel's value is rebuilt bottom up
-    as left child + right child.  The halves of at most 2048 split panels
-    go down at a time, so memory stays bounded however deep the splits
-    go.  Every panel sum is one BLAS ddot of its 32 terms, whatever the
-    block, so the values equal those of a recursion that integrates one
-    interval at a time, bit for bit.
-
-    Returns (values per interval, nodes used, error bar), counting 96
-    nodes per panel (the end checks are not counted); the bar is the sum
-    of the accepted panels' deltas.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return _refine(func, lo, hi, np.arange(lo.size), tol, 0)
-
-
-def _panel_sums(rows):
-    """Gauss-32 sum of each row, each its own BLAS ddot.
-
-    A stack of row-by-column products: numpy takes one ddot per row, as
-    ``np.dot(_GW32, row)`` does, while ``rows @ _GW32`` sums in another
-    order.
-    """
-    return np.matmul(rows[:, None, :], _GW32[:, None]).reshape(-1)
-
-
-def _refine(func, lo, hi, cell, tol, depth):
-    """Values, nodes and bar of the panels [lo, hi] at ``depth``."""
-    h = (hi - lo) / 2.0
-    mid = (hi + lo) / 2.0
-    h2 = h / 2.0
-    sums = np.empty((lo.size, 3))
-    blind = np.empty(lo.size, dtype=bool)
-    for s in range(0, lo.size, _PANEL_BLOCK):
-        b = slice(s, s + _PANEL_BLOCK)
-        xs = np.concatenate(
-            [mid[b, None] + h[b, None] * _GX32,
-             lo[b, None] + h2[b, None] + h2[b, None] * _GX32,
-             mid[b, None] + h2[b, None] + h2[b, None] * _GX32], axis=1)
-        rows = np.asarray(func(xs, cell[b]), dtype=float).reshape(-1, 32)
-        sums[b] = _panel_sums(rows).reshape(-1, 3)
-        blind[b] = ~rows.reshape(-1, 96).any(axis=1)
-    val = h2 * sums[:, 1] + h2 * sums[:, 2]
-    delta = np.abs(val - h * sums[:, 0])
-    accept = (delta <= tol) | (depth >= _MAX_DEPTH)
-    # a panel whose nodes all read zero can hide a sliver where the
-    # integrand rises between them; a convex gap that is also zero at
-    # both ends of the panel is zero all over it
-    check = np.flatnonzero(accept & blind & (depth < _MAX_DEPTH))
-    if check.size:
-        ends = np.asarray(func(np.stack([lo[check], hi[check]], axis=1),
-                               cell[check]), dtype=float).reshape(-1, 2)
-        accept[check[ends.any(axis=1)]] = False
-    nodes, bar = 96 * lo.size, float(np.sum(delta[accept]))
-    split = np.flatnonzero(~accept)
-    for s in range(0, split.size, _SPLIT_BLOCK):
-        k = split[s:s + _SPLIT_BLOCK]
-        child, cnodes, cbar = _refine(
-            func, np.stack([lo[k], mid[k]], axis=1).ravel(),
-            np.stack([mid[k], hi[k]], axis=1).ravel(),
-            np.repeat(cell[k], 2), tol, depth + 1)
-        val[k] = child[0::2] + child[1::2]
-        nodes, bar = nodes + cnodes, bar + cbar
-    return val, nodes, bar
+    val, bar, floor = sums(pieces)
+    used = pieces.size * nodes
+    cut = first
+    for _ in range(_MAX_ROUNDS):
+        if cut is None:
+            target = max(rel_tol * abs(float(np.sum(val))), abs_tol)
+            over = np.flatnonzero(bar > floor)
+            if (float(np.sum(bar)) <= target or over.size == 0
+                    or pieces.size >= max_pieces):
+                break
+            order = over[np.argsort(-bar[over], kind="stable")]
+            count = np.searchsorted(np.cumsum(bar[order]),
+                                    float(np.sum(bar)) - target / 2.0) + 1
+            cut = order[:count], split(pieces, order[:count])
+        (idx, children), cut = cut, None
+        new_val, new_bar, new_floor = sums(children)
+        used += children.size * nodes
+        moved = np.abs(new_val[:idx.size] + new_val[idx.size:] - val[idx])
+        rest = np.ones(pieces.size, dtype=bool)
+        rest[idx] = False
+        pieces = pieces.join([pieces.take(rest), children])
+        val = np.concatenate([val[rest], new_val])
+        bar = np.concatenate([bar[rest],
+                              np.maximum(new_bar, np.tile(moved / 2.0, 2))])
+        floor = np.concatenate([floor[rest], new_floor])
+    return float(np.sum(val)), float(np.sum(bar)), used
 
 
 def integrate(func, domain, spec):
@@ -290,15 +288,23 @@ def integrate(func, domain, spec):
     if spec.kind == "exact_1d":
         if n != 1:
             raise ValueError("exact_1d quadrature is only defined in one dimension")
-        a, b = float(lower[0]), float(upper[0])
-        # the absolute floor stops an integrand that nearly vanishes on
-        # the probes (sin(256 pi x) on [0, 1]) from splitting to depth 24
-        tol = panel_tolerance(masked(np.linspace(a, b, 257).reshape(-1, 1)),
-                              b - a, min(spec.rel_tol, 1e-12), floor=1e-14)
-        vals, nodes_used, bar = adaptive_panels(
-            lambda xs, _: masked(xs.reshape(-1, 1)), [a], [b], tol)
-        return ErrorReport(value=float(vals[0]), error_bar=bar,
-                           nodes_used=nodes_used)
+        xs = [_gauss01(k) for k in _SEGMENT_RULES]
+
+        def segment_sums(seg):
+            lo, width = seg.u[:, :1], seg.u[:, 1:] - seg.u[:, :1]
+            fine, coarse = (
+                width[:, 0] * (masked((lo + width * x).reshape(-1, 1))
+                               .reshape(seg.size, -1) @ w) for x, w in xs)
+            return fine, np.abs(fine - coarse), np.zeros(seg.size)
+
+        # the absolute floor stops an integrand that nearly vanishes on the
+        # nodes (sin(256 pi x) on [0, 1]) from splitting to the cap
+        value, bar, nodes_used = refine(
+            segment_sums,
+            lambda seg, idx: seg.take(idx).halves(u=slice(None)),
+            Pieces(u=np.column_stack([lower, upper])), sum(_SEGMENT_RULES),
+            min(spec.rel_tol, 1e-12), _MAX_SEGMENTS, abs_tol=1e-14)
+        return ErrorReport(value=value, error_bar=bar, nodes_used=nodes_used)
 
     if spec.kind == "tensor_grid":
         fine, fine_nodes = _tensor_sum(masked, lower, upper, spec.level)

@@ -194,6 +194,39 @@ def test_split_cell_kernel_matches_quad(p, w_exp):
         pytest.approx(obj.sum(), rel=1e-15)
 
 
+def _half_rule(beta):
+    """The split-cell rule's own Gauss-Jacobi factory, verbatim, before it
+    became ``quadrature._jacobi01(12, beta)``."""
+    from scipy.special import roots_jacobi
+    s, w = roots_jacobi(12, 0.0, beta)
+    return (1.0 + s) / 2.0, w / 2.0 ** (beta + 1.0)
+
+
+@pytest.mark.parametrize("cid, interval, wid, p", [
+    ("quadratic", (0.0, 1.0), "constant", 1.0),
+    ("quadratic", (0.0, 1.0), "exp_neg_t", 1.0),
+    ("cosh_quadratic", (-1.0, 1.0), "constant", 2.0),
+    ("exp_sum", (-1.0, 1.0), "exp_neg_t", 1.5)])
+def test_exact_1d_tangents_keep_the_half_rule(cid, interval, wid, p,
+                                              monkeypatch):
+    # the shared rule factory gives the solver its old nodes and weights,
+    # so its tangents stay the same bit for bit
+    f = catalog_entry(cid, {}, Domain.box([interval[0]], [interval[1]]))
+    w = WeightFunction(wid, {})
+    sizes = (16, 256, 2048)
+    got = [build_approximation(f, w, p, m, "exact_1d") for m in sizes]
+
+    def verbatim(order, beta):
+        assert order == 12
+        return _half_rule(beta)
+
+    monkeypatch.setattr(approximator, "_jacobi01", verbatim)
+    for m, l in zip(sizes, got):
+        want = build_approximation(f, w, p, m, "exact_1d")
+        assert np.array_equal(l.slopes, want.slopes), m
+        assert np.array_equal(l.offsets, want.offsets), m
+
+
 def test_split_cell_kernel_edge_cases(w_const):
     f = catalog_entry("cosh_quadratic", {}, Domain.box([-1.0], [1.0]))
     # a tangency point on the interval's edge: that half has zero width
