@@ -632,7 +632,9 @@ class SmoothConvexFunction:
 
     Instances come from :func:`catalog_entry`; they carry their catalog id
     and parameters so they serialize, plus a sound (not tight) upper bound
-    on the gradient norm over the domain.
+    on the gradient norm over the domain.  ``hessian_jumps[k]`` lists the
+    lines x_k = c where D^2 f jumps (``huber``'s +-delta); it is empty on
+    every axis of a function with a continuous Hessian.
     """
 
     def __init__(self, catalog_id, params, domain, value_fn, grad_fn, hess_fn,
@@ -645,6 +647,7 @@ class SmoothConvexFunction:
         self._hess = hess_fn
         self.lipschitz_bound = float(lipschitz_bound)
         self.strictly_convex = bool(strictly_convex)
+        self.hessian_jumps = ((),) * domain.dim
 
     @property
     def dim(self):
@@ -856,8 +859,10 @@ def catalog_entry(catalog_id, params, domain):
 
         lip = delta * np.sqrt(n)
         stored = {"delta": delta, "offset": offset}
-        return SmoothConvexFunction("huber", stored, domain, value, grad,
-                                    hess, lip, strictly_convex=False)
+        fn = SmoothConvexFunction("huber", stored, domain, value, grad, hess,
+                                  lip, strictly_convex=False)
+        fn.hessian_jumps = ((-delta, delta),) * n
+        return fn
 
     raise ValueError(f"unknown catalog id {catalog_id!r}")
 

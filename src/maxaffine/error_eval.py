@@ -27,7 +27,10 @@ from the tangency point of its piece, where the gap vanishes to second
 order, so a Gauss-Jacobi rule sees a smooth integrand for every p > 0:
 the 2-d form of the 1-d segments (:func:`exact_2d_cell_integral`).  Both
 dimensions halve the pieces with the largest bars until their sum is met
-(``quadrature.refine``).  Higher dimensions, or an explicit
+(``quadrature.refine``).  The same sectors, from the mean of each cell's
+boundary points, integrate a smooth integrand over a planar ball or
+polytope cut along lines where it may jump (:func:`fan_integral`, which
+gives the law's mass).  Higher dimensions, or an explicit
 ``QuadratureSpec``, evaluate the integrand pointwise under tensor-grid or
 stratified Monte Carlo quadrature.
 
@@ -292,6 +295,7 @@ _NODES = sum(nu * nv for nu, nv in _RULES)
 _SECTOR_BLOCK = 1024        # sectors per integrand call: 36,864 nodes
 _ARC_STEP = np.pi / 8       # widest arc of a ball's boundary in one sector
 _REL_TOL = 1e-9             # summed bar sought, relative to the value
+_FAN_REL_TOL = 1e-12        # the same for fan_integral's smooth integrands
 
 
 def _cross(u, v):
@@ -473,44 +477,70 @@ class _Sectors(Pieces):
         return ray > edge
 
 
+def _sector_nodes(blk, beta, centre, radius):
+    """Nodes, weights and Jacobian cross products of a block of sectors.
+
+    Sectors from a tangency point (``tangent``) take a Gauss-Jacobi rule
+    of weight u^beta along their rays, sectors from any other apex one of
+    weight u (the Jacobian's), and sectors that start past the apex
+    (u0 > 0) Gauss-Legendre; the edge takes Gauss-Legendre.  Returns the
+    nodes of every rule of ``_RULES`` in turn, shape (sectors, nodes, 2),
+    and per rule the (sectors, ray, edge) weights and the (sectors, edge)
+    cross products cross(g - z, g'), as :func:`_rule_sums` takes them.
+    """
+    n = blk.size
+    u0, u1 = blk.u[:, :1], blk.u[:, 1:]
+    v0, v1 = blk.v[:, :1], blk.v[:, 1:]
+    singular = u0 == 0
+    tangent = blk.tangent[:, None]
+    ray = np.where(tangent, beta, 1.0)
+    pts, weights, crosses = [], [], []
+    for nu, nv in _RULES:
+        xu, wu = _gauss01(nu)
+        xv, wv = _gauss01(nv)
+        ts, tw = _jacobi01(nu, beta)
+        fs, fw = _jacobi01(nu, 1.0)
+        js, jw = np.where(tangent, ts, fs), np.where(tangent, tw, fw)
+        uu = np.where(singular, u1 * js, u0 + (u1 - u0) * xu)
+        wuu = np.where(singular, u1 * jw / js ** ray, (u1 - u0) * wu)
+        g, dg = blk.curve(v0 + (v1 - v0) * xv, centre, radius)
+        rel = g - blk.z[:, None, :]
+        x = blk.z[:, None, None, :] + uu[:, :, None, None] * rel[:, None]
+        pts.append(x.reshape(n, -1, 2))
+        weights.append((wuu * uu)[:, :, None] * ((v1 - v0) * wv)[:, None, :])
+        crosses.append(_cross(rel, dg))
+    return np.concatenate(pts, axis=1), weights, crosses
+
+
+def _rule_sums(vals, weights, crosses):
+    """Each rule's value from integrand values at the nodes of
+    :func:`_sector_nodes`, shape (rules, sectors); given the weights and
+    cross products of the first rules only, it sums those."""
+    n, at, out = vals.shape[0], 0, []
+    for (nu, nv), wt, cr in zip(_RULES, weights, crosses):
+        out.append(np.einsum("iuv,iuv,iv->i",
+                             vals[:, at:at + nu * nv].reshape(n, nu, nv),
+                             wt, cr))
+        at += nu * nv
+    return np.array(out)
+
+
 def _sector_sums(f, omega, p, sec, a, b, centre, radius):
     """Value, bar and rounding floor of each sector.
 
     Along a ray from a tangency point the gap f - l_j vanishes like u^2,
     so (gap / u^2)^p is smooth and a Gauss-Jacobi rule of weight u^(2p+1)
-    takes the rest of the integrand; from any other apex the weight is
-    the Jacobian's u.  Sectors that start past the apex (u0 > 0) have no
-    singular end and use Gauss-Legendre.  A rule is (ray nodes, edge
-    nodes).  The value is the fine rule's, the bar its distance to the
-    coarse one, and the floor what rounding the gap by a few ulps of its
-    terms could put into the bar.
+    takes the rest of the integrand (:func:`_sector_nodes`).  The value
+    is the fine rule's, the bar its distance to the coarse one, and the
+    floor what rounding the gap by a few ulps of its terms could put into
+    the bar.
     """
     out = np.empty((sec.size, len(_RULES) + 2))
     for s in range(0, sec.size, _SECTOR_BLOCK):
         blk = sec.take(slice(s, s + _SECTOR_BLOCK))
         n = blk.size
-        u0, u1 = blk.u[:, :1], blk.u[:, 1:]
-        v0, v1 = blk.v[:, :1], blk.v[:, 1:]
-        singular = u0 == 0
-        tangent = blk.tangent[:, None]
-        beta = np.where(tangent, 2.0 * p + 1.0, 1.0)
-        pts, weights, crosses = [], [], []
-        for nu, nv in _RULES:
-            xu, wu = _gauss01(nu)
-            xv, wv = _gauss01(nv)
-            ts, tw = _jacobi01(nu, 2.0 * p + 1.0)
-            fs, fw = _jacobi01(nu, 1.0)
-            js, jw = np.where(tangent, ts, fs), np.where(tangent, tw, fw)
-            uu = np.where(singular, u1 * js, u0 + (u1 - u0) * xu)
-            wuu = np.where(singular, u1 * jw / js ** beta, (u1 - u0) * wu)
-            g, dg = blk.curve(v0 + (v1 - v0) * xv, centre, radius)
-            rel = g - blk.z[:, None, :]
-            x = blk.z[:, None, None, :] + uu[:, :, None, None] * rel[:, None]
-            pts.append(x.reshape(n, -1, 2))
-            weights.append((wuu * uu)[:, :, None]
-                           * ((v1 - v0) * wv)[:, None, :])
-            crosses.append(_cross(rel, dg))
-        x = np.concatenate(pts, axis=1)
+        x, weights, crosses = _sector_nodes(blk, 2.0 * p + 1.0, centre,
+                                            radius)
         fx = f.value(x.reshape(-1, 2))
         w = np.asarray(omega(x.reshape(-1, 2), fx), dtype=float).reshape(n, -1)
         if np.any(w < 0):
@@ -524,16 +554,9 @@ def _sector_sums(f, omega, p, sec, a, b, centre, radius):
         # what a few ulps of the gap's terms move each value by
         ulps = 16 * _EPS * (np.abs(fx) + np.abs(plane) + np.abs(offset))
         fuzz = (gap + ulps) ** p * w - vals
-        at = 0
-        for r, ((nu, nv), wt, cr) in enumerate(zip(_RULES, weights, crosses)):
-            cut = slice(at, at + nu * nv)
-            out[s:s + n, r] = np.einsum("iuv,iuv,iv->i",
-                                        vals[:, cut].reshape(n, nu, nv), wt, cr)
-            if r == 0:
-                out[s:s + n, -2] = 2 * np.einsum(
-                    "iuv,iuv,iv->i", fuzz[:, cut].reshape(n, nu, nv),
-                    np.abs(wt), np.abs(cr))
-            at += nu * nv
+        out[s:s + n, :len(_RULES)] = _rule_sums(vals, weights, crosses).T
+        out[s:s + n, -2] = 2 * _rule_sums(fuzz, [np.abs(weights[0])],
+                                          [np.abs(crosses[0])])[0]
         # Where every node reads the gap as zero, or f's Hessian is the same
         # at every node but not at every corner (f not strictly convex:
         # huber's jumps), the rules can miss a sliver of the gap or a kink
@@ -640,13 +663,11 @@ def _cell_boundaries(a, b, domain):
     return piece, s, d, arc, centre, radius
 
 
-def _apexes(f, a, b, sec, centre, radius):
-    """Apex and tangency flag of each sector's cell.
-
-    The mean of the cell's boundary points lies in the (convex) clipped
-    cell.  From there Newton looks for the tangency point; it is the apex
-    where it converged inside the domain with the gap at rounding level.
-    """
+def _cell_means(sec, centre, radius):
+    """The mean of the boundary points of each sector's cell, which lies
+    in the (convex) clipped cell, as (cells, inverse, means): cell
+    ``cells[k]`` has mean ``means[k]``, and sector i is in cell
+    ``cells[inverse[i]]``."""
     ends, _ = sec.curve(np.tile([0.0, 0.5, 1.0], (sec.size, 1)), centre,
                         radius)
     cells, inv = np.unique(sec.piece, return_inverse=True)
@@ -654,6 +675,17 @@ def _apexes(f, a, b, sec, centre, radius):
     mean = np.column_stack([np.bincount(inv, weights=ends[..., k].sum(axis=1),
                                         minlength=cells.size) / count
                             for k in range(2)])
+    return cells, inv, mean
+
+
+def _apexes(f, a, b, sec, centre, radius):
+    """Apex and tangency flag of each sector's cell.
+
+    From the mean of the cell's boundary points (:func:`_cell_means`)
+    Newton looks for the tangency point; it is the apex where it converged
+    inside the domain with the gap at rounding level.
+    """
+    cells, inv, mean = _cell_means(sec, centre, radius)
     z, found = _tangency_points(f, a[cells], b[cells], mean,
                                 np.abs(centre).max() + radius,
                                 f.domain.contains)
@@ -718,6 +750,65 @@ def exact_2d_cell_integral(f, l, p, omega):
         first=((forced, sec.take(forced).halves(u=slice(None)))
                if forced.size else None))
     return ErrorReport(value=max(value, 0.0), error_bar=bar, nodes_used=nodes)
+
+
+def _slab_pieces(jumps):
+    """Slopes and offsets of sum_k max_i (i x_k - sum_{j<=i} c_{k,j}),
+    c_k the sorted lines ``jumps[k]`` and i = 0 the zero piece: its
+    power-diagram cells are the products of the slabs between the lines
+    of each axis.  With no lines it is the one piece 0."""
+    offsets = [np.concatenate([[0.0], -np.cumsum(np.sort(c))]) for c in jumps]
+    index = np.meshgrid(*(np.arange(o.size) for o in offsets), indexing="ij")
+    a = np.column_stack([i.ravel() for i in index]).astype(float)
+    return a, sum(o[i.ravel()] for o, i in zip(offsets, index))
+
+
+def _density_sums(func, sec, centre, radius):
+    """Value, bar and floor of each sector for the integrand ``func``: the
+    fine rule's value, its distance to the coarse one, and 0."""
+    out = np.empty((len(_RULES), sec.size))
+    for s in range(0, sec.size, _SECTOR_BLOCK):
+        blk = sec.take(slice(s, s + _SECTOR_BLOCK))
+        x, weights, crosses = _sector_nodes(blk, 1.0, centre, radius)
+        vals = np.asarray(func(x.reshape(-1, 2)), dtype=float)
+        out[:, s:s + blk.size] = _rule_sums(vals.reshape(blk.size, -1),
+                                            weights, crosses)
+    fine, coarse = out
+    return fine, np.abs(fine - coarse), np.zeros(sec.size)
+
+
+def fan_integral(func, region, jumps):
+    """Integral of ``func`` over a planar ball or polytope ``region``.
+
+    ``func``, vectorised over (N, 2) points, is smooth except across the
+    lines x_k = c, c in ``jumps[k]``.  Those lines are the cell edges of
+    the pieces of :func:`_slab_pieces`, so :func:`_cell_boundaries` cuts
+    the region along them; with no lines the region is one cell.  Each
+    cell is a fan of sectors from the mean of its boundary points
+    (:func:`_cell_means`), under the rules of the error's sectors with
+    the Jacobian's weight u along the rays (:func:`_sector_nodes`).
+    ``quadrature.refine`` cuts the largest fine-minus-coarse bars, across
+    the longer side, until their sum is at most 1e-12 of the value or the
+    count reaches 16 times the first.  Returns an :class:`ErrorReport`
+    with that sum as its bar and the nodes evaluated.
+    """
+    a, b = _slab_pieces(jumps)
+    piece, s, d, arc, centre, radius = _cell_boundaries(a, b, region)
+    n = piece.size
+    sec = _Sectors(piece=piece, z=None, tangent=np.zeros(n, dtype=bool),
+                   arc=arc, s=s, d=d, u=np.tile([0.0, 1.0], (n, 1)),
+                   v=np.tile([0.0, 1.0], (n, 1)))
+    _, inv, mean = _cell_means(sec, centre, radius)
+    sec.z = mean[inv]
+
+    def split(part, idx):
+        cut = part.take(idx).longer_rays(centre, radius)
+        return part.take(idx).halves(u=cut, v=~cut)
+
+    value, bar, nodes = refine(
+        lambda part: _density_sums(func, part, centre, radius), split, sec,
+        _NODES, _FAN_REL_TOL, _MAX_GROWTH * n)
+    return ErrorReport(value=value, error_bar=bar, nodes_used=nodes)
 
 
 def weighted_lp_error(f, l, p, omega, quad=None):

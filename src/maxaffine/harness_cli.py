@@ -49,7 +49,7 @@ from .convex_core import (CircumscriptionError, DomainError, Domain,
 from .dual_ma import (GridFunction, SupportRestriction,
                       dual_approximation_sweep, legendre_transform)
 from .error_eval import QuadratureSpec, weighted_lp_error
-from .functionals import (theoretical_limit, weighted_mass, zador_estimate,
+from .functionals import (_mass_report, theoretical_limit, zador_estimate,
                           zador_reference)
 from .sweep import SweepOutcome, SweepRecord, run_sweep, spearman_trend
 
@@ -518,11 +518,12 @@ def _cmd_zador(args):
 def _cmd_functional(args):
     cfg = _load_config(args)
     f, omega, quad = build_objects(cfg)
-    mass = weighted_mass(f, cfg["p"], omega, quad=quad)
-    lines = [f"mass {_fmt(mass)}"]
+    mass = _mass_report(f, cfg["p"], omega, quad=quad)
+    lines = [f"mass {_fmt(mass.value)}",
+             f"mass_error_bar {_fmt(mass.error_bar)}"]
     try:
         delta = zador_reference(f.dim, cfg["p"])
-        theory = theoretical_limit(mass, cfg["p"], f.dim, delta)
+        theory = theoretical_limit(mass.value, cfg["p"], f.dim, delta)
         lines.append(f"delta {_fmt(delta.value)}")
         lines.append(f"theory {_fmt(theory)}")
     except ValueError:

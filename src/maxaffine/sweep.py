@@ -6,7 +6,8 @@ predicted limit
 
     (delta/2^p) * (integral (det D^2 f)^(p/(n+2p)) omega^(n/(n+2p)) dx)^((n+2p)/n),
 
-which is m-independent and computed once per sweep.  A failure at some m
+which is m-independent and computed once per sweep, with the bar of its
+mass integral (``SweepOutcome.mass_error_bar``).  A failure at some m
 aborts the sweep; the records gathered so far are returned with the
 ``partial`` flag set and the failure message attached.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .approximator import build_approximation
 from .error_eval import weighted_lp_error
-from .functionals import theoretical_limit, weighted_mass, zador_reference
+from .functionals import _mass_report, theoretical_limit, zador_reference
 
 
 @dataclass
@@ -35,6 +36,7 @@ class SweepRecord:
 class SweepOutcome:
     records: list = field(default_factory=list)
     theory: float = float("nan")
+    mass_error_bar: float = float("nan")
     partial: bool = False
     failure: str = ""
 
@@ -53,9 +55,9 @@ def run_sweep(f, omega, p, m_list, strategy, quad=None, seed=0, delta=None,
     n = f.dim
     if delta is None:
         delta = zador_reference(n, p)
-    mass = weighted_mass(f, p, omega)
-    theory = theoretical_limit(mass, p, n, delta)
-    outcome = SweepOutcome(theory=theory)
+    mass = _mass_report(f, p, omega)
+    theory = theoretical_limit(mass.value, p, n, delta)
+    outcome = SweepOutcome(theory=theory, mass_error_bar=mass.error_bar)
 
     def run_one(m):
         l = build_approximation(f, omega, p, m, strategy,

@@ -822,3 +822,29 @@ def test_cells_reject_envelope_above_function(quad_2d, w_const):
     l = build_approximation(quad_2d, w_const, 1.0, 16, "uniform_grid")
     with pytest.raises(CircumscriptionError):
         weighted_lp_error(quad_2d, l.shifted(1e-3), 1.0, w_const)
+
+
+def test_cells_keep_their_values_on_the_benchmark_envelopes(w_exp):
+    # The 2-d error's value, bar and node count before the sector rules
+    # were shared with the mass's fan, on the seed-1 greedy envelopes of
+    # the triangle and paper_partition envelopes of the disc; equal bit
+    # for bit.
+    tri = Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                          [0.0, 0.0, 1.0])
+    disc = Domain.ball([0.0, 0.0], 1.0)
+    cases = (
+        (tri, 2.0, "greedy_insertion", {"cloud_size": 204_800}, (
+            (256, 3.5614748266755437e-09, 4.147585211009859e-20, 52416),
+            (1024, 1.9816640797366256e-10, 4.014826233036763e-22, 215532))),
+        (disc, 1.5, "paper_partition", {}, (
+            (256, 1.517504688121551e-05, 1.2082411862224224e-14, 259560),
+            (1024, 1.9144475392305984e-06, 1.5578789240970455e-15,
+             1002816))),
+    )
+    for dom, p, strategy, opts, want in cases:
+        f = catalog_entry("cosh_quadratic", {}, dom)
+        for m, value, bar, nodes in want:
+            l = build_approximation(f, w_exp, p, m, strategy, seed=1, **opts)
+            rep = weighted_lp_error(f, l, p, w_exp)
+            assert (rep.value, rep.error_bar, rep.nodes_used) == (
+                value, bar, nodes)

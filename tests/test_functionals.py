@@ -3,7 +3,9 @@
 Frozen targets below were produced by independent oracles: closed forms
 for the 1-d constant, the polar-form hexagon moment recomputed here by a
 triangle-decomposition quadrature, and high-level quadrature runs for the
-weighted mass values.
+weighted mass values.  Masses on balls and polytopes are checked against
+64-node polar Gauss-Legendre and collapsed (Duffy) Gauss rules built
+here from the closed-form density, and against closed-form areas.
 """
 
 import os
@@ -17,6 +19,7 @@ from maxaffine import (
     Domain,
     DomainError,
     QuadratureSpec,
+    WeightError,
     WeightFunction,
     catalog_entry,
     hexagonal_moment,
@@ -26,6 +29,7 @@ from maxaffine import (
     zador_estimate,
     zador_reference,
 )
+from maxaffine.functionals import _mass_report
 
 # oracle constants (see module docstring)
 HEX_P1 = 0.16037507477489604       # = 5 sqrt(3) / 54, unit-area hexagon, p=1
@@ -167,9 +171,10 @@ def test_zador_estimate_smoke_and_upper_bound_contract():
 
 
 def test_disc_mass_memory_stays_bounded():
-    # the default disc mass is a 1,000,000-sample Monte Carlo; evaluated
-    # in blocks it keeps one 8 MB value array, where one whole-cloud call
-    # raised maxrss by about 108 MB (ru_maxrss counts KiB on Linux)
+    # the default disc mass is a fan of sectors evaluated at most 1,024
+    # sectors (36,864 nodes) a call; the 1,000,000-sample Monte Carlo it
+    # replaced raised maxrss by about 108 MB in one whole-cloud call
+    # (ru_maxrss counts KiB on Linux)
     import maxaffine
 
     src = os.path.dirname(os.path.dirname(maxaffine.__file__))
@@ -189,3 +194,130 @@ def test_disc_mass_memory_stays_bounded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 40.0
+
+
+# ---------------------------------------------------------------------------
+# masses on balls and polytopes: the cell fan against independent rules
+
+
+def _density(f, omega, p, x):
+    det = f.hessian_det(x)
+    return det ** (p / (2 + 2 * p)) * omega(x, f.value(x)) ** (1 / (1 + p))
+
+
+def _polar_mass(f, omega, p, centre, radius, order=64):
+    """Polar Gauss-Legendre over a disc."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    r, wr = radius * (x + 1) / 2, radius * w / 2
+    t, wt = np.pi * (x + 1), np.pi * w
+    rr, tt = np.meshgrid(r, t, indexing="ij")
+    pts = np.column_stack([centre[0] + (rr * np.cos(tt)).ravel(),
+                           centre[1] + (rr * np.sin(tt)).ravel()])
+    vals = _density(f, omega, p, pts).reshape(rr.shape) * rr
+    return float(wr @ vals @ wt)
+
+
+def _collapsed_mass(f, omega, p, vertices, order=64):
+    """Collapsed Gauss over the fan of a convex polygon from its first
+    vertex: triangle (a, b, c) is a + u (b - a) + u v (c - b)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    u, wu = (x + 1) / 2, w / 2
+    uu, vv = (g.ravel() for g in np.meshgrid(u, u, indexing="ij"))
+    a = np.asarray(vertices[0], dtype=float)
+    total = 0.0
+    for b, c in zip(vertices[1:-1], vertices[2:]):
+        b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
+        pts = a + uu[:, None] * (b - a) + (uu * vv)[:, None] * (c - b)
+        jac = abs((b - a)[0] * (c - b)[1] - (b - a)[1] * (c - b)[0])
+        vals = (_density(f, omega, p, pts) * uu * jac).reshape(u.size, -1)
+        total += float(wu @ vals @ wu)
+    return total
+
+
+TRIANGLE = ([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
+TRIANGLE_VERTICES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+def _check_fan(f, omega, p, ref, region=None, rel=1e-13):
+    rep = _mass_report(f, p, omega, region)
+    assert abs(rep.value - ref) <= rel * ref
+    assert abs(rep.value - ref) <= rep.error_bar
+    assert weighted_mass(f, p, omega, region) == rep.value
+    return rep
+
+
+def test_fan_mass_disc_and_triangle_match_independent_rules(w_exp):
+    disc = Domain.ball([0.0, 0.0], 1.0)
+    f = catalog_entry("cosh_quadratic", {}, disc)
+    _check_fan(f, w_exp, 1.5, _polar_mass(f, w_exp, 1.5, (0.0, 0.0), 1.0))
+    f = catalog_entry("cosh_quadratic", {}, Domain.polytope(*TRIANGLE))
+    _check_fan(f, w_exp, 2.0, _collapsed_mass(f, w_exp, 2.0,
+                                               TRIANGLE_VERTICES))
+
+
+def test_fan_mass_off_centre_ball_hexagon_and_inner_region(w_exp):
+    # To the 2-d error's own target, 1e-9: the polygons start from 4 and
+    # 6 sectors, and refinement stops at 16 times that with the values
+    # 4e-10 (quadrilateral) and 1.8e-12 (hexagon) of the value off, and
+    # bars of 1.3e-7 and 3e-8 of it.
+    f = catalog_entry("exp_sum", {}, Domain.ball([0.4, -0.3], 0.7))
+    _check_fan(f, w_exp, 1.0, _polar_mass(f, w_exp, 1.0, (0.4, -0.3), 0.7),
+               rel=1e-9)
+    angle = np.pi / 3 * np.arange(6)
+    hexagon = np.column_stack([np.cos(angle), np.sin(angle)]) + [0.2, 0.1]
+    normals = np.column_stack([np.cos(angle + np.pi / 6),
+                               np.sin(angle + np.pi / 6)])
+    dom = Domain.polytope(normals, np.cos(np.pi / 6) + normals @ [0.2, 0.1])
+    f = catalog_entry("quartic", {}, dom)
+    _check_fan(f, w_exp, 2.0, _collapsed_mass(f, w_exp, 2.0, hexagon),
+               rel=1e-9)
+    # a quadrilateral strictly inside the function's larger domain
+    f = catalog_entry("cosh_quadratic", {"freq": 2.0},
+                      Domain.ball([0.0, 0.0], 2.0))
+    quad = [(-0.5, -0.75), (1.0, -0.25), (0.75, 1.0), (-1.0, 0.5)]
+    rows = [(q[1] - p[1], p[0] - q[0]) for p, q in zip(quad, quad[1:] + quad[:1])]
+    region = Domain.polytope(rows, [r[0] * p[0] + r[1] * p[1]
+                                    for r, p in zip(rows, quad)])
+    _check_fan(f, w_exp, 1.5, _collapsed_mass(f, w_exp, 1.5, quad), region,
+               rel=1e-9)
+
+
+@pytest.mark.parametrize("delta", [0.123, 0.3, 0.5])
+def test_fan_mass_cuts_huber_at_its_hessian_jumps(delta, w_const):
+    # the density is 1 on [-delta, delta]^2 and 0 off it; at 0.5 the
+    # square's corner sits on the triangle's hypotenuse
+    for dom, area in ((Domain.ball([0.0, 0.0], 1.0), 4 * delta ** 2),
+                      (Domain.polytope(*TRIANGLE), delta ** 2)):
+        f = catalog_entry("huber", {"delta": delta}, dom)
+        rep = _mass_report(f, 2.0, w_const)
+        assert abs(rep.value - area) <= rep.error_bar + 1e-11 * area
+
+
+def test_hessian_jumps_come_from_the_catalog():
+    dom = Domain.ball([0.0, 0.0], 1.0)
+    f = catalog_entry("huber", {"delta": 0.25}, dom)
+    inner = Domain.ball([0.1, 0.0], 0.5)
+    for g in (f, f.restricted_to(inner), f.with_offset(2.0)):
+        assert g.hessian_jumps == ((-0.25, 0.25), (-0.25, 0.25))
+    for cid in ("quadratic", "cosh_quadratic", "exp_sum", "quartic"):
+        assert catalog_entry(cid, {}, dom).hessian_jumps == ((), ())
+
+
+def test_fan_mass_refuses_a_weight_that_is_not_positive():
+    f = catalog_entry("cosh_quadratic", {}, Domain.ball([0.0, 0.0], 1.0))
+    # 0.5 + x is negative on the disc's left part
+    with pytest.raises(WeightError):
+        weighted_mass(f, 1.0, WeightFunction.affine_x([1.0, 0.0], 0.5))
+
+
+def test_box_and_1d_masses_keep_their_grids(w_exp):
+    # values of the level-128 and level-64 tensor grids, which the cell
+    # fan leaves to boxes and intervals
+    sq = Domain.box([0.0, 0.0], [1.0, 1.0])
+    assert weighted_mass(catalog_entry("cosh_quadratic", {}, sq), 1.5,
+                         w_exp) == 0.42826723640036213
+    line = Domain.box([-1.0], [1.0])
+    assert weighted_mass(catalog_entry("exp_sum", {}, line), 1.5,
+                         w_exp) == 1.6150979154026568
+    assert weighted_mass(catalog_entry("cosh_quadratic", {}, line), 2.0,
+                         WeightFunction.constant()) == 2.128842620819285

@@ -267,6 +267,7 @@ def test_functional_verb_prints_theory(tmp_path, capsys):
     out = capsys.readouterr().out
     fields = dict(line.split(" ", 1) for line in out.strip().split("\n"))
     assert float(fields["mass"]) == pytest.approx(1.0, rel=1e-9)
+    assert 0.0 <= float(fields["mass_error_bar"]) <= 1e-9
     assert float(fields["delta"]) == pytest.approx(1 / 12, rel=1e-12)
     assert float(fields["theory"]) == pytest.approx(1 / 24, rel=1e-9)
 

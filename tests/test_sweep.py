@@ -88,3 +88,14 @@ def test_delta_override_changes_theory_only(quad_1d, w_const):
     for a, b in zip(base.records, scaled.records):
         assert a.error == b.error
         assert b.ratio == pytest.approx(a.ratio / 2, rel=1e-12)
+
+
+def test_outcome_carries_the_mass_bar(w_exp):
+    from maxaffine import Domain, catalog_entry
+    from maxaffine.functionals import _mass_report
+
+    disc = catalog_entry("cosh_quadratic", {}, Domain.ball([0.0, 0.0], 1.0))
+    out = run_sweep(disc, w_exp, 1.5, [4], "uniform_grid")
+    mass = _mass_report(disc, 1.5, w_exp)
+    assert out.mass_error_bar == mass.error_bar
+    assert 0.0 < out.mass_error_bar <= 1e-10 * mass.value
