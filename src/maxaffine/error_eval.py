@@ -25,14 +25,18 @@ or its circle, and the domain's own sides are cut into cells by
 Each cell is a fan of collapsed sectors (Duffy, SIAM J. Numer. Anal. 1982)
 from the tangency point of its piece, where the gap vanishes to second
 order, so a Gauss-Jacobi rule sees a smooth integrand for every p > 0:
-the 2-d form of the 1-d segments (:func:`exact_2d_cell_integral`).  Both
-dimensions halve the pieces with the largest bars until their sum is met
+the 2-d form of the 1-d segments (:func:`exact_2d_cell_integral`).
+
+In both dimensions the cells are first cut where D^2 f jumps
+(``f.hessian_jumps``, ``huber``'s x_k = +-delta), so that f is smooth on
+every part and no rule has to find a kink between its nodes.  Both halve
+the pieces with the largest bars until their sum is met
 (``quadrature.refine``).  The same sectors, from the mean of each cell's
-boundary points, integrate a smooth integrand over a planar ball or
-polytope cut along lines where it may jump (:func:`fan_integral`, which
-gives the law's mass).  Higher dimensions, or an explicit
-``QuadratureSpec``, evaluate the integrand pointwise under tensor-grid or
-stratified Monte Carlo quadrature.
+boundary points, integrate a smooth integrand over a planar region cut
+along lines where it may jump (:func:`fan_integral`, which gives the
+law's mass).  Higher dimensions, or an explicit ``QuadratureSpec``,
+evaluate the integrand pointwise under tensor-grid or stratified Monte
+Carlo quadrature.
 
 Every evaluation first verifies circumscription on a probe cloud and
 refuses (``CircumscriptionError``) when l pokes above f by more than
@@ -179,9 +183,6 @@ def _segment_sums(f, omega, p, seg, slope, offset):
     The gap vanishes like (x - z)^2 at a tangency point, so a segment
     from there (u0 = 0) takes a Gauss-Jacobi rule of weight u^(2p) and
     sees a smooth integrand for every p > 0; others take Gauss-Legendre.
-    Where the nodes can miss part of the gap, which is convex and so at
-    most its larger end, the bar is also the value's distance to 0 and to
-    the length times that end's integrand (at the nodes' largest weight).
     """
     out = np.empty((3, seg.size))
     jacobi = [_jacobi01(k, 2.0 * p) for k in _SEGMENT_RULES]
@@ -216,7 +217,7 @@ def _segment_sums(f, omega, p, seg, slope, offset):
         # how far a few ulps of the gap's terms can move the fine rule's
         # value, at nodes that see the gap: one that reads it as zero
         # reads the same in both rules, and on an affine stretch of f
-        # (huber's arms) ulps^p would hide a kink elsewhere for p < 1
+        # (huber's arms) ulps^p would swamp the bar for p < 1
         part = (slice(None), slice(fine_nodes))
         g = gap[part]
         ulps = 16 * _EPS * (np.abs(fx[part]) + np.abs(plane[part])
@@ -227,24 +228,6 @@ def _segment_sums(f, omega, p, seg, slope, offset):
         bar = np.abs(fine - coarse)
         if p < 1:
             bar = np.maximum(bar, floor)
-        # the rules can both miss a sliver of the gap where no node sees
-        # it, or a kink of it where f'' is the same at every node but not
-        # at an end (huber's |x| = delta)
-        ends = blk.z[:, None] + blk.u * span[:, None]
-        hidden = np.all(g <= ulps, axis=1)
-        if not f.strictly_convex:
-            h = f.hessian(np.hstack([x, ends]).reshape(-1, 1)).reshape(n, -1)
-            same = h == h[:, :1]
-            hidden |= np.all(same[:, :-2], axis=1) & ~np.all(same, axis=1)
-        hidden = np.flatnonzero(hidden)
-        if hidden.size:
-            ends = ends[hidden]
-            egap = (f.value(ends.reshape(-1, 1)).reshape(-1, 2)
-                    - (ends * slope[blk.piece[hidden], None] + off[hidden]))
-            most = (np.maximum(egap.max(axis=1), 0.0) ** p
-                    * w[hidden].max(axis=1) * length[hidden])
-            bar[hidden] = np.maximum.reduce([bar[hidden], fine[hidden],
-                                             np.abs(fine[hidden] - most)])
         out[:, s:s + n] = fine, bar, floor
     return out
 
@@ -253,12 +236,14 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
     """Cell-by-cell integral of (f - l)^p omega in one dimension.
 
     The 1-d case of :func:`exact_2d_cell_integral`: each cell of l
-    (:func:`envelope_cells_1d`) is two segments from the tangency point of
-    its piece (:func:`_tangency_points`, inside the cell), or from the
-    cell's middle where there is none (``huber``'s arms, a tangent
-    clipped away), under :func:`_segment_sums`.  For p < 1, where
-    rounding the gap near z moves the integral more than the rules can
-    show, a bar is at least its rounding floor.  ``quadrature.refine``
+    (:func:`envelope_cells_1d`), cut where f'' jumps
+    (``f.hessian_jumps``, ``huber``'s +-delta) so that f is smooth on
+    each part, is two segments from the tangency point of its piece
+    (:func:`_tangency_points`, inside the part), or from the part's
+    middle where there is none (``huber``'s arms, a tangent clipped away
+    or lying in another part), under :func:`_segment_sums`.  For p < 1,
+    where rounding the gap near z moves the integral more than the rules
+    can show, a bar is at least its rounding floor.  ``quadrature.refine``
     halves the largest bars until their sum is at most ``rel_tol`` of the
     value, or 16 times the first segment count.  Returns an
     :class:`ErrorReport` with that sum as its bar and 20 nodes a segment.
@@ -269,6 +254,10 @@ def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
         raise ValueError("p must be positive")
     lo, hi = f.domain.bounding_box()
     idxs, edges = envelope_cells_1d(l, (float(lo[0]), float(hi[0])))
+    jumps = np.asarray(f.hessian_jumps[0], dtype=float)
+    cuts = np.union1d(edges, jumps[(jumps > edges[0]) & (jumps < edges[-1])])
+    idxs = idxs[np.searchsorted(edges, cuts[:-1], side="right") - 1]
+    edges = cuts
     slopes = np.asarray(l.slopes, dtype=float).reshape(-1)
     offsets = np.asarray(l.offsets, dtype=float)
     left, right = edges[:-1, None], edges[1:, None]
@@ -371,10 +360,12 @@ def _polygon_boundary(ha, hb, a, b, kept, inset):
     changes.
 
     Along each side the envelope restricted to the side's line is a 1-d
-    envelope, and :func:`envelope_cells_1d` cuts it into cells.  It is
-    read ``inset`` inside the side, so of two pieces tied along the side
-    the one that wins inside takes it.  Sides run counterclockwise, so
-    each lies with its cell on the left.
+    envelope, and :func:`envelope_cells_1d` labels its cells.  It is read
+    ``inset`` inside the side, so of two pieces tied along the side the
+    one that wins inside takes it.  Each cut then moves to where its two
+    pieces cross on the side itself, the point where the edge between
+    their cells meets the side, so every cell's boundary closes.  Sides
+    run counterclockwise, so each lies with its cell on the left.
     """
     piece, start, vec = [], [], []
     for k in range(hb.size):
@@ -387,9 +378,14 @@ def _polygon_boundary(ha, hb, a, b, kept, inset):
         if not hi[0] > lo[0]:
             continue
         inside = base - inset * normal / np.sqrt(normal @ normal)
+        slope = a[kept] @ along
         idx, edges = envelope_cells_1d(
-            PiecewiseAffineMax((a[kept] @ along)[:, None],
-                               a[kept] @ inside + b[kept]), (lo[0], hi[0]))
+            PiecewiseAffineMax(slope[:, None], a[kept] @ inside + b[kept]),
+            (lo[0], hi[0]))
+        level = a[kept] @ base + b[kept]
+        left, right = idx[:-1], idx[1:]
+        cross = (level[left] - level[right]) / (slope[right] - slope[left])
+        edges[1:-1] = np.maximum.accumulate(np.clip(cross, lo[0], hi[0]))
         piece.append(kept[idx])
         start.append(base + edges[:-1, None] * along)
         vec.append(np.diff(edges)[:, None] * along)
@@ -450,21 +446,6 @@ class _Sectors(Pieces):
             tan[k] = (radius * self.s[k, 1, None, None]
                       * np.stack([-unit[..., 1], unit[..., 0]], axis=-1))
         return pt, tan
-
-    def hull(self, centre, radius):
-        """Six points whose convex hull holds each sector, shape
-        (sectors, 6, 2): for u = u0 and u1, the ends of the edge and the
-        point where the tangents at its ends meet (the middle of a
-        segment).  Corners come first at each u."""
-        v = np.column_stack([self.v, self.v.mean(axis=1)])
-        g, _ = self.curve(v, centre, radius)
-        if self.arc.any():
-            k = self.arc
-            half = (self.v[k, 1] - self.v[k, 0]) * self.s[k, 1] / 2.0
-            g[k, 2] = centre + (g[k, 2] - centre) / np.cos(half)[:, None]
-        rel = (g - self.z[:, None, :])[:, None]
-        return (self.z[:, None, None, :]
-                + self.u[:, :, None, None] * rel).reshape(-1, 6, 2)
 
     def longer_rays(self, centre, radius):
         """Where a sector is longer along its rays than across them, both
@@ -535,7 +516,7 @@ def _sector_sums(f, omega, p, sec, a, b, centre, radius):
     floor what rounding the gap by a few ulps of its terms could put into
     the bar.
     """
-    out = np.empty((sec.size, len(_RULES) + 2))
+    out = np.empty((len(_RULES) + 1, sec.size))
     for s in range(0, sec.size, _SECTOR_BLOCK):
         blk = sec.take(slice(s, s + _SECTOR_BLOCK))
         n = blk.size
@@ -554,56 +535,11 @@ def _sector_sums(f, omega, p, sec, a, b, centre, radius):
         # what a few ulps of the gap's terms move each value by
         ulps = 16 * _EPS * (np.abs(fx) + np.abs(plane) + np.abs(offset))
         fuzz = (gap + ulps) ** p * w - vals
-        out[s:s + n, :len(_RULES)] = _rule_sums(vals, weights, crosses).T
-        out[s:s + n, -2] = 2 * _rule_sums(fuzz, [np.abs(weights[0])],
+        out[:-1, s:s + n] = _rule_sums(vals, weights, crosses)
+        out[-1, s:s + n] = 2 * _rule_sums(fuzz, [np.abs(weights[0])],
                                           [np.abs(crosses[0])])[0]
-        # Where every node reads the gap as zero, or f's Hessian is the same
-        # at every node but not at every corner (f not strictly convex:
-        # huber's jumps), the rules can miss a sliver of the gap or a kink
-        # in it.  The gap is convex, so on a sector it is at most its
-        # largest value on a polygon around it (:meth:`_Sectors.hull`), and
-        # at least the least value there of its tangent plane at any
-        # corner.  The sector's value lies between its area times the
-        # least and the most the integrand can be, and its bar is the
-        # rule's distance to the farther of the two.
-        hidden = np.all(gap <= ulps, axis=1)
-        hull = None
-        if not f.strictly_convex:
-            hull = blk.hull(centre, radius)
-            probe = np.concatenate([x, hull[:, [0, 1, 3, 4]]], axis=1)
-            h = f.hessian(probe.reshape(-1, 2)).reshape(n, -1, 4)
-            same = h == h[:, :1]
-            hidden |= (np.all(same[:, :x.shape[1]], axis=(1, 2))
-                       & ~np.all(same, axis=(1, 2)))
-        hidden = np.flatnonzero(hidden)
-        out[s:s + n, -1] = 0.0
-        if hidden.size:
-            part = blk.take(hidden)
-            hx = part.hull(centre, radius) if hull is None else hull[hidden]
-            ha, hb = slope[hidden, None], offset[hidden]
-            hgap = (f.value(hx.reshape(-1, 2)).reshape(-1, 6)
-                    - np.einsum("ijk,ijk->ij", hx, ha) - hb)
-            corner = hx[:, [0, 1, 3, 4]]
-            grad = f.gradient(corner.reshape(-1, 2)).reshape(-1, 4, 2) - ha
-            plane = (hgap[:, [0, 1, 3, 4], None]
-                     + np.einsum("ick,icvk->icv", grad,
-                                 hx[:, None] - corner[:, :, None]))
-            least = np.maximum(plane.min(axis=2).max(axis=1), 0.0) ** p
-            most = np.maximum(hgap.max(axis=1), 0.0) ** p
-            area = _area(part, _RULES[0], crosses[0][hidden])
-            val = out[s + hidden, 0]
-            out[s + hidden, -1] = np.maximum(
-                np.abs(val - area * least * w[hidden].min(axis=1)),
-                np.abs(val - area * most * w[hidden].max(axis=1)))
-    fine, coarse, floor, missed = out.T
-    return fine, np.maximum(np.abs(fine - coarse), missed), floor
-
-
-def _area(sec, rule, cross):
-    """Areas of the sectors from the edge rule's cross products."""
-    du = sec.u[:, 1] ** 2 - sec.u[:, 0] ** 2
-    return np.abs(0.5 * du * (sec.v[:, 1] - sec.v[:, 0])
-                  * (cross @ _gauss01(rule[1])[1]))
+    fine, coarse, floor = out
+    return fine, np.abs(fine - coarse), floor
 
 
 def _cell_boundaries(a, b, domain):
@@ -678,49 +614,31 @@ def _cell_means(sec, centre, radius):
     return cells, inv, mean
 
 
-def _apexes(f, a, b, sec, centre, radius):
-    """Apex and tangency flag of each sector's cell.
-
-    From the mean of the cell's boundary points (:func:`_cell_means`)
-    Newton looks for the tangency point; it is the apex where it converged
-    inside the domain with the gap at rounding level.
-    """
-    cells, inv, mean = _cell_means(sec, centre, radius)
-    z, found = _tangency_points(f, a[cells], b[cells], mean,
-                                np.abs(centre).max() + radius,
-                                f.domain.contains)
-    return z[inv], found[inv]
-
-
 def exact_2d_cell_integral(f, l, p, omega):
     """Cell-by-cell integral of (f - l)^p omega over a planar domain.
 
-    The cells of l (:func:`_power_diagram`), clipped to the domain
-    (:func:`_cell_boundaries`), are each the fan of sectors
-    z + u (g(v) - z) over their boundary pieces g, with the signed
-    Jacobian u cross(g - z, g').  Signed areas make the fan exact for any
-    apex z.  The apex is the tangency point of the cell's piece, so the
-    integrand is smooth for every p > 0 once a Gauss-Jacobi rule takes
-    u^(2p+1); where Newton finds none (a singular Hessian), or the gap
-    there is not at rounding level, or it lies outside the domain, the
-    apex is the mean of the cell's boundary points and the weight is u
-    (:func:`_apexes`).
+    The cells of l (:func:`_power_diagram`) are cut along the lines where
+    D^2 f jumps (``f.hessian_jumps``, ``huber``'s |x_k| = delta), so that
+    f is smooth on each part: the pieces l_j + s_k, for the pieces s_k of
+    :func:`_slab_pieces`, have the parts cell j x slab k as their cells,
+    which :func:`_cell_boundaries` clips to the domain.  Each part is the
+    fan of sectors z + u (g(v) - z) over its boundary pieces g, with the
+    signed Jacobian u cross(g - z, g'), and integrates f - l_j.  Signed
+    areas make the fan exact for any apex z.  The apex is the tangency
+    point of l_j, so the integrand is smooth for every p > 0 once a
+    Gauss-Jacobi rule takes u^(2p+1); where Newton finds none (a singular
+    Hessian), or the gap there is not at rounding level, or it lies
+    outside the domain or the slab, the apex is the mean of the part's
+    boundary points (:func:`_cell_means`) and the weight is u.
 
     A sector's bar is its fine (4 x 6) minus its coarse (3 x 4) rule; for
     the halves of a cut sector it is also half of how far they moved
-    their parent's value.  Where the nodes can miss part of the gap (all
-    of them read zero, or f is not strictly convex and all of them see
-    one Hessian while a corner sees another, as across ``huber``'s
-    |x_k| = delta), it is also how far the rule can be from the bounds
-    that convexity puts on the gap over the sector (:func:`_sector_sums`).
-    Sectors from an apex that is no tangency point are cut across their
-    rays once.  Then ``quadrature.refine`` cuts the largest bars until
-    the summed bar is at most 1e-9 of the total, or 16 times the first
-    sector count: across the edge from a tangency point, where the
+    their parent's value.  ``quadrature.refine`` cuts the largest bars
+    until the summed bar is at most 1e-9 of the total, or 16 times the
+    first sector count: across the edge from a tangency point, where the
     integrand is slow along the edge, and across the longer side
-    elsewhere or when f is not strictly convex, where a kink can run in
-    any direction.  Returns an :class:`ErrorReport` with that sum as its
-    bar and the nodes evaluated.
+    elsewhere.  Returns an :class:`ErrorReport` with that sum as its bar
+    and the nodes evaluated.
     """
     if f.dim != 2:
         raise ValueError("cell integration is planar")
@@ -728,27 +646,33 @@ def exact_2d_cell_integral(f, l, p, omega):
         raise ValueError("p must be positive")
     a = np.asarray(l.slopes, dtype=float)
     b = np.asarray(l.offsets, dtype=float)
-    piece, s, d, arc, centre, radius = _cell_boundaries(a, b, f.domain)
+    sa, sb = _slab_pieces(f.hessian_jumps)
+    piece, s, d, arc, centre, radius = _cell_boundaries(
+        (a[:, None] + sa).reshape(-1, 2), (b[:, None] + sb).reshape(-1),
+        f.domain)
     n = piece.size
     sec = _Sectors(piece=piece, z=None, tangent=None, arc=arc, s=s, d=d,
                    u=np.tile([0.0, 1.0], (n, 1)), v=np.tile([0.0, 1.0], (n, 1)))
-    sec.z, sec.tangent = _apexes(f, a, b, sec, centre, radius)
+    cells, inv, mean = _cell_means(sec, centre, radius)
+    j, k = np.divmod(cells, sb.size)
+
+    def inside(z):
+        level = z @ sa.T + sb
+        return (f.domain.contains(z)
+                & (level[np.arange(k.size), k] >= level.max(axis=1)))
+
+    z, found = _tangency_points(f, a[j], b[j], mean,
+                                np.abs(centre).max() + radius, inside)
+    sec.piece, sec.z, sec.tangent = j[inv], z[inv], found[inv]
 
     def split(part, idx):
-        cut = part.take(idx).longer_rays(centre, radius)
-        if f.strictly_convex:
-            cut &= ~part.tangent[idx]
-        return part.take(idx).halves(u=cut, v=~cut)
+        part = part.take(idx)
+        cut = part.longer_rays(centre, radius) & ~part.tangent
+        return part.halves(u=cut, v=~cut)
 
-    # From an apex that is not a tangency point the gap can be flat near
-    # it and polynomial past a kink that no node of the sector sees; its
-    # sectors are cut across their rays once, so the halves' move shows it
-    forced = np.flatnonzero(~sec.tangent)
     value, bar, nodes = refine(
         lambda part: _sector_sums(f, omega, p, part, a, b, centre, radius),
-        split, sec, _NODES, _REL_TOL, _MAX_GROWTH * n,
-        first=((forced, sec.take(forced).halves(u=slice(None)))
-               if forced.size else None))
+        split, sec, _NODES, _REL_TOL, _MAX_GROWTH * n)
     return ErrorReport(value=max(value, 0.0), error_bar=bar, nodes_used=nodes)
 
 
@@ -778,7 +702,7 @@ def _density_sums(func, sec, centre, radius):
 
 
 def fan_integral(func, region, jumps):
-    """Integral of ``func`` over a planar ball or polytope ``region``.
+    """Integral of ``func`` over a planar box, ball or polytope ``region``.
 
     ``func``, vectorised over (N, 2) points, is smooth except across the
     lines x_k = c, c in ``jumps[k]``.  Those lines are the cell edges of

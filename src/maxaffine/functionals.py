@@ -71,11 +71,11 @@ def weighted_mass(f, p, omega, region=None, quad=None):
 
     ``region`` defaults to the domain of f and must lie inside it.  The
     default rule depends on the region: in one dimension a level-64
-    tensor grid, on a box a level-128 one, on a planar ball or polytope
-    the cell fan of :func:`maxaffine.error_eval.fan_integral`, cut along
-    the lines where D^2 f jumps (``f.hessian_jumps``) and refined to a bar
-    of 1e-12 of the value, and on any other region a 10^6-sample
-    Monte Carlo.  An explicit ``QuadratureSpec`` replaces the default.
+    tensor grid; on a planar ball or polytope, or a planar box where D^2 f
+    jumps (``f.hessian_jumps``), the cell fan of
+    :func:`maxaffine.error_eval.fan_integral`, cut along those lines and
+    refined to a bar of 1e-12 of the value; on any other box a level-128
+    grid; and on any other region a 10^6-sample Monte Carlo.  An explicit ``QuadratureSpec`` replaces the default.
     Raises ``WeightError`` where the weight is not positive at a node.
     """
     return _mass_report(f, p, omega, region, quad).value
@@ -95,7 +95,8 @@ def _mass_report(f, p, omega, region=None, quad=None):
             raise WeightError("weight must be positive on the region")
         return law_density(det, w, p, f.dim)
 
-    if quad is None and region.dim == 2 and region.kind != "box":
+    if quad is None and region.dim == 2 and (region.kind != "box"
+                                              or any(f.hessian_jumps)):
         return fan_integral(integrand, region, f.hessian_jumps)
     return integrate(integrand, region, quad or _default_quad(region))
 
@@ -111,7 +112,8 @@ def _default_quad(region):
     """The grid or sampling default of :func:`weighted_mass`: a level-64
     tensor grid in one dimension, a level-128 one on a box, and a 10^6-
     sample Monte Carlo on a ball or polytope in three or more dimensions,
-    where the package has no cell fan (planar ones take the fan)."""
+    where the package has no cell fan (planar ones, and planar boxes
+    where D^2 f jumps, take the fan)."""
     if region.dim == 1:
         return QuadratureSpec(kind="tensor_grid", level=64)
     if region.kind == "box":

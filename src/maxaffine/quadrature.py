@@ -228,37 +228,33 @@ class Pieces:
         return self.join([first, second])
 
 
-def refine(sums, split, pieces, nodes, rel_tol, max_pieces, abs_tol=0.0,
-           first=None):
+def refine(sums, split, pieces, nodes, rel_tol, max_pieces, abs_tol=0.0):
     """Integral over ``pieces``, cutting those with the largest bars.
 
     ``sums(pieces)`` gives each piece's value, bar and rounding floor
     from ``nodes`` integrand values; ``split(pieces, idx)`` cuts the
-    pieces ``idx`` in two, ordered as :meth:`Pieces.halves` does.
-    ``first``, a pair (idx, halves), is cut before any test.  Each round
-    cuts the largest bars above their floors until what is left is within
-    half the target, max(rel_tol |value|, abs_tol).  Halves take at least
-    half of how far they moved their parent's value as their bar: where
-    the integrand vanishes on part of a piece, or has a kink, both rules
-    can miss a sliver of it and agree by chance.  Stops at the target,
-    when no bar is above its floor, at ``max_pieces`` pieces or after 40
-    rounds.  Returns (value, summed bar, integrand values used).
+    pieces ``idx`` in two, ordered as :meth:`Pieces.halves` does.  Each
+    round cuts the largest bars above their floors until what is left is
+    within half the target, max(rel_tol |value|, abs_tol).  Halves take
+    at least half of how far they moved their parent's value as their
+    bar: where the integrand vanishes on part of a piece, or has a kink,
+    both rules can miss a sliver of it and agree by chance.  Stops at the
+    target, when no bar is above its floor, at ``max_pieces`` pieces or
+    after 40 rounds.  Returns (value, summed bar, integrand values used).
     """
     val, bar, floor = sums(pieces)
     used = pieces.size * nodes
-    cut = first
     for _ in range(_MAX_ROUNDS):
-        if cut is None:
-            target = max(rel_tol * abs(float(np.sum(val))), abs_tol)
-            over = np.flatnonzero(bar > floor)
-            if (float(np.sum(bar)) <= target or over.size == 0
-                    or pieces.size >= max_pieces):
-                break
-            order = over[np.argsort(-bar[over], kind="stable")]
-            count = np.searchsorted(np.cumsum(bar[order]),
-                                    float(np.sum(bar)) - target / 2.0) + 1
-            cut = order[:count], split(pieces, order[:count])
-        (idx, children), cut = cut, None
+        target = max(rel_tol * abs(float(np.sum(val))), abs_tol)
+        over = np.flatnonzero(bar > floor)
+        if (float(np.sum(bar)) <= target or over.size == 0
+                or pieces.size >= max_pieces):
+            break
+        order = over[np.argsort(-bar[over], kind="stable")]
+        count = np.searchsorted(np.cumsum(bar[order]),
+                                float(np.sum(bar)) - target / 2.0) + 1
+        idx = order[:count]
+        children = split(pieces, idx)
         new_val, new_bar, new_floor = sums(children)
         used += children.size * nodes
         moved = np.abs(new_val[:idx.size] + new_val[idx.size:] - val[idx])
