@@ -62,9 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .convex_core import (DomainError, Domain, PiecewiseAffineMax,
-                          QuadraticForm, MetricError, below_reference,
-                          tangent_plane)
+from .convex_core import (Domain, PiecewiseAffineMax, QuadraticForm,
+                          MetricError, below_reference, tangent_plane,
+                          tangent_planes)
 from .functionals import law_density, law_exponents
 from .quadrature import _jacobi01, tensor_nodes
 from .quantizer import QuantizerConfig, _BucketArgmax, quantize
@@ -440,29 +440,12 @@ def exact_1d_optimal(f, omega, p, m):
     if f.dim != 1:
         raise ValueError("exact_1d strategy requires a one-dimensional function")
     t = optimal_tangent_abscissas_1d(f, omega, p, m)
-    env = _envelope_at(f, t.reshape(-1, 1))
+    env = tangent_planes(f, t[:, None])
     # tangents taken inside the same affine piece of a merely convex f are
     # identical lines; keep one representative of each
     rows = np.column_stack([env.slopes, env.offsets])
     _, keep = np.unique(np.round(rows, 12), axis=0, return_index=True)
-    if keep.size < len(t):
-        env = PiecewiseAffineMax(env.slopes[np.sort(keep)],
-                                 env.offsets[np.sort(keep)])
-    return env
-
-
-def _envelope_at(f, points):
-    points = np.atleast_2d(points)
-    if f.dim == 1:
-        # tangent_plane's arithmetic in three batched calls: g * t rounds
-        # exactly as the one-term dot product g @ t does
-        if not np.all(f.domain.contains(points)):
-            raise DomainError("tangency point lies outside the domain")
-        g = f.gradient(points)
-        return PiecewiseAffineMax(g, f.value(points) - g[:, 0] * points[:, 0])
-    # in n >= 2 a batched f.value rounds x @ b differently from one row
-    pieces = [tangent_plane(f, pt) for pt in points]
-    return PiecewiseAffineMax.from_pieces(pieces)
+    return tangent_planes(f, t[np.sort(keep), None])
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +476,7 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         pts = pts[f.domain.contains(pts)]
         if pts.shape[0] == 0:
             pts = f.domain.centroid().reshape(1, -1)
-        return _envelope_at(f, pts)
+        return tangent_planes(f, pts)
 
     if strategy == "greedy_insertion":
         rng = np.random.default_rng((seed, 71))
@@ -513,15 +496,10 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         reach = np.abs(cloud).max(axis=0)
         size = reach @ np.abs(psi.slope) + abs(psi.offset)
         ref_slope = np.tile(psi.slope, (centre.shape[0], 1))
-        ref_at_centre = centre @ psi.slope + psi.offset
+        ref_at_centre = psi(centre)
 
         def rescore(rows):
-            # rows of hit buckets get the full pass's arithmetic; a one-row
-            # product goes through another BLAS kernel and rounds
-            # differently, so a lone row is evaluated as two copies
-            pts = gaps.points[rows]
-            vals = psi(pts if rows.size > 1 else np.repeat(pts, 2, axis=0))
-            vals = np.maximum(lx[rows], vals[:rows.size])
+            vals = np.maximum(lx[rows], psi(gaps.points[rows]))
             lx[rows] = vals
             return np.maximum(fx[rows] - vals, 0.0) ** p * wx[rows]
 
@@ -529,14 +507,13 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
             psi = tangent_plane(f, cloud[gaps.argmax()])
             planes.append(psi)
             size = max(size, reach @ np.abs(psi.slope) + abs(psi.offset))
-            at_centre = centre @ psi.slope + psi.offset
+            at_centre = psi(centre)
             hit = np.flatnonzero(~below_reference(
                 psi.slope, at_centre, ref_slope, ref_at_centre, half, size))
             gaps.update(hit, rescore)
             new = hit[at_centre[hit] > ref_at_centre[hit]]
             ref_slope[new] = psi.slope
             ref_at_centre[new] = at_centre[new]
-        # _envelope_at would build these same planes again
         return PiecewiseAffineMax.from_pieces(planes)
 
     if strategy == "global_density":
@@ -547,7 +524,7 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
                               restarts=restarts, max_iterations=max_iterations,
                               tol=tol, cloud_size=cloud_size)
         ps = quantize(f.domain, dens, cfg)
-        return _envelope_at(f, ps.points)
+        return tangent_planes(f, ps.points)
 
     # paper_partition
     pieces = l_pieces or max(1, int(round(m ** (1.0 / (n + 1)))))
@@ -575,7 +552,7 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         pts = quantize(region, dens, cfg).points
         all_points.append(pts[f.domain.contains(pts)])
     stacked = np.vstack(all_points)
-    return _envelope_at(f, stacked)
+    return tangent_planes(f, stacked)
 
 
 def _law_density(f, omega, p):

@@ -8,7 +8,8 @@ difference cross-check (:func:`hessian_fd_check`) guards against drift
 between the value and derivative implementations.
 
 Points are numpy arrays: a single point has shape (n,), a batch (N, n).
-All catalog callables are vectorized over batches.
+All catalog callables are vectorized over batches, and each row's result
+is the one a call on that row alone gives (:func:`rowdot`).
 """
 
 import json
@@ -338,7 +339,17 @@ class AffineFunction:
 
     def __call__(self, x):
         pts = as_points(x, self.slope.size)
-        return pts @ self.slope + self.offset
+        return rowdot(pts, self.slope) + self.offset
+
+
+def rowdot(u, v):
+    """Dot products along the last axis, summed coordinate by coordinate:
+    unlike a BLAS product's (see :meth:`PiecewiseAffineMax.evaluate`), each
+    entry rounds as in a call of its own."""
+    out = u[..., 0] * v[..., 0]
+    for k in range(1, u.shape[-1]):
+        out += u[..., k] * v[..., k]
+    return out
 
 
 # relative slack of the pruning tests: orders of magnitude above the
@@ -422,7 +433,9 @@ class PiecewiseAffineMax:
         more coordinates the BLAS product's FMA order depends on the shape
         of the call (one entry of a 1026 x 2 by 2 x 679 product rounds
         differently from its 256-row block), so a scan over a subset of
-        pieces could round otherwise and n >= 2 is not pruned.
+        pieces could round otherwise and n >= 2 is not pruned.  Coordinate
+        passes (:func:`rowdot`) would round each entry alone, but scan
+        about 3.3 times slower.
         """
         pts = as_points(x, self.dim)
         if self.dim == 1:
@@ -703,6 +716,15 @@ def _corner_max(domain, fn):
     return float(np.max(fn(corners.reshape(-1, lo.size))))
 
 
+def _quad_form(x, h):
+    """x . H x for each row of x, in coordinate passes like :func:`rowdot`,
+    with no temporary as large as x."""
+    out = x[:, 0] * rowdot(x, h[0])
+    for k in range(1, x.shape[1]):
+        out += x[:, k] * rowdot(x, h[k])
+    return out
+
+
 def catalog_entry(catalog_id, params, domain):
     """Build a catalog function on ``domain``.
 
@@ -732,10 +754,10 @@ def catalog_entry(catalog_id, params, domain):
         strictly = bool(eig.min() > 0)
 
         def value(x):
-            return 0.5 * np.einsum("ij,jk,ik->i", x, h, x) + x @ b + offset
+            return 0.5 * _quad_form(x, h) + rowdot(x, b) + offset
 
         def grad(x):
-            return x @ h + b
+            return rowdot(x[:, None, :], h) + b
 
         def hess(x):
             return np.broadcast_to(h, (x.shape[0], n, n)).copy()
@@ -757,11 +779,11 @@ def catalog_entry(catalog_id, params, domain):
         strictly = bool(base_eig > 0 or eps > 0)
 
         def value(x):
-            quad = 0.5 * np.einsum("ij,jk,ik->i", x, h, x)
+            quad = 0.5 * _quad_form(x, h)
             return quad + eps * np.sum(np.cosh(freq * x), axis=1) + offset
 
         def grad(x):
-            return x @ h + eps * freq * np.sinh(freq * x)
+            return rowdot(x[:, None, :], h) + eps * freq * np.sinh(freq * x)
 
         def hess(x):
             out = np.broadcast_to(h, (x.shape[0], n, n)).copy()
@@ -871,14 +893,21 @@ def catalog_entry(catalog_id, params, domain):
 # operations
 
 
+def tangent_planes(f, points):
+    """Envelope of the supporting tangent planes of f at interior points;
+    each plane is, bit for bit, the one f's row-independent arithmetic
+    gives at its point alone (:func:`tangent_plane`)."""
+    pts = as_points(points, f.dim)
+    if not np.all(f.domain.contains(pts)):
+        raise DomainError("tangency point lies outside the domain")
+    g = f.gradient(pts)
+    return PiecewiseAffineMax(g, f.value(pts) - rowdot(g, pts))
+
+
 def tangent_plane(f, a):
     """Supporting tangent plane of f at interior point a."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if not bool(f.domain.contains(a)[0]):
-        raise DomainError("tangency point lies outside the domain")
-    g = f.gradient(a)[0]
-    beta = f.value_at(a) - float(g @ a)
-    return AffineFunction(slope=g.copy(), offset=beta)
+    plane, = tangent_planes(f, a).pieces()
+    return plane
 
 
 def is_circumscribed(f, l, samples, tol=1e-12):

@@ -56,7 +56,8 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .convex_core import (CircumscriptionError, PiecewiseAffineMax,
-                          WeightError, as_points, max_violation, sup_gap)
+                          WeightError, as_points, max_violation, rowdot,
+                          sup_gap)
 from .quadrature import (_SEGMENT_RULES, ErrorReport, Pieces, QuadratureSpec,
                          _gauss01, _jacobi01, integrate, refine)
 
@@ -93,12 +94,14 @@ def envelope_cells_1d(l, interval):
     slopes = np.asarray(l.slopes, dtype=float).reshape(-1)
     offsets = np.asarray(l.offsets, dtype=float)
     order = np.lexsort((offsets, slopes))
+    # among equal slopes the sort puts the largest offset last: keep it
+    s = slopes[order]
+    order = order[np.append(s[1:] != s[:-1], True)]
     s, o = slopes[order], offsets[order]
-    if np.all(s[1:] > s[:-1]):
-        cross = (o[:-1] - o[1:]) / (s[1:] - s[:-1])
-        if np.all(cross[1:] > cross[:-1]):
-            # every piece wins somewhere: the stack below would pop nothing
-            return _clip_cells(order, cross, slopes, offsets, a, b)
+    cross = (o[:-1] - o[1:]) / (s[1:] - s[:-1])
+    if np.all(cross[1:] > cross[:-1]):
+        # every piece wins somewhere: the stack below would pop nothing
+        return _clip_cells(order, cross, slopes, offsets, a, b)
     stack = []          # indices into the original piece list
     cross = []          # cross[k] = where stack[k] overtakes stack[k-1]
 
@@ -106,11 +109,6 @@ def envelope_cells_1d(l, interval):
         return (offsets[i] - offsets[j]) / (slopes[j] - slopes[i])
 
     for idx in order:
-        if stack and slopes[stack[-1]] == slopes[idx]:
-            # same slope: the sort put the larger offset last, so replace
-            stack.pop()
-            if cross:
-                cross.pop()
         while stack:
             x = crossing(stack[-1], idx)
             if cross and x <= cross[-1]:
@@ -527,8 +525,7 @@ def _sector_sums(f, omega, p, sec, a, b, centre, radius):
         if np.any(w < 0):
             raise WeightError("weight is negative on quadrature nodes")
         fx = fx.reshape(n, -1)
-        slope = a[blk.piece]
-        plane = x[..., 0] * slope[:, :1] + x[..., 1] * slope[:, 1:]
+        plane = rowdot(x, a[blk.piece, None])
         offset = b[blk.piece, None]
         gap = np.maximum(fx - plane - offset, 0.0)
         vals = gap ** p * w

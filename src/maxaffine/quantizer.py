@@ -66,7 +66,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .convex_core import _SLACK, DomainError, MetricError, QuadraticForm
+from .convex_core import (_SLACK, DomainError, MetricError, QuadraticForm,
+                          rowdot)
 from .quadrature import ErrorReport, evaluate_rows, tensor_nodes
 
 log = logging.getLogger(__name__)
@@ -325,14 +326,6 @@ def _p2_cell_update(start, count, s1, s2, s3, s2tr, s4, steps=20):
     return s, val
 
 
-def _sq_norms(d):
-    """Row-wise squared norms, summed coordinate by coordinate."""
-    sq = d[:, 0] * d[:, 0]
-    for k in range(1, d.shape[1]):
-        sq += d[:, k] * d[:, k]
-    return sq
-
-
 def _assign(cloud_w, centers_w):
     if centers_w.shape[1] == 1:
         # on a line the Voronoi cells are intervals between midpoints
@@ -411,8 +404,8 @@ class _BoundedAssigner:
             # the (1 - slack) factor absorbs the rounding of this update
             self.bound = (self.bound * (1.0 - _SLACK)
                           - np.take(local, self.idx) * (1.0 + _SLACK))
-            dist = np.sqrt(_sq_norms(
-                cloud_w - np.take(centers_w, self.idx, axis=0)))
+            dist = cloud_w - np.take(centers_w, self.idx, axis=0)
+            dist = np.sqrt(rowdot(dist, dist))
             stale = np.flatnonzero(dist * (1.0 + _SLACK) >= self.bound)
         # the tree is built on a copy: it does not copy its data, and the
         # empty-cell branch of quantize edits centers in place
@@ -583,7 +576,7 @@ def _generic_cell_update(cloud_w, idx, centers, p, steps=20):
     def evaluate(c):
         # one power per center gives both the weights and the value
         d = cloud_t - np.take(c.T, idx, axis=1)
-        r2 = _sq_norms(d.T)
+        r2 = rowdot(d.T, d.T)
         wgt = (r2 if curved else np.maximum(r2, 1e-300)) ** (p - 1.0)
         return d, r2, wgt, np.bincount(idx, weights=r2 * wgt, minlength=m)
 

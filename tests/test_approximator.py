@@ -26,7 +26,6 @@ from maxaffine import (
 from maxaffine import approximator
 from maxaffine.approximator import (
     _crossings,
-    _envelope_at,
     _fd_tridiag_jacobian,
     _split_cell_halves,
     envelope_error_1d,
@@ -34,7 +33,7 @@ from maxaffine.approximator import (
     quantile_abscissas,
     stationarity_residual_1d,
 )
-from maxaffine.convex_core import tangent_plane
+from maxaffine.convex_core import tangent_plane, tangent_planes
 from conftest import rng_for
 
 
@@ -256,7 +255,7 @@ def test_exact_1d_below_p1_reaches_the_law(p, w_const, caplog):
     rec, = out.records
     assert abs(rec.ratio - 1.0) <= 1e-3
     t0 = quantile_abscissas(f, w_const, p, 64)
-    assert rec.error <= weighted_lp_error(f, _envelope_at(f, t0[:, None]), p,
+    assert rec.error <= weighted_lp_error(f, tangent_planes(f, t0[:, None]), p,
                                           w_const).value
     assert elapsed < 1.0
 
@@ -452,7 +451,7 @@ def _greedy_reference(f, omega, p, m, seed=0, cloud_size=None):
         points.append(nxt)
         psi = tangent_plane(f, nxt)
         np.maximum(lx, psi(cloud), out=lx)
-    return _envelope_at(f, np.stack(points))
+    return tangent_planes(f, np.stack(points))
 
 
 _TRIANGLE = Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],

@@ -24,8 +24,7 @@ from maxaffine import (
     sup_gap,
     tangent_plane,
 )
-from maxaffine.approximator import _envelope_at
-from maxaffine.convex_core import as_points
+from maxaffine.convex_core import as_points, tangent_planes
 from maxaffine.error_eval import _probe_cloud
 from conftest import rng_for
 
@@ -255,7 +254,7 @@ def _assert_pruned_matches_full_scan(l, x):
 
 def _tangents_1d(catalog_id, params, lo, hi, ts):
     f = catalog_entry(catalog_id, params, Domain.box([lo], [hi]))
-    return _envelope_at(f, np.asarray(ts, dtype=float).reshape(-1, 1))
+    return tangent_planes(f, np.asarray(ts, dtype=float).reshape(-1, 1))
 
 
 @pytest.mark.parametrize("npieces", [1, 2, 3, 64, 2048])
@@ -523,6 +522,48 @@ def test_tangent_planes_support_from_below(catalog_id):
 def test_tangent_plane_outside_domain_raises(quad_1d):
     with pytest.raises(DomainError):
         tangent_plane(quad_1d, [2.0])
+
+
+def _full_quadratic_params(rng, dim):
+    # a non-diagonal H, and a linear term where the catalog has one
+    root = rng.uniform(-1.0, 1.0, (dim, dim))
+    return {"hessian": (root @ root.T + 0.5 * np.eye(dim)).tolist(),
+            "linear": rng.uniform(-1.0, 1.0, dim).tolist()}
+
+
+_ROW_ENTRIES = {
+    **{cid: lambda rng, dim: {} for cid in CATALOG},
+    "quadratic-full": _full_quadratic_params,
+    "cosh_quadratic-full": lambda rng, dim: {
+        "hessian": _full_quadratic_params(rng, dim)["hessian"],
+        "eps": 0.7, "freq": 1.3},
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("entry", list(_ROW_ENTRIES))
+def test_tangent_planes_are_row_independent(entry, dim):
+    # each plane of the builder equals tangent_plane at its point alone,
+    # bit for bit, whatever other rows share the call: batched BLAS or
+    # einsum products round some rows otherwise (x.Hx with a non-diagonal
+    # H: 438 of 2,000 rows)
+    rng = rng_for(f"rows-{entry}", dim)
+    f = catalog_entry(entry.split("-")[0], _ROW_ENTRIES[entry](rng, dim),
+                      Domain.box(np.full(dim, -1.3), np.full(dim, 0.9)))
+    pts = f.domain.sample(rng, 2000)
+    alone = [tangent_plane(f, a) for a in pts]
+    slopes = np.stack([psi.slope for psi in alone])
+    offsets = np.array([psi.offset for psi in alone])
+    for size in (2000, 777, 64, 2, 1):
+        rows = rng.permutation(2000)[:size]
+        env = tangent_planes(f, pts[rows])
+        assert np.array_equal(env.slopes, slopes[rows])
+        assert np.array_equal(env.offsets, offsets[rows])
+    for psi in alone[:3]:
+        batch = psi(pts)
+        assert np.array_equal(batch[:200], [psi(a)[0] for a in pts[:200]])
+    with pytest.raises(DomainError):
+        tangent_planes(f, np.vstack([pts[:3], np.full(dim, 1.0)]))
 
 
 def test_circumscription_checks(quad_1d):

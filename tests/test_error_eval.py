@@ -20,8 +20,7 @@ from maxaffine import (
     sup_gap,
     weighted_lp_error,
 )
-from maxaffine.approximator import _envelope_at
-from maxaffine.convex_core import DomainError, tangent_plane
+from maxaffine.convex_core import DomainError, tangent_plane, tangent_planes
 from maxaffine.error_eval import envelope_cells_1d, exact_1d_piecewise_integral
 from conftest import rng_for
 
@@ -132,7 +131,7 @@ def test_cells_match_stack_loop_on_tangent_envelopes(cid):
         # sorted, unsorted and repeated abscissas (repeats give equal slopes)
         for ts in (np.linspace(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m),
                    rng.integers(0, 8, m) / 4.0 - 1.0):
-            l = _envelope_at(f, ts.reshape(-1, 1))
+            l = tangent_planes(f, ts.reshape(-1, 1))
             for interval in ((-1.0, 1.0), (-0.3, 0.7), (0.95, 1.0)):
                 _assert_cells_match_reference(l, interval)
 
@@ -156,6 +155,30 @@ def test_cells_match_stack_loop_on_pruned_envelopes(quad_1d):
     rng = rng_for("cells-loop-random", 0)
     cases += [PiecewiseAffineMax(rng.normal(size=(k, 1)), rng.normal(size=k))
               for k in (2, 5, 300)]
+    for l in cases:
+        for interval in ((0.0, 1.0), (0.6, 1.0), (-3.0, 3.0)):
+            _assert_cells_match_reference(l, interval)
+
+
+def test_cells_match_stack_loop_with_equal_slopes():
+    # equal slopes are pruned to the last piece of each run, as the stack
+    # does, before the vectorised crossings are tried
+    rng = rng_for("cells-equal-slopes", 0)
+    slopes = rng.integers(-4, 5, 200) / 4.0
+    cases = [
+        # runs of one slope, each run's best piece on the envelope (a
+        # lattice's columns on a polygon side)
+        PiecewiseAffineMax(slopes[:, None],
+                           -slopes ** 2 - rng.uniform(0.0, 0.01, 200)),
+        # and with pieces that never win
+        PiecewiseAffineMax(slopes[:, None], rng.normal(size=200)),
+        # offsets tied within a run
+        PiecewiseAffineMax(slopes[:, None], rng.integers(0, 3, 200) / 2.0),
+        # every piece on one slope, with and without ties
+        PiecewiseAffineMax(np.full((7, 1), 0.5), rng.normal(size=7)),
+        PiecewiseAffineMax(np.full((7, 1), 0.5), np.zeros(7)),
+        PiecewiseAffineMax([[0.3]], [0.1]),
+    ]
     for l in cases:
         for interval in ((0.0, 1.0), (0.6, 1.0), (-3.0, 3.0)):
             _assert_cells_match_reference(l, interval)
@@ -347,7 +370,7 @@ def test_exact_path_finds_a_sliver_between_the_nodes(m, p, w_const):
     delta = 0.5
     f = catalog_entry("huber", {"delta": delta}, Domain.box([-1.0], [1.0]))
     t = np.linspace(-delta, delta, m)
-    rep = exact_1d_piecewise_integral(f, _envelope_at(f, t[:, None]), p,
+    rep = exact_1d_piecewise_integral(f, tangent_planes(f, t[:, None]), p,
                                       w_const)
     mids = (t[1:] + t[:-1]) / 2.0
     a = np.concatenate(([-delta], mids))
@@ -385,12 +408,12 @@ def test_one_dimensional_tangents_match_tangent_plane(cid):
     f = catalog_entry(cid, {}, Domain.box([-1.0], [1.0]))
     ts = np.sort(rng_for(f"tangents-{cid}", 0).uniform(-1, 1, 300))
     ts = np.concatenate([[-1.0], ts, [1.0]])
-    env = _envelope_at(f, ts.reshape(-1, 1))
+    env = tangent_planes(f, ts.reshape(-1, 1))
     ref = _tangents(f, ts)
     assert np.array_equal(env.slopes, ref.slopes)
     assert np.array_equal(env.offsets, ref.offsets)
     with pytest.raises(DomainError):
-        _envelope_at(f, np.array([[0.0], [1.5]]))
+        tangent_planes(f, np.array([[0.0], [1.5]]))
 
 
 def test_weighted_lp_error_dispatches_exact_in_1d(quad_1d, w_const):
@@ -568,7 +591,7 @@ def test_cells_with_edges_along_the_sides(w_const):
         pts = np.stack(np.meshgrid(c, c, indexing="ij"), -1).reshape(-1, 2)
         mirrors = [pts[pts[:, 1] == c[0]] * [1.0, -1.0],
                    pts[pts[:, 0] == c[-1]] * [-1.0, 1.0] + [2.0, 0.0]]
-        l = _envelope_at(wide, np.vstack([pts] + mirrors))
+        l = tangent_planes(wide, np.vstack([pts] + mirrors))
         for p, want in ((1.0, 1.0 / (12 * k ** 2)), (2.0, 7.0 / (720 * k ** 4))):
             assert weighted_lp_error(f, l, p, w_const).value == pytest.approx(
                 want, rel=1e-13), (k, p)
@@ -826,7 +849,7 @@ def test_cells_on_huber_bar_covers_the_error(w_const, case, p):
     axis, edge = side % 2, (hi if side // 2 else lo)[side % 2]
     mirrored = pts[rng.choice(13, 4, replace=False)]
     mirrored[:, axis] = 2 * edge - mirrored[:, axis]
-    l = _envelope_at(wide, np.vstack([pts, mirrored]))
+    l = tangent_planes(wide, np.vstack([pts, mirrored]))
     rep = weighted_lp_error(f, l, p, w_const)
     want = _huber_reference(
         delta, [lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]], l, p)
@@ -864,11 +887,11 @@ def test_cells_keep_their_values_on_the_benchmark_envelopes(w_exp):
     disc = Domain.ball([0.0, 0.0], 1.0)
     cases = (
         (tri, 2.0, "greedy_insertion", {"cloud_size": 204_800}, (
-            (256, 3.561474826671633e-09, 4.147186299058167e-20, 52416),
-            (1024, 1.981664079734798e-10, 4.01071184433711e-22, 215532))),
+            (256, 3.5614748266716406e-09, 4.1488241618145736e-20, 52416),
+            (1024, 1.981664079734823e-10, 4.0173473375029844e-22, 215532))),
         (disc, 1.5, "paper_partition", {}, (
-            (256, 1.517504688121551e-05, 1.2082411862224224e-14, 259560),
-            (1024, 1.9144475392305984e-06, 1.5578789240970455e-15,
+            (256, 1.5175046881215548e-05, 1.2082399268373548e-14, 259560),
+            (1024, 1.914447539230597e-06, 1.5578810654960963e-15,
              1002816))),
     )
     for dom, p, strategy, opts, want in cases:
