@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex_core import Domain, WeightFunction
-from .functionals import weighted_mass
-from .quadrature import QuadratureSpec, integrate
+from .functionals import region_integral, weighted_mass
 from .sweep import run_sweep
 
 __all__ = [
@@ -179,12 +178,10 @@ def legendre_transform(gf, dual_lower, dual_upper, dual_counts=None):
 
 
 def monge_ampere_det(f, region=None, quad=None):
-    """Monge-Ampere measure of the region: integral of det D^2 f."""
+    """Integral of det D^2 f over the region, by ``region_integral``."""
     region = getattr(region, "region", region) or f.domain
-    if quad is None:
-        quad = QuadratureSpec(kind="tensor_grid",
-                              level=64 if f.dim == 1 else 128)
-    rep = integrate(lambda x: np.maximum(f.hessian_det(x), 0.0), region, quad)
+    rep = region_integral(lambda x: np.maximum(f.hessian_det(x), 0.0),
+                          region, f.hessian_jumps, quad)
     return float(max(rep.value, 0.0))
 
 
@@ -247,14 +244,11 @@ def weighted_affine_surface(v, supp, quad=None):
 
         int_supp (det D^2 v)^(1/(n+2)) exp(-n v / (n+2)) dx,
 
-    the mass integral at p = 1 with weight e^{-t}.  Outside the support
-    the Monge-Ampere measure vanishes, so enlarging the region (within
-    v's domain) does not change the value up to quadrature tolerance.
+    the mass integral at p = 1 with weight e^{-t}, by its rule.  Outside
+    the support det D^2 v vanishes, so enlarging the region (within v's
+    domain) does not change the value up to quadrature tolerance.
     """
     region = getattr(supp, "region", supp)
-    if quad is None:
-        quad = QuadratureSpec(kind="tensor_grid",
-                              level=256 if v.dim == 1 else 128)
     return weighted_mass(v, 1.0, WeightFunction.exp_neg_t(), region, quad)
 
 

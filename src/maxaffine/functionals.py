@@ -14,13 +14,9 @@ coefficient is the corresponding moment of a unit-area regular hexagon
 second moment 5/(36 sqrt 3) quoted in coding tables).  An empirical
 estimator backed by the Lloyd quantizer is provided for cross-checks.
 
-On a planar ball or polytope the mass runs on the machinery of the exact
-2-d error: the region, cut along the lines where D^2 f jumps, is a set
-of cells, each a fan of sectors refined until the summed bar is 1e-12
-of the value (``error_eval.fan_integral``).  Boxes and intervals keep
-their tensor grids, and a 10^6-sample Monte Carlo is the default only
-on balls and polytopes in three or more dimensions, where there is no
-fan.
+The mass, the Monge-Ampere measure and the affine surface integrate an
+integrand that is smooth except where D^2 f jumps; :func:`region_integral`
+chooses their rule.
 """
 
 from dataclasses import dataclass
@@ -30,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .convex_core import Domain, DomainError, WeightError
 from .error_eval import fan_integral
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate, segment_integral
 
 
 @dataclass(frozen=True)
@@ -66,17 +62,37 @@ def law_density(det, w, p, n):
     return dens
 
 
+def region_integral(func, region, jumps, quad=None):
+    """``ErrorReport`` of ``func`` over ``region``, smooth except across the
+    lines x_k = c, c in ``jumps[k]``; the rule of the mass, the
+    Monge-Ampere measure and the surface.  An explicit ``quad`` goes to
+    ``quadrature.integrate``.  Otherwise an interval is cut at the jumps
+    inside it (``quadrature.segment_integral``), and a planar ball or
+    polytope, or a planar box with jumps, along the lines into fans
+    (``error_eval.fan_integral``).  Other intervals take a level-64 tensor
+    grid, other boxes a level-128 one, and balls and polytopes in n >= 3 a
+    10^6-sample Monte Carlo.
+    """
+    if quad is None:
+        lo, hi = region.bounding_box()
+        cuts = np.unique(jumps[0])
+        cuts = cuts[(cuts > lo[0]) & (cuts < hi[0])]
+        if region.dim == 1 and cuts.size:
+            return segment_integral(func, [lo[0], *cuts, hi[0]])
+        if region.dim == 2 and (region.kind != "box" or any(jumps)):
+            return fan_integral(func, region, jumps)
+        grid = region.dim < 3 or region.kind == "box"
+        quad = QuadratureSpec(kind="tensor_grid" if grid else "monte_carlo",
+                              level=64 if region.dim == 1 else 128)
+    return integrate(func, region, quad)
+
+
 def weighted_mass(f, p, omega, region=None, quad=None):
     """The mass integral M(f) driving the convergence law (see module docs).
 
-    ``region`` defaults to the domain of f and must lie inside it.  The
-    default rule depends on the region: in one dimension a level-64
-    tensor grid; on a planar ball or polytope, or a planar box where D^2 f
-    jumps (``f.hessian_jumps``), the cell fan of
-    :func:`maxaffine.error_eval.fan_integral`, cut along those lines and
-    refined to a bar of 1e-12 of the value; on any other box a level-128
-    grid; and on any other region a 10^6-sample Monte Carlo.  An explicit ``QuadratureSpec`` replaces the default.
-    Raises ``WeightError`` where the weight is not positive at a node.
+    ``region`` defaults to the domain of f and must lie inside it; the rule
+    is :func:`region_integral`'s at ``f.hessian_jumps``.  Raises
+    ``WeightError`` where the weight is not positive at a node.
     """
     return _mass_report(f, p, omega, region, quad).value
 
@@ -95,10 +111,7 @@ def _mass_report(f, p, omega, region=None, quad=None):
             raise WeightError("weight must be positive on the region")
         return law_density(det, w, p, f.dim)
 
-    if quad is None and region.dim == 2 and (region.kind != "box"
-                                              or any(f.hessian_jumps)):
-        return fan_integral(integrand, region, f.hessian_jumps)
-    return integrate(integrand, region, quad or _default_quad(region))
+    return region_integral(integrand, region, f.hessian_jumps, quad)
 
 
 def _check_region_inside(region, domain):
@@ -106,19 +119,6 @@ def _check_region_inside(region, domain):
     dlo, dhi = domain.bounding_box()
     if np.any(lo < dlo - 1e-12) or np.any(hi > dhi + 1e-12):
         raise DomainError("integration region exceeds the function domain")
-
-
-def _default_quad(region):
-    """The grid or sampling default of :func:`weighted_mass`: a level-64
-    tensor grid in one dimension, a level-128 one on a box, and a 10^6-
-    sample Monte Carlo on a ball or polytope in three or more dimensions,
-    where the package has no cell fan (planar ones, and planar boxes
-    where D^2 f jumps, take the fan)."""
-    if region.dim == 1:
-        return QuadratureSpec(kind="tensor_grid", level=64)
-    if region.kind == "box":
-        return QuadratureSpec(kind="tensor_grid", level=128)
-    return QuadratureSpec(kind="monte_carlo", samples=1_000_000)
 
 
 def theoretical_limit(mass, p, n, delta):

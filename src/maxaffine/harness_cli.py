@@ -15,9 +15,9 @@ The config file is JSON:
       "support":    {...domain...}        (dual-sweep only, optional)
     }
 
-The optional "quadrature" section overrides the error's default, which
-integrates exactly over the envelope's cells in one and two dimensions
-(``error_eval.weighted_lp_error``); leave it out to keep that default.
+The optional "quadrature" section overrides the rule of the error only
+(``error_eval.weighted_lp_error``, exact over the envelope's cells in 1-d
+and 2-d by default), never the mass's (``functionals.region_integral``).
 
 Unknown keys are rejected with a close-match suggestion.  Results are
 emitted either as CSV with the fixed header
@@ -517,8 +517,8 @@ def _cmd_zador(args):
 
 def _cmd_functional(args):
     cfg = _load_config(args)
-    f, omega, quad = build_objects(cfg)
-    mass = _mass_report(f, cfg["p"], omega, quad=quad)
+    f, omega, _ = build_objects(cfg)
+    mass = _mass_report(f, cfg["p"], omega)
     lines = [f"mass {_fmt(mass.value)}",
              f"mass_error_bar {_fmt(mass.error_bar)}"]
     try:

@@ -14,9 +14,8 @@ Three kinds are supported, selected by :class:`QuadratureSpec`:
 
 ``exact_1d``
     Gauss-Legendre segments on an interval, halved where their bars are
-    largest (:func:`refine`, the loop that also runs the exact 1-d and 2-d
-    error paths over the cells of an envelope).  A segment's bar is its
-    12-node minus its 8-node value; the error bar is their sum.
+    largest (:func:`segment_integral`).  A segment's bar is its 12-node
+    minus its 8-node value; the error bar is their sum.
 
 The grid and Monte Carlo kinds build and evaluate their nodes in blocks
 of 65,536 rows (:func:`evaluate_rows`), so their memory is bounded by
@@ -268,6 +267,30 @@ def refine(sums, split, pieces, nodes, rel_tol, max_pieces, abs_tol=0.0):
     return float(np.sum(val)), float(np.sum(bar)), used
 
 
+def segment_integral(func, edges, rel_tol=1e-12):
+    """Integral of ``func`` (an array at (N, 1) points) over the segments
+    between increasing ``edges``, halved where their bars are largest
+    (:func:`refine`) until the summed bar is at most ``rel_tol`` of the
+    value or 1e-14, or at 1024 segments.  Returns an :class:`ErrorReport`.
+    """
+    xs = [_gauss01(k) for k in _SEGMENT_RULES]
+
+    def segment_sums(seg):
+        lo, width = seg.u[:, :1], seg.u[:, 1:] - seg.u[:, :1]
+        fine, coarse = (
+            width[:, 0] * (func((lo + width * x).reshape(-1, 1))
+                           .reshape(seg.size, -1) @ w) for x, w in xs)
+        return fine, np.abs(fine - coarse), np.zeros(seg.size)
+
+    # the absolute floor stops an integrand that nearly vanishes on the
+    # nodes (sin(256 pi x) on [0, 1]) from splitting to the cap
+    value, bar, nodes_used = refine(
+        segment_sums, lambda seg, idx: seg.take(idx).halves(u=slice(None)),
+        Pieces(u=np.column_stack([edges[:-1], edges[1:]])),
+        sum(_SEGMENT_RULES), rel_tol, _MAX_SEGMENTS, abs_tol=1e-14)
+    return ErrorReport(value=value, error_bar=bar, nodes_used=nodes_used)
+
+
 def integrate(func, domain, spec):
     """Integrate ``func`` (vectorized over (N, n) points) over ``domain``.
 
@@ -284,23 +307,8 @@ def integrate(func, domain, spec):
     if spec.kind == "exact_1d":
         if n != 1:
             raise ValueError("exact_1d quadrature is only defined in one dimension")
-        xs = [_gauss01(k) for k in _SEGMENT_RULES]
-
-        def segment_sums(seg):
-            lo, width = seg.u[:, :1], seg.u[:, 1:] - seg.u[:, :1]
-            fine, coarse = (
-                width[:, 0] * (masked((lo + width * x).reshape(-1, 1))
-                               .reshape(seg.size, -1) @ w) for x, w in xs)
-            return fine, np.abs(fine - coarse), np.zeros(seg.size)
-
-        # the absolute floor stops an integrand that nearly vanishes on the
-        # nodes (sin(256 pi x) on [0, 1]) from splitting to the cap
-        value, bar, nodes_used = refine(
-            segment_sums,
-            lambda seg, idx: seg.take(idx).halves(u=slice(None)),
-            Pieces(u=np.column_stack([lower, upper])), sum(_SEGMENT_RULES),
-            min(spec.rel_tol, 1e-12), _MAX_SEGMENTS, abs_tol=1e-14)
-        return ErrorReport(value=value, error_bar=bar, nodes_used=nodes_used)
+        return segment_integral(masked, [lower[0], upper[0]],
+                                min(spec.rel_tol, 1e-12))
 
     if spec.kind == "tensor_grid":
         fine, fine_nodes = _tensor_sum(masked, lower, upper, spec.level)

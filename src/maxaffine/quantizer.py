@@ -68,7 +68,7 @@ from scipy.spatial import cKDTree
 
 from .convex_core import (_SLACK, DomainError, MetricError, QuadraticForm,
                           rowdot)
-from .quadrature import ErrorReport, evaluate_rows, tensor_nodes
+from .quadrature import ErrorReport, evaluate_rows, integrate
 
 log = logging.getLogger(__name__)
 
@@ -634,8 +634,8 @@ def quantizer_objective(region, density, q, p, points, sample_spec):
     """Independent estimate of the distortion of a fixed point set.
 
     ``sample_spec`` is a QuadratureSpec; monte_carlo draws a fresh cloud
-    from rho (standard error reported), tensor_grid uses deterministic
-    nodes weighted by rho.
+    from rho (standard error reported), and the other kinds integrate the
+    cost times rho by ``quadrature.integrate``.
     """
     if not isinstance(q, QuadraticForm):
         q = QuadraticForm.from_matrix(q)
@@ -658,12 +658,8 @@ def quantizer_objective(region, density, q, p, points, sample_spec):
         se = scale * float(np.std(vals)) / np.sqrt(len(vals))
         return ErrorReport(value=value, error_bar=se, nodes_used=len(vals))
 
-    lo, hi = region.bounding_box()
-    nodes, weights = tensor_nodes(lo, hi, sample_spec.level)
-    rho = np.ones(len(nodes)) if density is None else np.asarray(density(nodes))
-    rho = region.mask(nodes, rho)
-    value = float(np.dot(weights * rho, min_cost(nodes)))
-    return ErrorReport(value=value, error_bar=np.nan, nodes_used=len(nodes))
+    rho = density or (lambda x: 1.0)
+    return integrate(lambda x: min_cost(x) * rho(x), region, sample_spec)
 
 
 def brute_force_1d(m, p, grid_resolution=1e-4, interval=(0.0, 1.0)):

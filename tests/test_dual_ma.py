@@ -1,5 +1,7 @@
 """Duality layer: Legendre transforms, Monge-Ampere mass, dual sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -176,10 +178,37 @@ def test_ma_det_on_subregion():
 def test_huber_det_vanishes_outside_core():
     # per-coordinate huber: D^2 u = 0 wherever any |x_k| > delta
     dom = Domain.box([-1.0, -1.0], [1.0, 1.0])
-    f = catalog_entry("huber", {"delta": 0.25}, dom)
-    full = monge_ampere_det(f)
-    core = monge_ampere_det(f, region=Domain.box([-0.25, -0.25], [0.25, 0.25]))
-    assert full == pytest.approx(core, rel=1e-6)
+    for delta in (0.25, 0.3, 0.5):
+        f = catalog_entry("huber", {"delta": delta}, dom)
+        full = monge_ampere_det(f)
+        core = monge_ampere_det(f, region=Domain.box([-delta, -delta],
+                                                     [delta, delta]))
+        assert full == pytest.approx(core, rel=1e-6)
+
+
+TRIANGLE = Domain.polytope(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                           np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("cid,dom,exact", [
+    # det D^2 f = 1 on the unit disc
+    ("quadratic", Domain.ball([0.0, 0.0], 1.0), np.pi),
+    # det = cosh(x + y) on the standard triangle: sinh(1)/2
+    ("cosh_quadratic", TRIANGLE, np.sinh(1.0) / 2.0),
+], ids=["disc", "triangle"])
+def test_ma_det_matches_closed_forms(cid, dom, exact):
+    assert monge_ampere_det(catalog_entry(cid, {}, dom)) == pytest.approx(
+        exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [0.123, 0.3])
+def test_ma_det_of_huber_is_its_core(delta):
+    # det D^2 f is 1 on [-delta, delta]^n and 0 off it; the rule cuts at
+    # +-delta, where grid panels would not
+    for dom, exact in ((Domain.box([-1.0, -1.0], [1.0, 1.0]), (2 * delta) ** 2),
+                       (Domain.box([-1.0], [1.0]), 2 * delta)):
+        f = catalog_entry("huber", {"delta": delta}, dom)
+        assert monge_ampere_det(f) == pytest.approx(exact, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +228,9 @@ def _surface_reference(v, region, quad):
 
 def test_surface_integral_is_weighted_mass(quad_2d, w_exp):
     # with v = u and supp = dom the surface functional is the p=1 mass,
-    # and on these cases it equals the separately written integrand too
-    # (exp(-t)^(n/(n+2)) and exp(-n t/(n+2)) can round apart elsewhere)
+    # under its default rule or a given one; on these cases it equals the
+    # separately written integrand too under a grid (exp(-t)^(n/(n+2))
+    # and exp(-n t/(n+2)) can round apart elsewhere)
     cases = [
         quad_2d,
         catalog_entry("quadratic", {"hessian": [[1.0]]},
@@ -210,9 +240,11 @@ def test_surface_integral_is_weighted_mass(quad_2d, w_exp):
         catalog_entry("cosh_quadratic", {}, Domain.ball([0.0, 0.0], 1.0)),
     ]
     for v in cases:
+        supp = SupportRestriction(v.domain)
+        assert weighted_affine_surface(v, supp) == weighted_mass(v, 1.0, w_exp)
         quad = QuadratureSpec(kind="tensor_grid",
                               level=256 if v.dim == 1 else 128)
-        surf = weighted_affine_surface(v, SupportRestriction(v.domain))
+        surf = weighted_affine_surface(v, supp, quad)
         assert surf == weighted_mass(v, 1.0, w_exp, v.domain, quad)
         assert surf == _surface_reference(v, v.domain, quad)
 
@@ -232,16 +264,33 @@ def test_surface_1d_frozen_value():
     assert surf == pytest.approx(1.8942309400180966, rel=1e-12)
 
 
+def test_surface_matches_closed_forms():
+    # quadratic on the unit disc: 2 pi int_0^1 r exp(-r^2/4) dr
+    disc = Domain.ball([0.0, 0.0], 1.0)
+    v = catalog_entry("quadratic", {}, disc)
+    assert weighted_affine_surface(v, SupportRestriction(disc)) == \
+        pytest.approx(4.0 * np.pi * (1.0 - np.exp(-0.25)), rel=1e-12)
+    # 1-d huber: int_{-delta}^{delta} exp(-x^2/6) dx, cut at +-delta
+    line = Domain.box([-1.0], [1.0])
+    for delta in (0.123, 0.3):
+        v = catalog_entry("huber", {"delta": delta}, line)
+        exact = np.sqrt(6.0 * np.pi) * math.erf(delta / np.sqrt(6.0))
+        assert weighted_affine_surface(v, SupportRestriction(line)) == \
+            pytest.approx(exact, rel=1e-12)
+
+
 def test_surface_enlargement_invariance():
     # enlarging the declared support beyond det D^2 v's true support is
-    # free; delta = 0.5 puts the det step on panel edges of the rule
-    dom_small = Domain.box([-0.5, -0.5], [0.5, 0.5])
+    # free: the rule cuts at the det step wherever it lies
     dom_big = Domain.box([-1.0, -1.0], [1.0, 1.0])
-    f_small = catalog_entry("huber", {"delta": 0.5}, dom_small)
-    f_big = catalog_entry("huber", {"delta": 0.5}, dom_big)
-    s_small = weighted_affine_surface(f_small, SupportRestriction(dom_small))
-    s_big = weighted_affine_surface(f_big, SupportRestriction(dom_big))
-    assert s_big == pytest.approx(s_small, rel=1e-9)
+    for delta in (0.3, 0.5):
+        dom_small = Domain.box([-delta, -delta], [delta, delta])
+        f_small = catalog_entry("huber", {"delta": delta}, dom_small)
+        f_big = catalog_entry("huber", {"delta": delta}, dom_big)
+        s_small = weighted_affine_surface(f_small,
+                                          SupportRestriction(dom_small))
+        s_big = weighted_affine_surface(f_big, SupportRestriction(dom_big))
+        assert s_big == pytest.approx(s_small, rel=1e-9)
 
 
 def test_dual_sweep_converges_to_theory(w_const):

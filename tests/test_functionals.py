@@ -284,13 +284,15 @@ def test_fan_mass_off_centre_ball_hexagon_and_inner_region(w_exp):
 
 @pytest.mark.parametrize("delta", [0.123, 0.3, 0.5])
 def test_fan_mass_cuts_huber_at_its_hessian_jumps(delta, w_const):
-    # the density is 1 on [-delta, delta]^2 and 0 off it; at 0.5 the
-    # square's corner sits on the triangle's hypotenuse.  A box is cut at
-    # the jumps too, where a grid's panels are not (level 128 reads 0.3525
-    # for the exact 0.36 at delta = 0.3, with a bar of 0)
+    # the density is 1 on [-delta, delta]^n and 0 off it; at 0.5 the
+    # square's corner sits on the triangle's hypotenuse.  Boxes and
+    # intervals are cut at the jumps too, where a grid's panels are not
+    # (level 128 reads 0.3525 for the exact 0.36 at delta = 0.3, with a
+    # bar of 0; level 64 reads 0.25 for the exact 0.246 at 0.123)
     for dom, area in ((Domain.ball([0.0, 0.0], 1.0), 4 * delta ** 2),
                       (Domain.polytope(*TRIANGLE), delta ** 2),
-                      (Domain.box([-1.0, -1.0], [1.0, 1.0]), 4 * delta ** 2)):
+                      (Domain.box([-1.0, -1.0], [1.0, 1.0]), 4 * delta ** 2),
+                      (Domain.box([-1.0], [1.0]), 2 * delta)):
         f = catalog_entry("huber", {"delta": delta}, dom)
         rep = _mass_report(f, 2.0, w_const)
         assert abs(rep.value - area) <= rep.error_bar + 1e-11 * area
@@ -315,7 +317,14 @@ def test_fan_mass_refuses_a_weight_that_is_not_positive():
 
 def test_box_and_1d_masses_keep_their_grids(w_exp):
     # values of the level-128 and level-64 tensor grids, which the cell
-    # fan leaves to boxes and intervals
+    # fan leaves to boxes and intervals without jumps, and the fan masses
+    # of the disc and triangle benchmark workloads
+    disc = Domain.ball([0.0, 0.0], 1.0)
+    assert weighted_mass(catalog_entry("cosh_quadratic", {}, disc), 1.5,
+                         w_exp) == 1.363903320518784
+    tri = Domain.polytope(*TRIANGLE)
+    assert weighted_mass(catalog_entry("cosh_quadratic", {}, tri), 2.0,
+                         w_exp) == 0.25539680489566
     sq = Domain.box([0.0, 0.0], [1.0, 1.0])
     assert weighted_mass(catalog_entry("cosh_quadratic", {}, sq), 1.5,
                          w_exp) == 0.42826723640036213

@@ -272,6 +272,25 @@ def test_functional_verb_prints_theory(tmp_path, capsys):
     assert float(fields["theory"]) == pytest.approx(1 / 24, rel=1e-9)
 
 
+def test_functional_theory_is_the_sweep_theory(tmp_path, capsys):
+    # the config's quadrature reaches the error only; under its level-128
+    # grid the disc's theory would read 5.5e-4 of it high
+    cfg = _write_cfg(
+        tmp_path, p=1.5, strategy="uniform_grid", m_list=[16],
+        function={"catalog_id": "cosh_quadratic", "parameters": {},
+                  "domain": {"kind": "ball", "center": [0.0, 0.0],
+                             "radius": 1.0}},
+        weight={"catalog_id": "exp_neg_t", "parameters": {}},
+        quadrature={"kind": "tensor_grid", "level": 128})
+    assert main(["functional", "--config", cfg]) == 0
+    fields = dict(line.split(" ", 1)
+                  for line in capsys.readouterr().out.strip().split("\n"))
+    assert main(["sweep", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "m,error,error_bar,rescaled,theory,ratio"
+    assert fields["theory"] == lines[1].split(",")[4]
+
+
 def test_legendre_verb_saves_grid(tmp_path, capsys):
     from maxaffine import GridFunction
 

@@ -185,6 +185,7 @@ def test_quantizer_objective_reports_match():
     grid = quantizer_objective(dom, None, np.eye(1), 1.0, pts,
                                QuadratureSpec(kind="tensor_grid", level=512))
     assert grid.value == pytest.approx(exact, rel=1e-6)
+    assert np.isfinite(grid.error_bar)
 
 
 def test_empty_cell_reseeding_recovers():
