@@ -10,13 +10,12 @@ constant (``functionals``).  ``dual_ma`` adds the Legendre/Monge-Ampere
 side; ``harness_cli`` exposes everything as the ``maxaffine`` command.
 """
 
-from .convex_core import (AffineFunction, CircumscriptionError, Domain,
-                          DomainError, MetricError, NumericsError,
-                          PiecewiseAffineMax, QuadraticForm,
-                          SmoothConvexFunction, WeightError, WeightFunction,
-                          catalog_entry, hessian_fd_check,
+from .convex_core import (CircumscriptionError, Domain, DomainError,
+                          MetricError, NumericsError, PiecewiseAffineMax,
+                          QuadraticForm, SmoothConvexFunction, WeightError,
+                          WeightFunction, catalog_entry, hessian_fd_check,
                           is_circumscribed, max_violation, sup_gap,
-                          tangent_plane)
+                          tangent_planes)
 from .quadrature import ErrorReport, QuadratureSpec, integrate
 from .quantizer import (PointSet, QuantizerConfig, brute_force_1d, quantize,
                         quantizer_objective, whiten)
@@ -39,7 +38,7 @@ from .harness_cli import (ConfigError, FitResult, emit, fit_limit, main,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineFunction", "Allocation", "CircumscriptionError", "ConfigError",
+    "Allocation", "CircumscriptionError", "ConfigError",
     "Domain", "DomainError", "ErrorReport", "FitResult", "GridFunction",
     "MetricError", "NumericsError", "Partition", "PiecewiseAffineMax",
     "PointSet", "QuadraticForm", "QuadratureSpec", "QuantizerConfig",
@@ -54,7 +53,7 @@ __all__ = [
     "monge_ampere_subgradient", "optimal_tangent_abscissas_1d",
     "parse_config", "parse_records", "partition_domain", "quantize",
     "quantizer_objective", "run_sweep", "spearman_trend", "sup_gap",
-    "tangent_plane", "theoretical_limit", "validate_config",
+    "tangent_planes", "theoretical_limit", "validate_config",
     "weighted_affine_surface", "weighted_lp_error", "weighted_mass",
     "whiten", "zador_closed_form_1d", "zador_estimate", "zador_reference",
 ]

@@ -40,11 +40,11 @@ Strategies
     Each cell is split at its tangency point t_j, where the integrand
     behaves like |x - t_j|^(2p-1); each half gets a 12-node Gauss-Jacobi
     rule with that weight, so what it sees, ((f - tangent_j)/(x - t_j)^2)
-    ^(p-1) omega, is smooth for every p > 0.  The objective is integrated
-    the same way with weight |x - t_j|^(2p).  Initialized at quantiles of
+    ^(p-1) omega, is smooth for every p > 0.  Initialized at quantiles of
     the asymptotically optimal density (f'')^(p/(1+2p)) *
     omega^(1/(1+2p)), then polished by one damped Newton method with a
-    tridiagonal finite-difference Jacobian, for every p > 0.
+    tridiagonal finite-difference Jacobian, for every p > 0.  One tangent
+    (m = 1) minimizes the exact 1-d error instead.
     A merely convex f may want a tangent at the edge of an affine piece,
     where the residual jumps (p < 1) or its slope is singular (p < 2), and
     Newton stops short there; red-black bisection sweeps from the start
@@ -62,9 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .convex_core import (Domain, PiecewiseAffineMax, QuadraticForm,
-                          MetricError, below_reference, tangent_plane,
-                          tangent_planes)
+from .convex_core import (Domain, QuadraticForm, MetricError,
+                          below_reference, rowdot, tangent_planes)
+from .error_eval import exact_1d_piecewise_integral
 from .functionals import law_density, law_exponents
 from .quadrature import _jacobi01, tensor_nodes
 from .quantizer import QuantizerConfig, _BucketArgmax, quantize
@@ -202,17 +202,14 @@ def _crossings(t, v, g):
     return num / den
 
 
-def _split_cell_halves(f, omega, p, t, interval, objective=False):
-    """Per-cell integrals of the tangents at sorted t, split at t_j.
+def _split_cell_halves(f, omega, p, t, interval):
+    """Per-cell integrals of (f - l_j)^(p-1) |x - t_j| omega for the
+    tangents at sorted t, split at t_j.
 
     Cell j is cut at its tangency point t_j into a left and a right half.
     With the gap f - l_j = (x - t_j)^2 q_j(x) and q_j smooth, each half is
-    integrated with a Gauss-Jacobi rule of weight |x - t_j|^beta, and q_j^e
-    times the weight is what the rule sees:
-
-    * the residual term, beta = 2p - 1 and e = p - 1, gives
-      (f - l_j)^(p-1) |x - t_j| omega;
-    * the objective, beta = 2p and e = p, gives (f - l_j)^p omega.
+    integrated with a Gauss-Jacobi rule of weight |x - t_j|^(2p-1), and
+    q_j^(p-1) omega is what the rule sees.
 
     Returns shape (cells, 2): the left and right halves.  A half of zero
     width adds 0; where the gap vanishes the term is 0.
@@ -223,13 +220,13 @@ def _split_cell_halves(f, omega, p, t, interval, objective=False):
     inner = _crossings(t, ft, gt) if len(t) > 1 else np.empty(0)
     h = np.stack([t - np.concatenate([[a], inner]),
                   np.concatenate([inner, [b]]) - t], axis=1)
-    return _halves(f, omega, p, t, ft, gt, h, objective)
+    return _halves(f, omega, p, t, ft, gt, h)
 
 
-def _halves(f, omega, p, t, ft, gt, h, objective=False):
+def _halves(f, omega, p, t, ft, gt, h):
     """The split-cell rule for tangents (t, ft, gt) whose halves have
     widths h, shape (cells, 2); a negative width counts as 0."""
-    beta, e = (2.0 * p, p) if objective else (2.0 * p - 1.0, p - 1.0)
+    beta, e = 2.0 * p - 1.0, p - 1.0
     u, wts = _jacobi01(_HALF_ORDER, beta)
     h = np.maximum(h, 0.0)
     dx = np.array([-1.0, 1.0])[:, None] * h[:, :, None] * u
@@ -250,12 +247,6 @@ def stationarity_residual_1d(f, omega, p, t, interval):
     the integral over cell j of (f - l_j)^(p-1) (x - t_j) omega."""
     halves = _split_cell_halves(f, omega, p, t, interval)
     return halves[:, 1] - halves[:, 0]
-
-
-def envelope_error_1d(f, omega, p, t, interval):
-    """Objective: integral of (f - envelope)^p omega with the given abscissas."""
-    return float(np.sum(_split_cell_halves(f, omega, p, t, interval,
-                                           objective=True)))
 
 
 def quantile_abscissas(f, omega, p, m, grid=4097):
@@ -283,7 +274,8 @@ def optimal_tangent_abscissas_1d(f, omega, p, m, max_newton=60):
         from scipy.optimize import minimize_scalar
 
         res = minimize_scalar(
-            lambda t: envelope_error_1d(f, omega, p, np.array([t]), (a, b)),
+            lambda t: exact_1d_piecewise_integral(
+                f, tangent_planes(f, [t]), p, omega).value,
             bounds=(a + 1e-12 * (b - a), b - 1e-12 * (b - a)), method="bounded",
             options={"xatol": 1e-14 * (b - a)})
         return np.array([res.x])
@@ -483,38 +475,40 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         cloud = f.domain.sample(rng, cloud_size or max(20_000, 200 * m))
         fx = f.value(cloud)
         wx = np.asarray(omega(cloud, fx), dtype=float)
-        psi = tangent_plane(f, f.domain.centroid())
-        planes = [psi]
-        lx = psi(cloud)
+        picks = [f.domain.centroid()]
+        slope, offset = _plane(f, picks[0])
+        lx = rowdot(cloud, slope) + offset
         gaps = _BucketArgmax(cloud, np.maximum(fx - lx, 0.0) ** p * wx)
         fx, wx, lx = fx[gaps.order], wx[gaps.order], lx[gaps.order]
         # Each bucket keeps a reference plane, the piece active at its box
         # centre; lx >= that plane on every row of the bucket.  A new plane
-        # psi cannot raise lx in the bucket where below_reference holds,
-        # with size bounding every term of every plane so far on the cloud.
+        # cannot raise lx in the bucket where below_reference holds, with
+        # size bounding every term of every plane so far on the cloud.
         centre, half = (gaps.hi + gaps.lo) / 2.0, (gaps.hi - gaps.lo) / 2.0
         reach = np.abs(cloud).max(axis=0)
-        size = reach @ np.abs(psi.slope) + abs(psi.offset)
-        ref_slope = np.tile(psi.slope, (centre.shape[0], 1))
-        ref_at_centre = psi(centre)
+        size = reach @ np.abs(slope) + abs(offset)
+        ref_slope = np.tile(slope, (centre.shape[0], 1))
+        ref_at_centre = rowdot(centre, slope) + offset
 
         def rescore(rows):
-            vals = np.maximum(lx[rows], psi(gaps.points[rows]))
+            vals = np.maximum(lx[rows], rowdot(gaps.points[rows], slope)
+                              + offset)
             lx[rows] = vals
             return np.maximum(fx[rows] - vals, 0.0) ** p * wx[rows]
 
         for _ in range(m - 1):
-            psi = tangent_plane(f, cloud[gaps.argmax()])
-            planes.append(psi)
-            size = max(size, reach @ np.abs(psi.slope) + abs(psi.offset))
-            at_centre = psi(centre)
+            picks.append(cloud[gaps.argmax()])
+            slope, offset = _plane(f, picks[-1])
+            size = max(size, reach @ np.abs(slope) + abs(offset))
+            at_centre = rowdot(centre, slope) + offset
             hit = np.flatnonzero(~below_reference(
-                psi.slope, at_centre, ref_slope, ref_at_centre, half, size))
+                slope, at_centre, ref_slope, ref_at_centre, half, size))
             gaps.update(hit, rescore)
             new = hit[at_centre[hit] > ref_at_centre[hit]]
-            ref_slope[new] = psi.slope
+            ref_slope[new] = slope
             ref_at_centre[new] = at_centre[new]
-        return PiecewiseAffineMax.from_pieces(planes)
+        # each row of a batch is its pick's plane, bit for bit
+        return tangent_planes(f, np.vstack(picks))
 
     if strategy == "global_density":
         centroid = f.domain.centroid()
@@ -553,6 +547,12 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         all_points.append(pts[f.domain.contains(pts)])
     stacked = np.vstack(all_points)
     return tangent_planes(f, stacked)
+
+
+def _plane(f, x):
+    """Slope and offset of f's tangent plane at the point x."""
+    env = tangent_planes(f, x)
+    return env.slopes[0], env.offsets[0]
 
 
 def _law_density(f, omega, p):

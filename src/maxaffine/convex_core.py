@@ -309,7 +309,7 @@ class Domain:
         for i in range(len(b)):
             for j in range(i + 1, len(b)):
                 pair = a[[i, j]]
-                if abs(np.linalg.det(pair)) < 1e-12:
+                if abs(pair[0, 0] * pair[1, 1] - pair[0, 1] * pair[1, 0]) < 1e-12:
                     continue
                 v = np.linalg.solve(pair, b[[i, j]])
                 if np.all(a @ v <= b + 1e-9):
@@ -328,18 +328,6 @@ class Domain:
 
 # ---------------------------------------------------------------------------
 # affine pieces and envelopes
-
-
-@dataclass(frozen=True)
-class AffineFunction:
-    """x -> slope . x + offset"""
-
-    slope: np.ndarray
-    offset: float
-
-    def __call__(self, x):
-        pts = as_points(x, self.slope.size)
-        return rowdot(pts, self.slope) + self.offset
 
 
 def rowdot(u, v):
@@ -397,11 +385,6 @@ class PiecewiseAffineMax:
         self.slopes = slopes
         self.offsets = offsets
 
-    @classmethod
-    def from_pieces(cls, pieces):
-        return cls(np.stack([p.slope for p in pieces]),
-                   np.array([p.offset for p in pieces]))
-
     @property
     def npieces(self):
         return self.slopes.shape[0]
@@ -409,10 +392,6 @@ class PiecewiseAffineMax:
     @property
     def dim(self):
         return self.slopes.shape[1]
-
-    def pieces(self):
-        return [AffineFunction(self.slopes[j].copy(), float(self.offsets[j]))
-                for j in range(self.npieces)]
 
     def evaluate(self, x, chunk=None):
         """Envelope values at points, the max over pieces of slope . x + offset.
@@ -682,9 +661,7 @@ class SmoothConvexFunction:
         h = self.hessian(x)
         if self.dim == 1:
             return h[:, 0, 0]
-        if self.dim == 2:
-            return h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-        return np.linalg.det(h)
+        return h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
 
     def restricted_to(self, domain):
         if domain.dim != self.dim:
@@ -737,8 +714,13 @@ def catalog_entry(catalog_id, params, domain):
     ``quartic``     eps: f = |x|^4/4 + eps |x|^2/2  (eps=0 degenerates at 0)
     ``huber``       delta: f = sum of per-coordinate quadratic/linear glue;
                     C^{1,1} stress entry, Hessian flattens to 0 outside a box
+
+    The law's delta(n, p) is known for n <= 2 only, so a ``domain`` of
+    higher dimension raises ``DomainError``.
     """
     n = domain.dim
+    if n > 2:
+        raise DomainError(f"catalog functions live in dimensions 1-2, not {n}")
     params = dict(params)
     offset = float(params.get("offset", 0.0))
 
@@ -895,19 +877,13 @@ def catalog_entry(catalog_id, params, domain):
 
 def tangent_planes(f, points):
     """Envelope of the supporting tangent planes of f at interior points;
-    each plane is, bit for bit, the one f's row-independent arithmetic
-    gives at its point alone (:func:`tangent_plane`)."""
+    each plane is, bit for bit, the one a call on its point alone gives,
+    because f's arithmetic rounds each row on its own (:func:`rowdot`)."""
     pts = as_points(points, f.dim)
     if not np.all(f.domain.contains(pts)):
         raise DomainError("tangency point lies outside the domain")
     g = f.gradient(pts)
     return PiecewiseAffineMax(g, f.value(pts) - rowdot(g, pts))
-
-
-def tangent_plane(f, a):
-    """Supporting tangent plane of f at interior point a."""
-    plane, = tangent_planes(f, a).pieces()
-    return plane
 
 
 def is_circumscribed(f, l, samples, tol=1e-12):

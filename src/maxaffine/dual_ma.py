@@ -185,7 +185,7 @@ def monge_ampere_det(f, region=None, quad=None):
     return float(max(rep.value, 0.0))
 
 
-def monge_ampere_subgradient(f, region=None, samples=200_000, seed=0):
+def monge_ampere_subgradient(f, region=None, samples=200_000):
     """Monge-Ampere measure as the volume of the gradient image.
 
     A monotone gradient carries the region boundary onto the image
@@ -195,44 +195,25 @@ def monge_ampere_subgradient(f, region=None, samples=200_000, seed=0):
     enclosed volume even when the image bulges and stops being convex,
     as gradient images of boxes routinely do.  Only first derivatives
     enter, which keeps this estimate independent of the Hessian route in
-    ``monge_ampere_det``; ``samples`` sets the polyline density.  Above
-    two dimensions a convex hull of a sampled gradient cloud is used as
-    a coarse fallback.  A degenerate image returns 0 with a warning.
+    ``monge_ampere_det``; ``samples`` sets the polyline density.  A
+    degenerate image, or a polygon whose boundary walk cannot be found
+    (``Domain.boundary`` gives None), returns 0 with a warning.
     """
     region = getattr(region, "region", region) or f.domain
-    lo, hi = region.bounding_box()
+    vol, scale = 0.0, 0.0
     if f.dim == 1:
+        lo, hi = region.bounding_box()
         xs = np.linspace(lo[0], hi[0], max(int(samples) // 100, 1024))[:, None]
         grads = f.gradient(xs)
         vol = float(grads.max() - grads.min())
-        if vol <= 1e-12:
-            warnings.warn("gradient image is degenerate", stacklevel=2)
-            return 0.0
-        return vol
-    walk = region.boundary(max(int(samples) // 8, 1024)) \
-        if f.dim == 2 else None
-    if walk is not None:
-        g = f.gradient(walk)
-        gx, gy = g[:, 0], g[:, 1]
-        vol = 0.5 * abs(float(np.sum(gx * np.roll(gy, -1)
-                                     - gy * np.roll(gx, -1))))
-        scale = float(np.max(np.abs(g))) ** 2
-        if vol <= 1e-12 * max(scale, 1.0):
-            warnings.warn("gradient image is degenerate", stacklevel=2)
-            return 0.0
-        return vol
-
-    rng = np.random.default_rng((seed, 17))
-    grads = f.gradient(region.sample(rng, int(samples)))
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(grads)
-    except QhullError:
-        warnings.warn("gradient image is degenerate", stacklevel=2)
-        return 0.0
-    vol = float(hull.volume)
-    scale = float(np.max(np.abs(grads))) ** f.dim
+    else:
+        walk = region.boundary(max(int(samples) // 8, 1024))
+        if walk is not None:
+            g = f.gradient(walk)
+            gx, gy = g[:, 0], g[:, 1]
+            vol = 0.5 * abs(float(np.sum(gx * np.roll(gy, -1)
+                                         - gy * np.roll(gx, -1))))
+            scale = float(np.max(np.abs(g))) ** 2
     if vol <= 1e-12 * max(scale, 1.0):
         warnings.warn("gradient image is degenerate", stacklevel=2)
         return 0.0

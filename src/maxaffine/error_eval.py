@@ -34,9 +34,10 @@ the pieces with the largest bars until their sum is met
 (``quadrature.refine``).  The same sectors, from the mean of each cell's
 boundary points, integrate a smooth integrand over a planar region cut
 along lines where it may jump (:func:`fan_integral`, which gives the
-law's mass).  Higher dimensions, or an explicit ``QuadratureSpec``,
-evaluate the integrand pointwise under tensor-grid or stratified Monte
-Carlo quadrature.
+law's mass).  An explicit ``QuadratureSpec`` evaluates the integrand
+pointwise under tensor-grid or stratified Monte Carlo quadrature
+instead.  Functions live in one or two dimensions only
+(``convex_core.catalog_entry``).
 
 Every evaluation first verifies circumscription on a probe cloud and
 refuses (``CircumscriptionError``) when l pokes above f by more than
@@ -46,7 +47,7 @@ larger is a corrupted envelope, not data.  In one dimension the probe
 largest near it (``PiecewiseAffineMax.evaluate``); the values are those
 of a scan over every piece, bit for bit, because a dropped piece is
 provably below a kept one after rounding and a one-coordinate product
-rounds once however it is formed.  In two or more dimensions the BLAS
+rounds once however it is formed.  In two dimensions the BLAS
 product's summation order depends on the shape of the call, so the probe
 scans envelopes whole.  The cell paths evaluate no envelope beyond the
 probe: each piece is evaluated only on its own cell.
@@ -736,16 +737,15 @@ def weighted_lp_error(f, l, p, omega, quad=None):
     """Weighted L^p error report for a circumscribed envelope.
 
     Verifies l <= f + 1e-9 on a fixed probe cloud first.  The default
-    (``quad=None``) integrates cell by cell: the exact 1-d path
-    (:func:`exact_1d_piecewise_integral`) in one dimension, power-diagram
-    cells (:func:`exact_2d_cell_integral`, to a summed bar of 1e-9 of the
-    value) in two, and a level-128 tensor grid above that.  An explicit
-    ``QuadratureSpec`` selects ``tensor_grid`` or ``monte_carlo`` (or
-    ``exact_1d`` in one dimension) instead.
+    (``quad=None``) integrates cell by cell, to a summed bar of 1e-9 of
+    the value: the exact 1-d path (:func:`exact_1d_piecewise_integral`)
+    on an interval, power-diagram cells (:func:`exact_2d_cell_integral`)
+    on a planar region.  An explicit ``QuadratureSpec`` selects
+    ``tensor_grid`` or ``monte_carlo`` (or ``exact_1d`` in one dimension)
+    instead.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    omega_fn = omega
     validate = getattr(omega, "validate_positive", None)
     if validate is not None:
         validate(f.domain)
@@ -756,20 +756,17 @@ def weighted_lp_error(f, l, p, omega, quad=None):
             f"envelope exceeds the function by {worst:.3e} on the probe cloud")
 
     if quad is None and f.dim == 2:
-        return exact_2d_cell_integral(f, l, p, omega_fn)
-    if quad is None:
-        quad = QuadratureSpec(kind="exact_1d" if f.dim == 1 else "tensor_grid",
-                              level=128)
-
+        return exact_2d_cell_integral(f, l, p, omega)
+    quad = quad or QuadratureSpec(kind="exact_1d")
     if quad.kind == "exact_1d":
-        return exact_1d_piecewise_integral(f, l, p, omega_fn,
+        return exact_1d_piecewise_integral(f, l, p, omega,
                                            rel_tol=quad.rel_tol)
 
     def integrand(x):
         pts = as_points(x, f.dim)
         vals = f.value(pts)
         gap = np.maximum(vals - l.evaluate(pts), 0.0)
-        w = np.asarray(omega_fn(pts, vals), dtype=float)
+        w = np.asarray(omega(pts, vals), dtype=float)
         if np.any(w < 0):
             raise WeightError("weight is negative on quadrature nodes")
         return gap ** p * w

@@ -63,15 +63,14 @@ def law_density(det, w, p, n):
 
 
 def region_integral(func, region, jumps, quad=None):
-    """``ErrorReport`` of ``func`` over ``region``, smooth except across the
-    lines x_k = c, c in ``jumps[k]``; the rule of the mass, the
-    Monge-Ampere measure and the surface.  An explicit ``quad`` goes to
-    ``quadrature.integrate``.  Otherwise an interval is cut at the jumps
-    inside it (``quadrature.segment_integral``), and a planar ball or
-    polytope, or a planar box with jumps, along the lines into fans
+    """``ErrorReport`` of ``func`` over the interval or planar ``region``,
+    smooth except across the lines x_k = c, c in ``jumps[k]``; the rule of
+    the mass, the Monge-Ampere measure and the surface.  An explicit
+    ``quad`` goes to ``quadrature.integrate``.  Otherwise an interval is
+    cut at the jumps inside it (``quadrature.segment_integral``), and a
+    ball or polytope, or a box with jumps, along the lines into fans
     (``error_eval.fan_integral``).  Other intervals take a level-64 tensor
-    grid, other boxes a level-128 one, and balls and polytopes in n >= 3 a
-    10^6-sample Monte Carlo.
+    grid and other boxes a level-128 one.
     """
     if quad is None:
         lo, hi = region.bounding_box()
@@ -81,9 +80,7 @@ def region_integral(func, region, jumps, quad=None):
             return segment_integral(func, [lo[0], *cuts, hi[0]])
         if region.dim == 2 and (region.kind != "box" or any(jumps)):
             return fan_integral(func, region, jumps)
-        grid = region.dim < 3 or region.kind == "box"
-        quad = QuadratureSpec(kind="tensor_grid" if grid else "monte_carlo",
-                              level=64 if region.dim == 1 else 128)
+        quad = QuadratureSpec(level=64 if region.dim == 1 else 128)
     return integrate(func, region, quad)
 
 

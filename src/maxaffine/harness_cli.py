@@ -29,6 +29,8 @@ single-threaded mode) or as a key/value record format that parses back
 without loss.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O failure.
+A function of more than two dimensions is a config error (exit 2);
+``zador`` estimates delta(n, p) in any dimension.
 """
 
 import argparse
@@ -519,15 +521,12 @@ def _cmd_functional(args):
     cfg = _load_config(args)
     f, omega, _ = build_objects(cfg)
     mass = _mass_report(f, cfg["p"], omega)
+    delta = zador_reference(f.dim, cfg["p"])
+    theory = theoretical_limit(mass.value, cfg["p"], f.dim, delta)
     lines = [f"mass {_fmt(mass.value)}",
-             f"mass_error_bar {_fmt(mass.error_bar)}"]
-    try:
-        delta = zador_reference(f.dim, cfg["p"])
-        theory = theoretical_limit(mass.value, cfg["p"], f.dim, delta)
-        lines.append(f"delta {_fmt(delta.value)}")
-        lines.append(f"theory {_fmt(theory)}")
-    except ValueError:
-        lines.append("delta none")
+             f"mass_error_bar {_fmt(mass.error_bar)}",
+             f"delta {_fmt(delta.value)}",
+             f"theory {_fmt(theory)}"]
     return _write_text("\n".join(lines) + "\n", args)
 
 

@@ -28,12 +28,12 @@ from maxaffine.approximator import (
     _crossings,
     _fd_tridiag_jacobian,
     _split_cell_halves,
-    envelope_error_1d,
     optimal_tangent_abscissas_1d,
     quantile_abscissas,
     stationarity_residual_1d,
 )
-from maxaffine.convex_core import tangent_plane, tangent_planes
+from maxaffine.convex_core import rowdot, tangent_planes
+from maxaffine.error_eval import exact_1d_piecewise_integral
 from conftest import rng_for
 
 
@@ -85,15 +85,41 @@ def test_tangent_crossings_quadratic(quad_1d):
     np.testing.assert_allclose(b, [0.5], rtol=1e-14)
 
 
+def _error_at(f, omega, p, t):
+    return weighted_lp_error(f, tangent_planes(f, t[:, None]), p,
+                             omega).value
+
+
 def test_envelope_error_frozen_values(quad_1d, w_const):
     # Delta_1 = 1/(24 m^2) and Delta_2 = 1/(320 m^4) at the optimum
     for m, target in ((1, 1 / 24), (2, 1 / 96), (4, 1 / 384), (8, 1 / 1536)):
         t = optimal_tangent_abscissas_1d(quad_1d, w_const, 1.0, m)
-        err = envelope_error_1d(quad_1d, w_const, 1.0, t, (0.0, 1.0))
+        err = _error_at(quad_1d, w_const, 1.0, t)
         assert err == pytest.approx(target, rel=1e-12)
     t = optimal_tangent_abscissas_1d(quad_1d, w_const, 2.0, 2)
-    err2 = envelope_error_1d(quad_1d, w_const, 2.0, t, (0.0, 1.0))
+    err2 = _error_at(quad_1d, w_const, 2.0, t)
     assert err2 == pytest.approx(1.0 / 5120.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25])
+@pytest.mark.parametrize("weight", ["constant", "exp_neg_t"])
+def test_one_tangent_minimizes_the_error(p, weight):
+    # m = 1 minimizes the error itself: no interior tangent on a fine grid
+    # does better, and the symmetric stationary point t = 0 is at least 2%
+    # worse (22.3%, 7.2%, 17.4% and 2.3% measured), as the solver's
+    # comment says
+    f = catalog_entry("huber", {"delta": 0.5}, Domain.box([-1.0], [1.0]))
+    omega = WeightFunction.from_config({"catalog_id": weight,
+                                        "parameters": {}})
+
+    def error(l):
+        return exact_1d_piecewise_integral(f, l, p, omega).value
+
+    best = error(build_approximation(f, omega, p, 1, "exact_1d"))
+    grid = np.linspace(-1.0, 1.0, 401)[1:-1]
+    errors = [error(tangent_planes(f, [t])) for t in grid]
+    assert best <= (1.0 + 1e-12) * min(errors)
+    assert errors[199] >= 1.02 * best
 
 
 def test_stationarity_residual_vanishes_at_optimum(quad_1d, w_const):
@@ -140,9 +166,9 @@ def test_quantile_abscissas_interlace(quad_1d, w_exp):
 def test_exact_1d_weighted_ratio(w_exp, quad_1d):
     # the weighted solver must beat naive placements on its own objective
     t_opt = optimal_tangent_abscissas_1d(quad_1d, w_exp, 1.0, 6)
-    err_opt = envelope_error_1d(quad_1d, w_exp, 1.0, t_opt, (0.0, 1.0))
+    err_opt = _error_at(quad_1d, w_exp, 1.0, t_opt)
     t_unif = (np.arange(6) + 0.5) / 6.0
-    err_unif = envelope_error_1d(quad_1d, w_exp, 1.0, t_unif, (0.0, 1.0))
+    err_unif = _error_at(quad_1d, w_exp, 1.0, t_unif)
     assert err_opt <= err_unif + 1e-15
     res = stationarity_residual_1d(quad_1d, w_exp, 1.0, t_opt, (0.0, 1.0))
     assert np.max(np.abs(res)) < 1e-10
@@ -162,7 +188,7 @@ def _cosh_gap(t, x):
 
 @pytest.mark.parametrize("p", [0.5, 1.5, 2.0])
 def test_split_cell_kernel_matches_quad(p, w_exp):
-    # every cell's residual and objective against scipy's quad, broken at
+    # every cell's residual against scipy's quad, broken at
     # the tangency point, with the gap written without cancellation.  The
     # residual is a difference of its halves, so it is held to the cell's
     # integral of |integrand|.  The points are jittered midpoints: in a
@@ -173,8 +199,6 @@ def test_split_cell_kernel_matches_quad(p, w_exp):
     t = -1.0 + (np.arange(7) + 0.5 + jitter) * 2.0 / 7.0
     edges = np.concatenate([[-1.0], _tangent_crossings(f, t), [1.0]])
     res = stationarity_residual_1d(f, w_exp, p, t, (-1.0, 1.0))
-    obj = _split_cell_halves(f, w_exp, p, t, (-1.0, 1.0),
-                             objective=True).sum(axis=1)
     for j, tj in enumerate(t):
         def term(x, power, lever):
             gap = _cosh_gap(tj, x)
@@ -188,9 +212,6 @@ def test_split_cell_kernel_matches_quad(p, w_exp):
 
         scale = want(p - 1.0, lambda x: abs(x - tj))
         assert abs(res[j] - want(p - 1.0, lambda x: x - tj)) <= 1e-10 * scale
-        assert obj[j] == pytest.approx(want(p, lambda x: 1.0), rel=1e-10), j
-    assert envelope_error_1d(f, w_exp, p, t, (-1.0, 1.0)) == \
-        pytest.approx(obj.sum(), rel=1e-15)
 
 
 def _half_rule(beta):
@@ -236,10 +257,9 @@ def test_split_cell_kernel_edge_cases(w_const):
     # f = 0: the gap vanishes everywhere, and each term is 0, not inf
     flat = catalog_entry("quadratic", {"hessian": [[0.0]]},
                          Domain.box([-1.0], [1.0]))
-    for objective in (False, True):
-        halves = _split_cell_halves(flat, w_const, 0.5, np.array([0.3]),
-                                    (-1.0, 1.0), objective=objective)
-        assert np.array_equal(halves, [[0.0, 0.0]])
+    halves = _split_cell_halves(flat, w_const, 0.5, np.array([0.3]),
+                                (-1.0, 1.0))
+    assert np.array_equal(halves, [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize("p", [0.5, 0.75])
@@ -435,23 +455,22 @@ def test_paper_partition_accepts_piece_count(quad_2d, w_const):
 
 
 def _greedy_reference(f, omega, p, m, seed=0, cloud_size=None):
-    """greedy_insertion as first written: every pick rescans the cloud."""
+    """greedy_insertion's picks as first written: every pick rescans the
+    cloud."""
     rng = np.random.default_rng((seed, 71))
     cloud = f.domain.sample(rng, cloud_size or max(20_000, 200 * m))
     fx = f.value(cloud)
     wx = np.asarray(omega(cloud, fx), dtype=float)
-    start = f.domain.centroid()
-    points = [start]
-    psi = tangent_plane(f, start)
-    lx = psi(cloud)
+    points = [f.domain.centroid()]
+    psi = tangent_planes(f, points[0])
+    lx = rowdot(cloud, psi.slopes[0]) + psi.offsets[0]
     for _ in range(m - 1):
         gap = np.maximum(fx - lx, 0.0)
         score = gap ** p * wx
-        nxt = cloud[int(np.argmax(score))]
-        points.append(nxt)
-        psi = tangent_plane(f, nxt)
-        np.maximum(lx, psi(cloud), out=lx)
-    return tangent_planes(f, np.stack(points))
+        points.append(cloud[int(np.argmax(score))])
+        psi = tangent_planes(f, points[-1])
+        np.maximum(lx, rowdot(cloud, psi.slopes[0]) + psi.offsets[0], out=lx)
+    return points
 
 
 _TRIANGLE = Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
@@ -464,18 +483,20 @@ _GREEDY_CASES = {
               Domain.box([0.0, -1.0], [1.0, 2.0])),
     "ball2d": ("exp_sum", {"alpha": [0.8, -0.5]}, Domain.ball([0.2, 0.1], 1.5)),
     "triangle": ("cosh_quadratic", {}, _TRIANGLE),
-    "box3d": ("cosh_quadratic", {"eps": 0.7},
-              Domain.box([0.0, 0.0, 0.0], [1.0, 2.0, 0.5])),
-    "ball3d": ("quadratic", {"hessian": np.diag([1.0, 2.0, 3.0])},
-               Domain.ball([0.0, 0.5, -0.5], 1.0)),
 }
 
 
 def _assert_greedy_matches_reference(f, omega, p, m, **kw):
     got = build_approximation(f, omega, p, m, "greedy_insertion", **kw)
-    want = _greedy_reference(f, omega, p, m, **kw)
+    points = _greedy_reference(f, omega, p, m, **kw)
+    want = tangent_planes(f, np.stack(points))
     np.testing.assert_array_equal(got.slopes, want.slopes)
     np.testing.assert_array_equal(got.offsets, want.offsets)
+    # each piece is its pick's plane alone, bit for bit
+    for j, x in enumerate(points):
+        alone = tangent_planes(f, x)
+        assert np.array_equal(got.slopes[j], alone.slopes[0])
+        assert got.offsets[j] == alone.offsets[0]
 
 
 @pytest.mark.parametrize("case", list(_GREEDY_CASES))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from maxaffine import (
-    AffineFunction,
     Domain,
     DomainError,
     MetricError,
@@ -22,9 +21,9 @@ from maxaffine import (
     is_circumscribed,
     max_violation,
     sup_gap,
-    tangent_plane,
+    tangent_planes,
 )
-from maxaffine.convex_core import as_points, tangent_planes
+from maxaffine.convex_core import as_points
 from maxaffine.error_eval import _probe_cloud
 from conftest import rng_for
 
@@ -354,8 +353,6 @@ def test_envelope_compose_shift_pieces():
                                l.evaluate(x @ t.T), rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(l.shifted(0.7).evaluate(x),
                                l.evaluate(x) + 0.7, rtol=1e-14)
-    rebuilt = PiecewiseAffineMax.from_pieces(l.pieces())
-    np.testing.assert_array_equal(rebuilt.evaluate(x), l.evaluate(x))
 
 
 def test_envelope_text_round_trip(tmp_path):
@@ -491,6 +488,19 @@ def test_catalog_config_round_trip():
     assert f2.value(x)[0] == pytest.approx(f.value(x)[0], rel=1e-15)
 
 
+def test_catalog_refuses_three_dimensions():
+    # delta(n, p) is known for n <= 2 only, so the law has no reference
+    # above the plane and the catalog refuses such a domain
+    for dom in (Domain.box(np.zeros(3), np.ones(3)),
+                Domain.ball(np.zeros(3), 1.0)):
+        for catalog_id in CATALOG:
+            with pytest.raises(DomainError):
+                catalog_entry(catalog_id, {}, dom)
+            with pytest.raises(DomainError):
+                SmoothConvexFunction.from_config(
+                    {"catalog_id": catalog_id, "domain": dom.to_config()})
+
+
 def test_catalog_rejects_bad_input():
     dom = Domain.box([-1.0], [1.0])
     with pytest.raises(ValueError):
@@ -513,7 +523,7 @@ def test_tangent_planes_support_from_below(catalog_id):
     for i in range(5):
         rng = rng_for("tangent", i)
         a = rng.uniform(-0.9, 0.9, size=2)
-        psi = tangent_plane(f, a)
+        psi = tangent_planes(f, a)
         x = rng.uniform(-1, 1, size=(500, 2))
         gap = f.value(x) - psi(x)
         assert gap.min() >= -1e-12
@@ -521,7 +531,7 @@ def test_tangent_planes_support_from_below(catalog_id):
 
 def test_tangent_plane_outside_domain_raises(quad_1d):
     with pytest.raises(DomainError):
-        tangent_plane(quad_1d, [2.0])
+        tangent_planes(quad_1d, [2.0])
 
 
 def _full_quadratic_params(rng, dim):
@@ -540,35 +550,31 @@ _ROW_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("entry", list(_ROW_ENTRIES))
 def test_tangent_planes_are_row_independent(entry, dim):
-    # each plane of the builder equals tangent_plane at its point alone,
-    # bit for bit, whatever other rows share the call: batched BLAS or
-    # einsum products round some rows otherwise (x.Hx with a non-diagonal
-    # H: 438 of 2,000 rows)
+    # each plane of the builder equals the builder's plane at its point
+    # alone, bit for bit, whatever other rows share the call: batched BLAS
+    # or einsum products round some rows otherwise (x.Hx with a
+    # non-diagonal H: 438 of 2,000 rows)
     rng = rng_for(f"rows-{entry}", dim)
     f = catalog_entry(entry.split("-")[0], _ROW_ENTRIES[entry](rng, dim),
                       Domain.box(np.full(dim, -1.3), np.full(dim, 0.9)))
     pts = f.domain.sample(rng, 2000)
-    alone = [tangent_plane(f, a) for a in pts]
-    slopes = np.stack([psi.slope for psi in alone])
-    offsets = np.array([psi.offset for psi in alone])
+    alone = [tangent_planes(f, a) for a in pts]
+    slopes = np.vstack([psi.slopes for psi in alone])
+    offsets = np.concatenate([psi.offsets for psi in alone])
     for size in (2000, 777, 64, 2, 1):
         rows = rng.permutation(2000)[:size]
         env = tangent_planes(f, pts[rows])
         assert np.array_equal(env.slopes, slopes[rows])
         assert np.array_equal(env.offsets, offsets[rows])
-    for psi in alone[:3]:
-        batch = psi(pts)
-        assert np.array_equal(batch[:200], [psi(a)[0] for a in pts[:200]])
     with pytest.raises(DomainError):
         tangent_planes(f, np.vstack([pts[:3], np.full(dim, 1.0)]))
 
 
 def test_circumscription_checks(quad_1d):
-    pieces = [tangent_plane(quad_1d, [a]) for a in (0.25, 0.75)]
-    l = PiecewiseAffineMax.from_pieces(pieces)
+    l = tangent_planes(quad_1d, [[0.25], [0.75]])
     samples = np.linspace(0, 1, 1001)[:, None]
     ok, worst = is_circumscribed(quad_1d, l, samples)
     assert ok and worst == 0.0
@@ -584,12 +590,7 @@ def test_circumscription_checks(quad_1d):
 
 
 def test_sup_gap_single_tangent(quad_1d):
-    l = PiecewiseAffineMax.from_pieces([tangent_plane(quad_1d, [0.5])])
+    l = tangent_planes(quad_1d, [0.5])
     samples = np.linspace(0, 1, 4097)[:, None]
     # largest gap of x^2/2 over its tangent at 1/2 sits at the endpoints
     assert sup_gap(quad_1d, l, samples) == pytest.approx(1.0 / 8.0, rel=1e-12)
-
-
-def test_affine_function_call():
-    psi = AffineFunction(slope=np.array([2.0, -1.0]), offset=0.5)
-    np.testing.assert_allclose(psi(np.array([[1.0, 1.0]])), [1.5])

@@ -20,7 +20,7 @@ from maxaffine import (
     sup_gap,
     weighted_lp_error,
 )
-from maxaffine.convex_core import DomainError, tangent_plane, tangent_planes
+from maxaffine.convex_core import DomainError, tangent_planes
 from maxaffine.error_eval import envelope_cells_1d, exact_1d_piecewise_integral
 from conftest import rng_for
 
@@ -28,8 +28,10 @@ CATALOG_1D = ("quadratic", "cosh_quadratic", "exp_sum", "quartic", "huber")
 
 
 def _tangents(f, ts):
-    return PiecewiseAffineMax.from_pieces(
-        [tangent_plane(f, np.atleast_1d(t)) for t in ts])
+    """Envelope of the tangents at ts, each built from its point alone."""
+    alone = [tangent_planes(f, np.atleast_1d(t)) for t in ts]
+    return PiecewiseAffineMax(np.vstack([e.slopes for e in alone]),
+                              np.concatenate([e.offsets for e in alone]))
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,31 @@ def test_sweep_verb_numeric_failure_is_exit_3(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_three_dimensional_function_is_exit_2(tmp_path, capsys):
+    # the catalog stops at two dimensions, so every verb that takes a
+    # function refuses a 3-d config as a config error
+    cfg = _write_cfg(tmp_path, strategy="global_density", m_list=[4],
+                     function={"catalog_id": "quadratic", "parameters": {},
+                               "domain": {"kind": "box",
+                                          "lower": [0.0, 0.0, 0.0],
+                                          "upper": [1.0, 1.0, 1.0]}})
+    envelope = tmp_path / "envelope.txt"
+    envelope.write_text("1 0 0 0\n")
+    for argv in (["sweep"], ["approximate"], ["functional"],
+                 ["error", "--envelope", str(envelope)]):
+        assert main(argv + ["--config", cfg]) == 2, argv
+        assert "config error" in capsys.readouterr().err
+
+
+def test_zador_verb_stays_n_generic(capsys):
+    # zador estimates delta(n, p) in any dimension; above two there is no
+    # reference to compare with
+    assert main(["zador", "--n", "3", "--m-list", "16", "--trials", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("estimate ")
+    assert "reference none" in out
+
+
 def test_config_error_is_exit_2(tmp_path, capsys):
     bad = _cfg()
     bad["function"]["catalog_id"] = "quadratik"
@@ -383,8 +408,13 @@ def test_public_api_resolves():
     exec("from maxaffine import *", scope)
     assert set(maxaffine.__all__) <= set(scope)
     for gone in ("ConvexBodySpec", "support_function", "FunctionalResult",
-                 "ZetaFunction", "z_zeta", "dp_1d_abscissas"):
+                 "ZetaFunction", "z_zeta", "dp_1d_abscissas",
+                 "AffineFunction", "tangent_plane"):
         assert not hasattr(maxaffine, gone), gone
+    # PiecewiseAffineMax is the one plane container
+    for gone in ("pieces", "from_pieces"):
+        assert not hasattr(maxaffine.PiecewiseAffineMax, gone), gone
+    assert not hasattr(maxaffine.approximator, "envelope_error_1d")
 
 
 @pytest.mark.parametrize("how", ["--p nan", "--p inf", "json NaN"])

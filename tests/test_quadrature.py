@@ -265,10 +265,15 @@ def test_block_integrate_matches_whole_array_1d(spec):
 
 
 def test_block_integrate_matches_whole_array_3d():
-    # 110,592 fine nodes: two blocks; the 3-d determinant is batched LAPACK
+    # 110,592 fine nodes: two blocks.  The catalog stops at two
+    # dimensions, so the integrand is the p = 1 law density of
+    # sum_k cosh(x_k) under the weight exp(-f), written out
     domain = Domain.ball([0.0, 0.0, 0.0], 1.0)
-    f = catalog_entry("cosh_quadratic", {}, domain)
-    func = _mass_integrand(f, WeightFunction.exp_neg_t(), 1.0)
+
+    def func(x):
+        c = np.cosh(x)
+        return law_density(np.prod(c, axis=1), np.exp(-c.sum(axis=1)), 1.0, 3)
+
     for spec in (QuadratureSpec(kind="tensor_grid", level=24),
                  QuadratureSpec(kind="monte_carlo", samples=100_000, seed=1)):
         assert integrate(func, domain, spec) == _integrate_whole(
