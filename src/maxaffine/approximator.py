@@ -184,6 +184,8 @@ def allocate_budget(partition, f, omega, p, m):
 
 _HALF_ORDER = 12                    # nodes per half-cell of the split rule
 _FD_STEP = 1e-7                     # Jacobian difference step, per unit length
+_MAX_NEWTON = 60                    # damped Newton steps per solve
+_QUANTILE_GRID = 4097               # trapezoid nodes of the quantile start
 
 
 def _interval(f):
@@ -249,10 +251,10 @@ def stationarity_residual_1d(f, omega, p, t, interval):
     return halves[:, 1] - halves[:, 0]
 
 
-def quantile_abscissas(f, omega, p, m, grid=4097):
+def quantile_abscissas(f, omega, p, m):
     """Quantiles of the asymptotically optimal tangency density."""
     a, b = _interval(f)
-    xs = np.linspace(a, b, grid)
+    xs = np.linspace(a, b, _QUANTILE_GRID)
     x = xs.reshape(-1, 1)
     phi = law_density(f.hessian_det(x), omega(x, f.value(x)), p, 1)
     steps = (phi[1:] + phi[:-1]) / 2.0 * np.diff(xs)
@@ -263,7 +265,7 @@ def quantile_abscissas(f, omega, p, m, grid=4097):
     return np.interp(targets, cum, xs)
 
 
-def optimal_tangent_abscissas_1d(f, omega, p, m, max_newton=60):
+def optimal_tangent_abscissas_1d(f, omega, p, m):
     """Solve the 1-d first-order system for the optimal tangency points."""
     a, b = _interval(f)
     if m == 1:
@@ -282,10 +284,10 @@ def optimal_tangent_abscissas_1d(f, omega, p, m, max_newton=60):
 
     t = np.clip(quantile_abscissas(f, omega, p, m),
                 a + 1e-12 * (b - a), b - 1e-12 * (b - a))
-    return _newton_polish(f, omega, p, t, (a, b), max_newton)
+    return _newton_polish(f, omega, p, t, (a, b))
 
 
-def _newton_polish(f, omega, p, t, interval, max_newton):
+def _newton_polish(f, omega, p, t, interval):
     """Damped Newton on the residual.  A merely convex f may want a tangent
     at the edge of an affine piece, where the residual jumps or its slope
     is singular, and there Newton stops short: bisection sweeps from the
@@ -293,10 +295,10 @@ def _newton_polish(f, omega, p, t, interval, max_newton):
     the points at such an edge held."""
     held = np.zeros(t.size, dtype=bool)
     start = t
-    t, res, ref = _newton(f, omega, p, t, held, interval, max_newton)
+    t, res, ref = _newton(f, omega, p, t, held, interval)
     if not f.strictly_convex and np.max(np.abs(res)) > 1e-12 * ref:
         t, held = _bisection_sweeps(f, omega, p, start, interval)
-        t, res, ref = _newton(f, omega, p, t, held, interval, max_newton)
+        t, res, ref = _newton(f, omega, p, t, held, interval)
     # rounding floors stay below 1e-3 * ref (p = 0.1, m = 2048)
     worst = float(np.max(np.abs(res[~held]), initial=0.0))
     if worst > 1e-2 * ref:
@@ -306,7 +308,7 @@ def _newton_polish(f, omega, p, t, interval, max_newton):
     return t
 
 
-def _newton(f, omega, p, t, held, interval, max_newton):
+def _newton(f, omega, p, t, held, interval):
     """Damped Newton on the residuals of the points not held; a line search
     that finds no decrease ends the solve.  Returns the points, their
     residuals and the scale the stop is measured against: the largest
@@ -318,7 +320,7 @@ def _newton(f, omega, p, t, held, interval, max_newton):
     tol = 1e-12 * ref
     a, b = interval
     fixed = np.flatnonzero(held)
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         rnorm = float(np.max(np.abs(res[~held]), initial=0.0))
         if rnorm <= tol:
             break

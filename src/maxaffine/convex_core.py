@@ -65,8 +65,8 @@ class Domain:
 
     Polytopes are stored as ``A x <= b`` and handled through their bounding
     box plus rejection, so only membership, half-spaces, bounding box,
-    sampling, projection and the boundary walk are exact; volume is
-    closed-form for boxes and balls only.
+    sampling and projection are exact; volume is closed-form for boxes
+    and balls only.
     """
 
     def __init__(self, kind, dim, **data):
@@ -270,57 +270,6 @@ class Domain:
             out = out[bad]
             moved[out] = np.nextafter(moved[out], c)
         return moved
-
-    def boundary(self, budget):
-        """Closed counterclockwise polyline along the boundary of a planar
-        region, with about ``budget`` points; None when a polygon's vertex
-        cycle cannot be found."""
-        if self.dim != 2:
-            raise DomainError("boundary walks are defined in the plane only")
-        lo, hi = self.bounding_box()
-        if self.kind == "box":
-            t = np.linspace(0.0, 1.0, max(budget // 4, 64), endpoint=False)
-            w, h = hi[0] - lo[0], hi[1] - lo[1]
-            return np.vstack([
-                np.column_stack([lo[0] + t * w, np.full_like(t, lo[1])]),
-                np.column_stack([np.full_like(t, hi[0]), lo[1] + t * h]),
-                np.column_stack([hi[0] - t * w, np.full_like(t, hi[1])]),
-                np.column_stack([np.full_like(t, lo[0]), hi[1] - t * h]),
-            ])
-        if self.kind == "ball":
-            center = (lo + hi) / 2.0
-            radius = float(hi[0] - lo[0]) / 2.0
-            theta = np.linspace(0.0, 2.0 * np.pi, max(budget, 256),
-                                endpoint=False)
-            return center + radius * np.column_stack([np.cos(theta),
-                                                      np.sin(theta)])
-        verts = self._polygon_vertices()
-        if verts is None:
-            return None
-        t = np.linspace(0.0, 1.0, max(budget // len(verts), 64),
-                        endpoint=False)[:, None]
-        nxt = np.roll(verts, -1, axis=0)
-        return np.vstack([a + t * (b - a) for a, b in zip(verts, nxt)])
-
-    def _polygon_vertices(self):
-        """Vertex cycle of a polygon {x : a x <= b}, counterclockwise."""
-        a, b = self._data["a"], self._data["b"]
-        pts = []
-        for i in range(len(b)):
-            for j in range(i + 1, len(b)):
-                pair = a[[i, j]]
-                if abs(pair[0, 0] * pair[1, 1] - pair[0, 1] * pair[1, 0]) < 1e-12:
-                    continue
-                v = np.linalg.solve(pair, b[[i, j]])
-                if np.all(a @ v <= b + 1e-9):
-                    pts.append(v)
-        if len(pts) < 3:
-            return None
-        pts = np.unique(np.round(np.array(pts), 12), axis=0)
-        center = pts.mean(axis=0)
-        order = np.argsort(np.arctan2(pts[:, 1] - center[1],
-                                      pts[:, 0] - center[0]))
-        return pts[order]
 
     def __repr__(self):
         return f"Domain({self.kind}, dim={self.dim})"

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex_core import Domain, WeightFunction
+from .error_eval import _cell_boundaries, _cross, _Sectors
 from .functionals import region_integral, weighted_mass
 from .sweep import run_sweep
 
@@ -189,31 +190,31 @@ def monge_ampere_subgradient(f, region=None, samples=200_000):
     """Monge-Ampere measure as the volume of the gradient image.
 
     A monotone gradient carries the region boundary onto the image
-    boundary, so in one dimension the image is [min grad, max grad] and
-    in two the volume is the circulation (shoelace) integral of the
-    mapped boundary polyline -- by Stokes that signed area equals the
-    enclosed volume even when the image bulges and stops being convex,
-    as gradient images of boxes routinely do.  Only first derivatives
-    enter, which keeps this estimate independent of the Hessian route in
-    ``monge_ampere_det``; ``samples`` sets the polyline density.  A
-    degenerate image, or a polygon whose boundary walk cannot be found
-    (``Domain.boundary`` gives None), returns 0 with a warning.
+    boundary, so in one dimension the image is the interval between the
+    gradients at the region's ends, and in two the volume is the
+    circulation (shoelace) integral of the mapped boundary -- by Stokes
+    that signed area equals the enclosed volume even when the image
+    bulges and stops being convex, as gradient images of boxes routinely
+    do.  The boundary is the region's exact sides and arcs, those of the
+    one cell of the zero piece (``error_eval._cell_boundaries``), sampled
+    at about ``samples / 8`` points.  Only first derivatives enter, which
+    keeps this estimate independent of the Hessian route in
+    ``monge_ampere_det``.  A degenerate image returns 0 with a warning.
     """
     region = getattr(region, "region", region) or f.domain
-    vol, scale = 0.0, 0.0
     if f.dim == 1:
-        lo, hi = region.bounding_box()
-        xs = np.linspace(lo[0], hi[0], max(int(samples) // 100, 1024))[:, None]
-        grads = f.gradient(xs)
-        vol = float(grads.max() - grads.min())
+        g = f.gradient(np.vstack(region.bounding_box()))
+        vol, scale = float(g.max() - g.min()), 0.0
     else:
-        walk = region.boundary(max(int(samples) // 8, 1024))
-        if walk is not None:
-            g = f.gradient(walk)
-            gx, gy = g[:, 0], g[:, 1]
-            vol = 0.5 * abs(float(np.sum(gx * np.roll(gy, -1)
-                                         - gy * np.roll(gx, -1))))
-            scale = float(np.max(np.abs(g))) ** 2
+        _, s, d, arc, centre, radius = _cell_boundaries(
+            np.zeros((1, 2)), np.zeros(1), region)
+        n = s.shape[0]
+        v = np.linspace(0.0, 1.0, max(int(samples) // (8 * n), 64) + 1)
+        pts, _ = _Sectors(s=s, d=d, arc=arc).curve(np.tile(v, (n, 1)),
+                                                   centre, radius)
+        g = f.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
+        vol = 0.5 * abs(float(np.sum(_cross(g[:, :-1], g[:, 1:]))))
+        scale = float(np.max(np.abs(g))) ** 2
     if vol <= 1e-12 * max(scale, 1.0):
         warnings.warn("gradient image is degenerate", stacklevel=2)
         return 0.0

@@ -167,8 +167,8 @@ def validate_config(raw):
     _reject_unknown(quad, _QUAD_KEYS, "quadrature.")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
 
     output = raw.get("output", "")
     if not isinstance(output, str):
@@ -383,11 +383,18 @@ def _build_parser():
     return ap
 
 
+def _check_floors(args):
+    """A config error for an integer flag below its least value."""
+    for name, floor in (("seed", 0), ("threads", 1), ("m", 1), ("n", 1),
+                        ("trials", 1), ("grid", 2), ("dual_grid", 2)):
+        value = getattr(args, name, None)
+        if value is not None and value < floor:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least "
+                              f"{floor}, got {value}")
+
+
 def _threads(args):
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ConfigError(
-                f"--threads must be at least 1, got {args.threads}")
+    if args.threads is not None:
         return args.threads
     env = os.environ.get("MAXAFFINE_THREADS", "")
     try:
@@ -476,7 +483,7 @@ def _cmd_approximate(args):
     cfg = _load_config(args)
     f, omega, _ = build_objects(cfg)
     name, options = _resolve_strategy(cfg, f)
-    m = args.m or max(cfg["m_list"])
+    m = max(cfg["m_list"]) if args.m is None else args.m
     l = build_approximation(f, omega, cfg["p"], m, name, seed=cfg["seed"],
                             **options)
     rng = np.random.default_rng(cfg["seed"])
@@ -566,6 +573,7 @@ def main(argv=None):
     except SystemExit as exc:        # argparse uses 2 for bad usage
         return int(exc.code or 0)
     try:
+        _check_floors(args)
         return _DISPATCH[args.verb](args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

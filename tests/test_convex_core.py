@@ -172,23 +172,6 @@ def test_domain_project_per_kind():
         np.testing.assert_array_equal(moved[inside], far[inside])
 
 
-def test_domain_boundary_walks():
-    walk = _triangle().boundary(1024)
-    assert np.all(walk @ np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]).T
-                  <= np.array([0.0, 0.0, 1.0]) + 1e-12)
-    # counterclockwise: positive shoelace area, the triangle's 1/2
-    area = 0.5 * np.sum(walk[:, 0] * np.roll(walk[:, 1], -1)
-                        - walk[:, 1] * np.roll(walk[:, 0], -1))
-    assert area == pytest.approx(0.5, rel=1e-12)
-    circle = Domain.ball([1.0, 2.0], 0.5).boundary(512)
-    np.testing.assert_allclose(np.linalg.norm(circle - [1.0, 2.0], axis=1),
-                               0.5, rtol=1e-14)
-    square = Domain.box([0.0, 0.0], [2.0, 1.0]).boundary(256)
-    assert square.shape == (256, 2)
-    with pytest.raises(DomainError):
-        Domain.box([0.0], [1.0]).boundary(64)
-
-
 # ---------------------------------------------------------------------------
 # envelopes
 

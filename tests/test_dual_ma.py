@@ -162,13 +162,39 @@ def test_ma_subgradient_polytope_region():
     assert monge_ampere_subgradient(f) == pytest.approx(1.91 * 0.5, rel=1e-9)
 
 
-def test_ma_subgradient_without_boundary_walk_is_degenerate(monkeypatch):
-    # a polygon whose vertex cycle cannot be found has no gradient image
-    # to measure: 0 with the degenerate warning, as a flat image gives
-    f = catalog_entry("quadratic", {}, Domain.box([0.0, 0.0], [1.0, 1.0]))
-    monkeypatch.setattr(Domain, "boundary", lambda self, budget: None)
+def test_ma_subgradient_disc_region():
+    # the disc's arcs, sampled as polylines, map to an ellipse of area
+    # det H pi r^2 under the linear gradient
+    disc = Domain.ball([0.3, -0.2], 0.7)
+    f = catalog_entry("quadratic", {"hessian": [[2.0, 0.3], [0.3, 1.0]]},
+                      disc)
+    assert monge_ampere_subgradient(f) == pytest.approx(
+        1.91 * math.pi * 0.49, rel=1e-6)
+
+
+@pytest.mark.parametrize("cid,params,want", [
+    ("quadratic", {"hessian": [[1.0]]}, 2.0),
+    ("huber", {"delta": 0.3}, 0.6),
+    ("cosh_quadratic", {}, 2.0 * math.sinh(1.0)),
+])
+def test_ma_subgradient_1d_interval(cid, params, want):
+    # in one dimension the image is the interval between the end gradients
+    f = catalog_entry(cid, params, Domain.box([-1.0], [1.0]))
+    assert monge_ampere_subgradient(f) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("region", [
+    Domain.box([0.5], [0.9]),
+    Domain.box([0.5, 0.4], [0.9, 0.8]),
+    Domain.ball([-0.6, 0.6], 0.2),
+])
+def test_ma_subgradient_flat_image_is_degenerate(region):
+    # inside one arm of huber in every coordinate the gradient is constant,
+    # so the image is a point: 0 with the degenerate warning
+    dom = Domain.box([-1.0] * region.dim, [1.0] * region.dim)
+    f = catalog_entry("huber", {"delta": 0.25}, dom)
     with pytest.warns(UserWarning, match="degenerate"):
-        assert monge_ampere_subgradient(f) == 0.0
+        assert monge_ampere_subgradient(f, region=region) == 0.0
 
 
 def test_ma_det_1d_interval():

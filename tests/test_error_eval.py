@@ -21,7 +21,12 @@ from maxaffine import (
     weighted_lp_error,
 )
 from maxaffine.convex_core import DomainError, tangent_planes
-from maxaffine.error_eval import envelope_cells_1d, exact_1d_piecewise_integral
+from maxaffine.error_eval import (
+    _cell_boundaries,
+    _Sectors,
+    envelope_cells_1d,
+    exact_1d_piecewise_integral,
+)
 from conftest import rng_for
 
 CATALOG_1D = ("quadratic", "cosh_quadratic", "exp_sum", "quartic", "huber")
@@ -605,6 +610,51 @@ def _affine(domain):
                          domain)
 
 
+def _region_sides(domain):
+    """The sides and arcs of a planar domain: the one cell of the zero
+    piece."""
+    return _cell_boundaries(np.zeros((1, 2)), np.zeros(1), domain)
+
+
+def _support(domain, u):
+    """max over the domain of u . x, from its exact sides and arcs: the
+    largest over the sides' corners, or u . centre + r on a ball."""
+    _, s, _, arc, centre, radius = _region_sides(domain)
+    if arc.any():
+        return u @ centre + radius
+    return np.max(u @ s.T, axis=1)
+
+
+@pytest.mark.parametrize("domain, area", [
+    (Domain.box([-0.5, 1.0], [2.0, 1.75]), 2.5 * 0.75),
+    (_TRIANGLE, 0.5),
+    (Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 1.0]],
+                     [0.0, 0.0, 1.0, 0.25]), 0.5 - 0.75 * 0.375 / 2),
+    (Domain.ball([1.0, 2.0], 0.5), np.pi * 0.25)])
+def test_region_sides_enclose_the_region(domain, area):
+    # the pieces, sampled as polylines with both ends, lie on the boundary
+    # and run counterclockwise: their shoelace area is the region's, or on
+    # a ball its inscribed polygon's (the arcs are at most pi / 8 wide)
+    _, s, d, arc, centre, radius = _region_sides(domain)
+    n, k = s.shape[0], 64
+    pts, _ = _Sectors(s=s, d=d, arc=arc).curve(
+        np.tile(np.linspace(0.0, 1.0, k + 1), (n, 1)), centre, radius)
+    x, y = pts[..., 0], pts[..., 1]
+    shoelace = 0.5 * np.sum(x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:])
+    flat = pts.reshape(-1, 2)
+    if domain.kind == "ball":
+        assert np.all(arc) and np.all(np.abs(s[:, 1]) <= np.pi / 8 + 1e-15)
+        np.testing.assert_allclose(np.hypot(*(flat - centre).T), radius,
+                                   rtol=1e-14)
+        assert shoelace < area
+        area = 0.5 * n * k * radius ** 2 * np.sin(2 * np.pi / (n * k))
+    else:
+        assert not np.any(arc)
+        ha, hb = domain.halfspaces()
+        assert np.all(flat @ ha.T <= hb + 1e-14)
+    assert shoelace == pytest.approx(area, rel=1e-14)
+
+
 @pytest.mark.parametrize("domain, area", [
     (Domain.box([-0.5, 1.0], [2.0, 1.75]), 2.5 * 0.75),
     (_TRIANGLE, 0.5),
@@ -622,7 +672,7 @@ def test_cells_tile_the_domain(w_const, domain, area):
     rng = rng_for("tiling", int(area * 100))
     angle = rng.uniform(0.0, 2.0 * np.pi, 60)
     u = np.column_stack([np.cos(angle), np.sin(angle)])
-    support = np.max(u @ (domain.boundary(4096) - centre).T, axis=1)
+    support = _support(domain, u) - u @ centre
     touch = centre + (support + rng.uniform(0.05, 0.95, 60)
                       * (reach - support))[:, None] * u
     steep = rng.uniform(0.2, 3.0, 60)[:, None] * u

@@ -65,6 +65,8 @@ def test_rejects_bad_p_and_m_list():
         validate_config(_cfg(m_list=[4, 0]))
     with pytest.raises(ConfigError, match="m_list"):
         validate_config(_cfg(m_list=[]))
+    with pytest.raises(ConfigError, match="seed must be a non-negative"):
+        validate_config(_cfg(seed=-1))
 
 
 def test_strategy_spellcheck():
@@ -356,6 +358,42 @@ def test_threads_flag_below_one_is_rejected(tmp_path, monkeypatch, capsys):
         assert "--threads must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, flag, bad", [
+    ("approximate", "--m", "0"), ("approximate", "--m", "-3"),
+    ("zador", "--n", "0"), ("zador", "--n", "-1"),
+    ("zador", "--trials", "0"),
+    ("legendre", "--grid", "1"), ("legendre", "--dual-grid", "0"),
+    ("zador", "--seed", "-1"), ("sweep", "--seed", "-1")])
+def test_integer_flag_below_its_floor_is_exit_2(tmp_path, capsys, verb,
+                                                flag, bad):
+    # an out-of-range count is a config error naming its flag, never a
+    # silent default or a numeric failure
+    argv = [verb, flag, bad]
+    if verb != "zador":
+        argv += ["--config", _write_cfg(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag + " must be" in err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["approximate", "--m", "3"],
+     "pieces 3\nmax_violation -2.4479612781291848e-10\n"
+     "sup_gap 0.013887208823624951\n"),
+    (["zador", "--n", "1", "--m-list", "16", "--trials", "2"],
+     "estimate 0.083185238207500484\nhalf_width 0.0002212627107076481\n"
+     "reference 0.083333333333333329\n"
+     "relative_gap -0.0017771415099941956\n"),
+    (["legendre", "--grid", "9", "--dual-grid", "5"],
+     "truncated 0\ndual_bound 1.0500000010000001\n")])
+def test_integer_flags_at_valid_values_keep_their_bytes(tmp_path, capsys,
+                                                        argv, out):
+    if argv[0] != "zador":
+        argv = argv + ["--config", _write_cfg(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_threads_env_below_one_is_rejected(tmp_path, monkeypatch, capsys):
     # the environment obeys the same rule as --threads instead of clamping
     cfg = _write_cfg(tmp_path, m_list=[2, 4])
@@ -415,6 +453,9 @@ def test_public_api_resolves():
     for gone in ("pieces", "from_pieces"):
         assert not hasattr(maxaffine.PiecewiseAffineMax, gone), gone
     assert not hasattr(maxaffine.approximator, "envelope_error_1d")
+    # a planar region's boundary is described once, by the cell integrals
+    for gone in ("boundary", "_polygon_vertices"):
+        assert not hasattr(maxaffine.Domain, gone), gone
 
 
 @pytest.mark.parametrize("how", ["--p nan", "--p inf", "json NaN"])
