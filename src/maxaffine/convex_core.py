@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import _ROW_BLOCK
+
 
 class DomainError(ValueError):
     """A point or region fell outside the domain of definition."""
@@ -209,18 +211,33 @@ class Domain:
         return self._data["chebyshev"].copy()
 
     def sample(self, rng, count):
-        """Uniform sample of the region (rejection for non-boxes)."""
+        """Uniform sample of the region (rejection for non-boxes).
+
+        A non-box draws batches of ``max(count, 1024)`` rows from its
+        bounding box and keeps the rows inside, in order, until it has
+        ``count``.  Each batch is drawn ``_ROW_BLOCK`` rows at a time, and
+        the rest of the last batch is drawn and dropped, so ``rng`` ends
+        where one draw of every whole batch leaves it.
+        """
         lo, hi = self.bounding_box()
         if self.kind == "box":
-            return lo + rng.random((count, self.dim)) * (hi - lo)
+            # in place, with the sums of lo + u * (hi - lo)
+            out = rng.random((count, self.dim))
+            out *= hi - lo
+            out += lo
+            return out
         out = np.empty((count, self.dim))
         got = 0
         while got < count:
-            batch = lo + rng.random((max(count, 1024), self.dim)) * (hi - lo)
-            keep = batch[self.contains(batch)]
-            take = min(count - got, keep.shape[0])
-            out[got:got + take] = keep[:take]
-            got += take
+            rows = max(count, 1024)
+            for start in range(0, rows, _ROW_BLOCK):
+                unit = rng.random((min(_ROW_BLOCK, rows - start), self.dim))
+                if got < count:
+                    block = lo + unit * (hi - lo)
+                    keep = block[self.contains(block)]
+                    take = min(count - got, keep.shape[0])
+                    out[got:got + take] = keep[:take]
+                    got += take
         return out
 
     def mask(self, x, vals):

@@ -168,15 +168,15 @@ def stratified_sampler(lower, upper, samples, rng):
     return draw, s ** n * per, per
 
 
-def evaluate_rows(func, rows, total, step=_ROW_BLOCK):
+def evaluate_rows(func, rows, total, step=_ROW_BLOCK, dtype=float):
     """``func`` at ``total`` rows, called on at most ``step`` rows at a time.
 
     ``rows(block)`` builds the rows of the slice ``block``.  The blocks
     go in order, so a random stream drawn inside ``rows`` gives the same
     numbers as one draw of every row, and no temporary of ``func`` grows
-    with ``total``.  Returns the values as one float array.
+    with ``total``.  Returns the values as one array of ``dtype``.
     """
-    out = np.empty(total)
+    out = np.empty(total, dtype=dtype)
     for start in range(0, total, step):
         block = slice(start, min(start + step, total))
         out[block] = func(rows(block))

@@ -56,10 +56,19 @@ box of its rows exceeds the bucket's largest distance by the factor
 arithmetic, and ties go to the smallest cloud index, so the picks are
 those of ``np.argmax`` over a full pass at every step.
 
+A weighted cloud is drawn by rejection from the bounding box, in batches
+of ``4 * count`` proposals (at least 4,096).  The stream order is that of
+one draw per batch: all proposals of a batch, then its keep draws (see
+``_draw_cloud``).  The draw, the first score and bucket keys of seeding,
+and the assignment's kd-tree queries and own-center distances go
+``quadrature._ROW_BLOCK`` rows at a time, so no temporary but the cloud
+and its per-point state grows with the cloud.
+
 Everything is deterministic for a fixed seed; restarts use independent,
 reproducible substreams.
 """
 
+import copy
 import logging
 from dataclasses import dataclass, field
 
@@ -68,7 +77,7 @@ from scipy.spatial import cKDTree
 
 from .convex_core import (_SLACK, DomainError, MetricError, QuadraticForm,
                           rowdot)
-from .quadrature import ErrorReport, evaluate_rows, integrate
+from .quadrature import _ROW_BLOCK, ErrorReport, evaluate_rows, integrate
 
 log = logging.getLogger(__name__)
 
@@ -116,6 +125,15 @@ def _draw_cloud(region, density, count, rng):
     region volume (for boxes/balls) so the objective has no normalization
     noise.  Otherwise rejection sampling against the bounding box is used
     and the mass is estimated from the acceptance rate.
+
+    The stream order is that of one draw per batch: all proposals of a
+    batch, then one keep draw per proposal.  The batch is worked through
+    ``_ROW_BLOCK`` rows at a time all the same: the proposals come from
+    ``rng``, and the keep draws from a copy of its bit generator (a PCG64,
+    as ``default_rng`` makes) advanced past the batch's proposals.  A
+    batch that is kept hands the copy's state to ``rng``; a batch that
+    restarts the draw leaves ``rng`` after its proposals, where the one
+    draw per batch, which took no keep draws then, left it.
     """
     lo, hi = region.bounding_box()
     box_vol = float(np.prod(hi - lo))
@@ -139,22 +157,29 @@ def _draw_cloud(region, density, count, rng):
     pts = np.empty((count, region.dim))
     got = proposed = accepted = 0
     while got < count:
-        batch = lo + rng.random((max(4 * count, 4096), region.dim)) * (hi - lo)
-        vals = evaluate_rows(
-            lambda x: region.mask(x, np.asarray(density(x), dtype=float)),
-            lambda block: batch[block], len(batch))
-        vmax = vals.max() if vals.size else 0.0
+        rows = max(4 * count, 4096)
+        keeps = copy.deepcopy(rng)
+        keeps.bit_generator.advance(rows * region.dim)
+        vmax, kept = 0.0, 0
+        for start in range(0, rows, _ROW_BLOCK):
+            block = lo + rng.random(
+                (min(_ROW_BLOCK, rows - start), region.dim)) * (hi - lo)
+            vals = region.mask(block, np.asarray(density(block), dtype=float))
+            # np.maximum keeps a NaN, as the whole batch's max does
+            vmax = np.maximum(vmax, vals.max())
+            keep = keeps.random(len(block)) * bound < vals
+            kept += int(keep.sum())
+            sel = block[keep]
+            take = min(count - got, sel.shape[0])
+            pts[got:got + take] = sel[:take]
+            got += take
         if vmax > bound:  # envelope was too low; restart with more headroom
             bound = 1.5 * vmax
             got = proposed = accepted = 0
             continue
-        keep = rng.random(len(batch)) * bound < vals
-        proposed += len(batch)
-        accepted += int(keep.sum())
-        sel = batch[keep]
-        take = min(count - got, sel.shape[0])
-        pts[got:got + take] = sel[:take]
-        got += take
+        rng.bit_generator.state = keeps.bit_generator.state
+        proposed += rows
+        accepted += kept
         if proposed > 1000 * count:
             raise ValueError("density appears to be (almost) everywhere zero")
     mass = box_vol * bound * accepted / proposed
@@ -181,15 +206,22 @@ class _BucketArgmax:
         count, dim = points.shape
         per_axis = max(1, int(np.floor((count / 64) ** (1.0 / dim))))
         lo, hi = points.min(axis=0), points.max(axis=0)
-        cell = np.zeros(count, dtype=np.intp)
-        for k in range(dim):
-            cell *= per_axis
-            if hi[k] > lo[k]:
-                step = per_axis / (hi[k] - lo[k])
-                cell += np.minimum(((points[:, k] - lo[k]) * step)
-                                   .astype(np.intp), per_axis - 1)
+
+        def keys(rows):
+            cell = np.zeros(rows.shape[0], dtype=np.intp)
+            for k in range(dim):
+                cell *= per_axis
+                if hi[k] > lo[k]:
+                    step = per_axis / (hi[k] - lo[k])
+                    cell += np.minimum(((rows[:, k] - lo[k]) * step)
+                                       .astype(np.intp), per_axis - 1)
+            return cell
+
+        cell = evaluate_rows(keys, lambda block: points[block], count,
+                             dtype=np.intp)
         self.order = np.argsort(cell, kind="stable")
         sizes = np.bincount(cell)
+        del cell
         self.sizes = sizes[sizes > 0]
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.points = points[self.order]
@@ -198,7 +230,10 @@ class _BucketArgmax:
         self.score = score[self.order]
         self.best = np.empty(self.sizes.size)
         self.first = np.empty(self.sizes.size, dtype=np.intp)
-        self.update(np.arange(self.sizes.size))
+        # the first refresh goes about _ROW_BLOCK rows at a time
+        cuts = np.searchsorted(self.starts, np.arange(0, count, _ROW_BLOCK))
+        for hit in np.split(np.arange(self.sizes.size), cuts[1:]):
+            self.update(hit)
 
     def argmax(self):
         """Cloud index of the first row holding the largest score."""
@@ -237,8 +272,9 @@ def _fps_select(cloud_w, m, rng):
     """
     chosen = np.empty(m, dtype=int)
     chosen[0] = rng.integers(cloud_w.shape[0])
-    diff = cloud_w - cloud_w[chosen[0]]
-    runs = _BucketArgmax(cloud_w, np.einsum("ij,ij->i", diff, diff))
+    runs = _BucketArgmax(cloud_w, evaluate_rows(
+        lambda diff: np.einsum("ij,ij->i", diff, diff),
+        lambda block: cloud_w[block] - cloud_w[chosen[0]], cloud_w.shape[0]))
 
     def rescore(rows):
         diff = runs.points[rows] - center
@@ -402,20 +438,27 @@ class _BoundedAssigner:
             local = np.full_like(shift, shift[shift > far].max(initial=0.0))
             np.maximum.at(local, pairs["i"], shift[pairs["j"]])
             # the (1 - slack) factor absorbs the rounding of this update
-            self.bound = (self.bound * (1.0 - _SLACK)
-                          - np.take(local, self.idx) * (1.0 + _SLACK))
-            dist = cloud_w - np.take(centers_w, self.idx, axis=0)
-            dist = np.sqrt(rowdot(dist, dist))
+            lower = np.take(local, self.idx)
+            lower *= 1.0 + _SLACK
+            self.bound *= 1.0 - _SLACK
+            self.bound -= lower
+            del lower
+            dist = evaluate_rows(
+                lambda d: np.sqrt(rowdot(d, d)),
+                lambda block: cloud_w[block]
+                - np.take(centers_w, self.idx[block], axis=0),
+                cloud_w.shape[0])
             stale = np.flatnonzero(dist * (1.0 + _SLACK) >= self.bound)
         # the tree is built on a copy: it does not copy its data, and the
         # empty-cell branch of quantize edits centers in place
         self.centers = centers_w.copy()
         self.tree = cKDTree(self.centers)
         idx = self.idx
-        if stale.size:
-            d, i = self.tree.query(cloud_w[stale], k=2)
-            dist[stale], idx[stale], self.bound[stale] = d[:, 0], i[:, 0], d[:, 1]
-            tie = stale[d[:, 0] == d[:, 1]]
+        for start in range(0, stale.size, _ROW_BLOCK):
+            rows = stale[start:start + _ROW_BLOCK]
+            d, i = self.tree.query(cloud_w[rows], k=2)
+            dist[rows], idx[rows], self.bound[rows] = d[:, 0], i[:, 0], d[:, 1]
+            tie = rows[d[:, 0] == d[:, 1]]
             if tie.size:
                 # a two-neighbour query breaks exact ties unlike a
                 # one-neighbour query; keep the latter's choice
@@ -462,6 +505,7 @@ def quantize(region, density, config, _cloud=None):
         else:
             norm = mass / cloud.shape[0]
         cloud_w = cloud @ w.T
+        del cloud
         assign = _BoundedAssigner(cloud_w)
 
         if config.m == 1:

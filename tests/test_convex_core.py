@@ -101,6 +101,38 @@ def _triangle():
                            [0.0, 0.0, 1.0])
 
 
+def _sample_whole(domain, rng, count):
+    """``Domain.sample`` as it drew each rejection batch in one call."""
+    lo, hi = domain.bounding_box()
+    if domain.kind == "box":
+        return lo + rng.random((count, domain.dim)) * (hi - lo)
+    out = np.empty((count, domain.dim))
+    got = 0
+    while got < count:
+        batch = lo + rng.random((max(count, 1024), domain.dim)) * (hi - lo)
+        keep = batch[domain.contains(batch)]
+        take = min(count - got, keep.shape[0])
+        out[got:got + take] = keep[:take]
+        got += take
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 700, 65_536, 100_000])
+@pytest.mark.parametrize("kind", ["box", "ball", "triangle"])
+def test_sample_matches_whole_batch(kind, count):
+    # 700 rows draw one batch of 1,024 proposals; 65,536 one batch of one
+    # block; 100,000 two batches of a block and a part, the second cut
+    # short and the rest drawn and dropped
+    domain = {"box": Domain.box([-0.5, 0.0], [1.0, 1.0]),
+              "ball": Domain.ball([0.1, -0.2], 0.9),
+              "triangle": _triangle()}[kind]
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got, want = domain.sample(rng, count), _sample_whole(domain, ref, count)
+    np.testing.assert_array_equal(got, want, strict=True)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
 def test_domain_mask_per_kind():
     # lo + 1.0 * (hi - lo) rounds to 1.3800000000000001 > hi: a box keeps
     # that node, and every value, as it is

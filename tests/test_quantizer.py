@@ -1,5 +1,7 @@
 """Lloyd quantizer: brute-force oracles, invariants, metric equivariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -210,21 +212,23 @@ def _fps_reference(cloud, m, rng):
     return cloud[chosen]
 
 
-@pytest.mark.parametrize("cloud_kind", ["random", "lattice"])
+@pytest.mark.parametrize("cloud_kind", ["random", "lattice", "large"])
 def test_bounded_assignment_matches_full_query(cloud_kind):
-    # the lattice case puts centers and points on a dyadic grid, so exact
+    # the lattice cases put centers and points on a dyadic grid, so exact
     # distance ties between two centers are common and must be broken as
-    # a one-neighbour kd-tree query breaks them
+    # a one-neighbour kd-tree query breaks them; the large one has more
+    # points than one block of the queries and own-center distances
     rng = rng_for("bounded-assign", 0 if cloud_kind == "random" else 1)
     if cloud_kind == "random":
         cloud = rng.random((6000, 2))
         centers = rng.random((40, 2))
     else:
-        cloud = rng.integers(0, 33, size=(6000, 2)) / 32.0
+        size = 70_000 if cloud_kind == "large" else 6000
+        cloud = rng.integers(0, 33, size=(size, 2)) / 32.0
         centers = np.unique(rng.integers(0, 9, size=(40, 2)) / 8.0, axis=0)
 
     def dyadic(x):
-        return np.round(x * 1024.0) / 1024.0 if cloud_kind == "lattice" else x
+        return np.round(x * 1024.0) / 1024.0 if cloud_kind != "random" else x
 
     # a dense cluster around the center farthest from center 0, and a few
     # points far outside the square whose cell then reaches further than
@@ -399,6 +403,9 @@ def _fps_cloud(kind):
     if kind == "anisotropic":
         # thin buckets and distances dominated by one axis
         return rng.random((5000, 3)) * [1000.0, 1.0, 1e-3]
+    if kind == "large":
+        # more rows than one block: the buckets' first refresh goes in parts
+        return rng.integers(0, 257, size=(70_000, 2)) / 256.0
     # a far row alone in its bucket
     return np.vstack([rng.integers(0, 9, size=(3000, 2)) / 8.0, [[3.0, 3.0]]])
 
@@ -406,7 +413,7 @@ def _fps_cloud(kind):
 @pytest.mark.parametrize("m", [1, 2, 30, 81, 100])
 def test_pruned_fps_matches_full_pass(m):
     # m = 100 exhausts the 81 distinct rows of the 2-d lattice
-    for kind in ("lattice", "lattice3d", "anisotropic", "lone"):
+    for kind in ("lattice", "lattice3d", "anisotropic", "lone", "large"):
         cloud = _fps_cloud(kind)
         ref = _fps_reference(cloud, m, np.random.default_rng(m))
         got = _fps_select(cloud, m, np.random.default_rng(m))
@@ -561,6 +568,17 @@ _CLOUD_REGIONS = {
                                 [0.0, 0.0, 1.0])}
 
 
+def _assert_draw_matches(region, density, count, seed=3):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = quantizer._draw_cloud(region, density, count, rng)
+    want = _draw_cloud_whole(region, density, count, ref)
+    np.testing.assert_array_equal(got[0], want[0], strict=True)
+    assert got[1] == want[1]
+    # the generator ends where the whole-batch draw leaves it
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
 @pytest.mark.parametrize("kind", sorted(_CLOUD_REGIONS))
 @pytest.mark.parametrize("cid, params", [
     ("quadratic", {"hessian": [[2.0, 0.5], [0.5, 1.0]], "linear": [0.3, -0.7]}),
@@ -568,15 +586,69 @@ _CLOUD_REGIONS = {
     ("quartic", {}), ("huber", {"delta": 0.4})],
     ids=["quadratic", "cosh_quadratic", "exp_sum", "quartic", "huber"])
 def test_draw_cloud_matches_whole_batch(cid, params, kind):
-    # 20,000 points draw batches of 80,000 proposals: two slices each
+    # 20,000 points draw batches of 80,000 proposals: a block and a part
     region = _CLOUD_REGIONS[kind]
     f = catalog_entry(cid, params, region)
     for omega in (WeightFunction.exp_neg_t(),
                   WeightFunction.affine_x([0.2, -0.1], offset=2.0)):
-        density = _law_density(f, omega, 1.5)
-        got = quantizer._draw_cloud(region, density, 20_000,
-                                    np.random.default_rng(3))
-        want = _draw_cloud_whole(region, density, 20_000,
-                                 np.random.default_rng(3))
-        np.testing.assert_array_equal(got[0], want[0], strict=True)
-        assert got[1] == want[1]
+        _assert_draw_matches(region, _law_density(f, omega, 1.5), 20_000)
+
+
+@pytest.mark.parametrize("kind", sorted(_CLOUD_REGIONS))
+@pytest.mark.parametrize("count", [1_000, 5_000, 16_384, 32_768])
+def test_draw_cloud_block_edges(kind, count):
+    # batches of 4,096 and 20,000 proposals, less than a block, and of
+    # exactly one and two blocks; no density samples the region uniformly
+    region = _CLOUD_REGIONS[kind]
+    f = catalog_entry("cosh_quadratic", {}, region)
+    for density in (_law_density(f, WeightFunction.exp_neg_t(), 2.0), None):
+        _assert_draw_matches(region, density, count)
+
+
+def test_draw_cloud_restart_matches_whole_batch():
+    # a spike on 5e-5 of the box: the 4,096-point probe misses it, the
+    # first batch of 80,000 proposals hits it and restarts the draw with
+    # more headroom, and the next batches keep one proposal in 15
+    region = _CLOUD_REGIONS["box"]
+    seen = []
+
+    def density(x):
+        near = np.sum((x - [0.3, 0.6]) ** 2, axis=1) < 0.005 ** 2
+        vals = np.where(near, 10.0, 1.0)
+        seen.append(vals.max())
+        return vals
+
+    _assert_draw_matches(region, density, 20_000, seed=4)
+    # the first call is the probe of the blocked draw
+    assert seen[0] == 1.0 and 10.0 in seen[1:]
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_draw_cloud_memory_stays_in_blocks():
+    # m = 1024 of the unit-square quadratic at constant weight: 204,800
+    # points from batches of 819,200 proposals, 13 MB a batch where a
+    # block of 65,536 is 1 MB; beyond the cloud the draw needs a few blocks
+    region = Domain.box([0.0, 0.0], [1.0, 1.0])
+    f = catalog_entry("quadratic", {"hessian": [[1.0, 0.0], [0.0, 1.0]]},
+                      region)
+    density = _law_density(f, WeightFunction.constant(), 1.0)
+    (pts, _), peak = _traced_peak(quantizer._draw_cloud, region, density,
+                                  204_800, np.random.default_rng(0))
+    assert peak - pts.nbytes < 8 * 2**20
+
+
+def test_fps_memory_stays_in_blocks():
+    # m = 1024 on 204,800 rows: the bucket engine keeps a copy of the
+    # cloud, its order and the running score, twice the cloud; the first
+    # score, the bucket keys and the first refresh need a few blocks more
+    cloud = rng_for("fps-memory", 0).random((204_800, 2))
+    _, peak = _traced_peak(_fps_select, cloud, 1024, np.random.default_rng(0))
+    assert peak - 2 * cloud.nbytes < 6 * 2**20
