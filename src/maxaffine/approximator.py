@@ -43,7 +43,8 @@ Strategies
     ^(p-1) omega, is smooth for every p > 0.  Initialized at quantiles of
     the asymptotically optimal density (f'')^(p/(1+2p)) *
     omega^(1/(1+2p)), then polished by one damped Newton method with a
-    tridiagonal finite-difference Jacobian, for every p > 0.  One tangent
+    tridiagonal finite-difference Jacobian, for every p > 0, which stops
+    at 1e-12 of the residual's scale or at its rounding floor.  One tangent
     (m = 1) minimizes the exact 1-d error instead.
     A merely convex f may want a tangent at the edge of an affine piece,
     where the residual jumps (p < 1) or its slope is singular (p < 2), and
@@ -216,13 +217,39 @@ def _split_cell_halves(f, omega, p, t, interval):
     Returns shape (cells, 2): the left and right halves.  A half of zero
     width adds 0; where the gap vanishes the term is 0.
     """
-    a, b = interval
     ft = f.value(t.reshape(-1, 1))
     gt = f.gradient(t.reshape(-1, 1))[:, 0]
+    return _halves(f, omega, p, t, ft, gt, _half_widths(t, ft, gt, interval))
+
+
+def _half_widths(t, ft, gt, interval):
+    """Widths of the cells' left and right halves, shape (cells, 2)."""
+    a, b = interval
     inner = _crossings(t, ft, gt) if len(t) > 1 else np.empty(0)
-    h = np.stack([t - np.concatenate([[a], inner]),
-                  np.concatenate([inner, [b]]) - t], axis=1)
-    return _halves(f, omega, p, t, ft, gt, h)
+    return np.stack([t - np.concatenate([[a], inner]),
+                     np.concatenate([inner, [b]]) - t], axis=1)
+
+
+def _residual_floor(f, p, t, halves, interval):
+    """How far one ulp of rounding in each crossing of the tangents at
+    sorted t moves each cell's residual.
+
+    The crossing of tangents j and j + 1 rounds by eps (|f(t_j)| +
+    |f(t_{j+1})| + |t_j f'(t_j)| + |t_{j+1} f'(t_{j+1})|) / (f'(t_{j+1}) -
+    f'(t_j)).  A half of width w whose integral H goes like w^(2p) moves
+    by 2p H / w per unit of its edge; ``halves`` gives H, the cells'
+    halves at the solve's start.
+    """
+    ft = f.value(t.reshape(-1, 1))
+    gt = f.gradient(t.reshape(-1, 1))[:, 0]
+    h = _half_widths(t, ft, gt, interval)
+    size = np.abs(ft) + np.abs(t * gt)
+    slip = (np.finfo(float).eps * (size[:-1] + size[1:])
+            / (gt[1:] - gt[:-1]))
+    shift = np.stack([np.concatenate([[0.0], slip]),
+                      np.concatenate([slip, [0.0]])], axis=1)
+    rate = np.divide(2.0 * p * halves, h, out=np.zeros_like(h), where=h > 0)
+    return np.sum(rate * shift, axis=1)
 
 
 def _halves(f, omega, p, t, ft, gt, h):
@@ -309,20 +336,26 @@ def _newton_polish(f, omega, p, t, interval):
 
 
 def _newton(f, omega, p, t, held, interval):
-    """Damped Newton on the residuals of the points not held; a line search
-    that finds no decrease ends the solve.  Returns the points, their
-    residuals and the scale the stop is measured against: the largest
-    free cell's integral of (f - l_j)^(p-1) |x - t_j| omega at the start."""
+    """Damped Newton on the residuals of the points not held.
+
+    The solve stops once the largest free residual is within 1e-12 of its
+    scale, the largest free cell's integral of (f - l_j)^(p-1) |x - t_j|
+    omega at the start, or once every free residual is within its rounding
+    floor (``_residual_floor``), below which no step can be told from
+    noise.  A line search that finds no decrease ends it too.  Returns the
+    points, their residuals and the scale."""
     halves = _split_cell_halves(f, omega, p, t, interval)
     res = halves[:, 1] - halves[:, 0]
-    ref = max(float(np.max(np.sum(halves[~held], axis=1), initial=0.0)),
+    free = ~held
+    ref = max(float(np.max(np.sum(halves[free], axis=1), initial=0.0)),
               1e-300)
     tol = 1e-12 * ref
     a, b = interval
     fixed = np.flatnonzero(held)
     for _ in range(_MAX_NEWTON):
-        rnorm = float(np.max(np.abs(res[~held]), initial=0.0))
-        if rnorm <= tol:
+        rnorm = float(np.max(np.abs(res[free]), initial=0.0))
+        if rnorm <= tol or np.all(np.abs(res[free]) <= _residual_floor(
+                f, p, t, halves, interval)[free]):
             break
         try:
             jac = _fd_tridiag_jacobian(f, omega, p, t, interval, res)
@@ -344,7 +377,7 @@ def _newton(f, omega, p, t, held, interval):
                                                     interval)
                 except ValueError:
                     tres = None
-                if tres is not None and np.max(np.abs(tres[~held])) <= \
+                if tres is not None and np.max(np.abs(tres[free])) <= \
                         (1 - 1e-4 * lam) * rnorm:
                     t, res = trial, tres
                     break

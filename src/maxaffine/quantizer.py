@@ -180,7 +180,7 @@ def _draw_cloud(region, density, count, rng):
         rng.bit_generator.state = keeps.bit_generator.state
         proposed += rows
         accepted += kept
-        if proposed > 1000 * count:
+        if got < count and proposed > 1000 * count:
             raise ValueError("density appears to be (almost) everywhere zero")
     mass = box_vol * bound * accepted / proposed
     return pts, mass

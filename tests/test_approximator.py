@@ -2,6 +2,7 @@
 
 import logging
 import math
+import sys
 import time
 
 import numpy as np
@@ -154,6 +155,60 @@ def test_quantile_start_is_stationary_at_p1(cid, params, weight, m):
     halves = _split_cell_halves(f, omega, 1.0, t, (-1.0, 1.0))
     res = halves[:, 1] - halves[:, 0]
     assert np.max(np.abs(res)) <= 1e-9 * np.max(np.sum(halves, axis=1))
+
+
+def _start_and_floor(f, omega, p, m):
+    """The solve's quantile start, its residual and its rounding floor."""
+    a, b = -1.0, 1.0
+    t = np.clip(quantile_abscissas(f, omega, p, m),
+                a + 1e-12 * (b - a), b - 1e-12 * (b - a))
+    halves = _split_cell_halves(f, omega, p, t, (a, b))
+    floor = approximator._residual_floor(f, p, t, halves, (a, b))
+    return t, halves, halves[:, 1] - halves[:, 0], floor
+
+
+@pytest.mark.parametrize("m", [16, 256])
+@pytest.mark.parametrize("p", [0.25, 1.0, 2.0])
+@pytest.mark.parametrize("cid, params, weight", [
+    (cid, params, weight)
+    for cid, params in [("quadratic", {}), ("cosh_quadratic", {}),
+                        ("exp_sum", {}), ("quartic", {}),
+                        ("quartic", {"eps": 0.0}), ("huber", {})]
+    for weight in ("constant", "exp_neg_t")
+    # the uniform midpoints of x^2/2 at constant weight are the optimum
+    if (cid, weight) != ("quadratic", "constant")])
+def test_rounding_floor_cannot_stop_a_solve_at_its_start(cid, params, weight,
+                                                         p, m):
+    f = catalog_entry(cid, params, Domain.box([-1.0], [1.0]))
+    omega = WeightFunction(weight, {})
+    _, _, res, floor = _start_and_floor(f, omega, p, m)
+    assert np.all(floor >= 0.0)
+    assert np.any(np.abs(res) >= 100.0 * floor)
+
+
+def test_newton_stops_at_its_rounding_floor(w_const, monkeypatch):
+    # at m = 1024 the residual bottoms out above 1e-12 of its scale; the
+    # solve must end there, not after line searches that cannot pass
+    f = catalog_entry("cosh_quadratic", {}, Domain.box([-1.0], [1.0]))
+    p, m = 2.0, 1024
+    residual = approximator.stationarity_residual_1d
+    trials = [0]        # line-search trials of each Newton step
+
+    def counted(*args):
+        if sys._getframe(1).f_code.co_name == "_newton":
+            trials[-1] += 1
+        elif trials[-1]:            # a Jacobian column opens a new step
+            trials.append(0)
+        return residual(*args)
+
+    monkeypatch.setattr(approximator, "stationarity_residual_1d", counted)
+    t = optimal_tangent_abscissas_1d(f, w_const, p, m)
+    assert len(trials) > 1 and max(trials) < 25, trials
+    _, halves, _, _ = _start_and_floor(f, w_const, p, m)
+    ref = np.max(np.sum(halves, axis=1))
+    res = residual(f, w_const, p, t, (-1.0, 1.0))
+    floor = approximator._residual_floor(f, p, t, halves, (-1.0, 1.0))
+    assert np.all(np.abs(res) <= np.maximum(1e-12 * ref, floor))
 
 
 def test_quantile_abscissas_interlace(quad_1d, w_exp):

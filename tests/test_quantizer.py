@@ -555,7 +555,7 @@ def _draw_cloud_whole(region, density, count, rng):
         take = min(count - got, sel.shape[0])
         pts[got:got + take] = sel[:take]
         got += take
-        if proposed > 1000 * count:
+        if got < count and proposed > 1000 * count:
             raise ValueError("density appears to be (almost) everywhere zero")
     mass = box_vol * bound * accepted / proposed
     return pts, mass
@@ -603,6 +603,26 @@ def test_draw_cloud_block_edges(kind, count):
     f = catalog_entry("cosh_quadratic", {}, region)
     for density in (_law_density(f, WeightFunction.exp_neg_t(), 2.0), None):
         _assert_draw_matches(region, density, count)
+
+
+@pytest.mark.parametrize("count", [1, 4, 5])
+def test_draw_cloud_small_counts(count):
+    # the first batch of 4,096 proposals is more than 1000 * count for
+    # count <= 4; a full cloud is not a density that is almost zero
+    region = _CLOUD_REGIONS["box"]
+    f = catalog_entry("cosh_quadratic", {}, region)
+    density = _law_density(f, WeightFunction.exp_neg_t(), 2.0)
+    pts, mass = quantizer._draw_cloud(region, density, count,
+                                      np.random.default_rng(3))
+    assert pts.shape == (count, 2) and np.all(region.contains(pts))
+    assert mass > 0
+    _assert_draw_matches(region, density, count)
+    # QuadratureSpec refuses fewer than 1,000 samples; a quantizer cloud
+    # of count points reaches the draw from the public API
+    ps = quantize(region, density, QuantizerConfig(m=min(count, 2), p=2.0,
+                                                   cloud_size=count))
+    assert ps.points.shape == (min(count, 2), 2)
+    assert np.all(np.isfinite(ps.objective_history))
 
 
 def test_draw_cloud_restart_matches_whole_batch():
