@@ -68,7 +68,7 @@ from .convex_core import (Domain, QuadraticForm, MetricError,
 from .error_eval import exact_1d_piecewise_integral
 from .functionals import law_density, law_exponents
 from .quadrature import _jacobi01, tensor_nodes
-from .quantizer import QuantizerConfig, _BucketArgmax, quantize
+from .quantizer import QuantizerConfig, _BucketArgmax, quantize, quantize_many
 
 log = logging.getLogger(__name__)
 
@@ -117,20 +117,20 @@ def partition_domain(f, l_pieces):
     counts[np.argmax(sides)] = l_pieces
     edges = [np.linspace(lo[k], hi[k], counts[k] + 1) for k in range(f.dim)]
 
-    cells, anchors = [], []
-    for idx in np.ndindex(*counts):
-        cl = np.array([edges[k][idx[k]] for k in range(f.dim)])
-        cu = np.array([edges[k][idx[k] + 1] for k in range(f.dim)])
-        center = (cl + cu) / 2.0
-        if f.domain.kind != "box":
-            # keep cells that meet the domain; anchor at a contained probe
-            probes = cl + _probe_lattice(f.dim) * (cu - cl)
-            inside = f.domain.contains(probes)
-            if not inside.any():
-                continue
-            center = probes[inside].mean(axis=0)
-        cells.append((cl, cu))
-        anchors.append(center)
+    cells = [(np.array([edges[k][idx[k]] for k in range(f.dim)]),
+              np.array([edges[k][idx[k] + 1] for k in range(f.dim)]))
+             for idx in np.ndindex(*counts)]
+    anchors = [(cl + cu) / 2.0 for cl, cu in cells]
+    if f.domain.kind != "box":
+        # keep cells that meet the domain; anchor at a contained probe
+        lows, highs = (np.array(side) for side in zip(*cells))
+        lattice = _probe_lattice(f.dim)
+        probes = lows[:, None] + lattice * (highs - lows)[:, None]
+        inside = f.domain.contains(probes.reshape(-1, f.dim)).reshape(
+            len(cells), -1)
+        hit = np.flatnonzero(inside.any(axis=1))
+        cells = [cells[i] for i in hit]
+        anchors = [probes[i][inside[i]].mean(axis=0) for i in hit]
 
     anchors = np.asarray(anchors)
     forms = [_safe_form(f.hessian(a)[0], f.dim) for a in anchors]
@@ -562,26 +562,23 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
         pieces -= 1
         part = partition_domain(f, pieces)
     alloc = allocate_budget(part, f, omega, p, m)
-    all_points = []
     nb = law_exponents(p, n)[1]
-    for i, (cell, d) in enumerate(zip(part.cells, alloc.budgets)):
-        if d == 0:
-            continue
-        region = Domain.box(cell[0], cell[1])
 
-        def dens(x):
-            # the metric is frozen per cell, so only the weight varies
-            w = np.asarray(omega(x, f.value(x)), dtype=float) ** nb
-            return f.domain.mask(x, w)
+    def dens(x):
+        # the metric is frozen per cell, so only the weight varies
+        w = np.asarray(omega(x, f.value(x)), dtype=float) ** nb
+        return f.domain.mask(x, w)
 
-        cfg = QuantizerConfig(m=int(d), p=p, metric=part.anchor_forms[i],
-                              seed=(seed * 1009 + i), restarts=restarts,
-                              max_iterations=max_iterations, tol=tol,
-                              cloud_size=cloud_size or max(2000, 200 * int(d)))
-        pts = quantize(region, dens, cfg).points
-        all_points.append(pts[f.domain.contains(pts)])
-    stacked = np.vstack(all_points)
-    return tangent_planes(f, stacked)
+    # every cell's quantizer in one call, which runs them in lockstep
+    problems = [(Domain.box(cell[0], cell[1]), dens,
+                 QuantizerConfig(m=int(d), p=p, metric=part.anchor_forms[i],
+                                 seed=(seed * 1009 + i), restarts=restarts,
+                                 max_iterations=max_iterations, tol=tol,
+                                 cloud_size=cloud_size or max(2000, 200 * int(d))))
+                for i, (cell, d) in enumerate(zip(part.cells, alloc.budgets))
+                if d > 0]
+    pts = np.vstack([ps.points for ps in quantize_many(problems)])
+    return tangent_planes(f, pts[f.domain.contains(pts)])
 
 
 def _plane(f, x):

@@ -14,10 +14,32 @@ over the cloud are needed.  Other exponents run a damped Newton per cell
 on the cell objective, convex for p >= 1/2, whose minimizer is the
 generalized centroid (Du, Faber and Gunzburger, SIAM Review 1999); each
 cell takes its own step, with its own line search, and stops once its
-predicted decrease is below 1e-15 of its objective, so a call costs about
-three passes for the cell sums and two trial evaluations.  The empirical
-objective is monotone across iterations by construction and this is
-asserted.
+predicted decrease is below 1e-15 of its objective.  Its sums go one
+bincount per column, and the rows of the cells that have stopped drop out
+of the passes once they are half of the rows, so no temporary holds more
+than a few columns.  The empirical objective is monotone across iterations by
+construction and this is asserted.
+
+Independent problems run in lockstep (``quantize_many``; ``quantize`` is
+a batch of one, and ``paper_partition`` hands over all of its cells at
+once).  Each restart is a problem of its own.  A group takes problems in
+order, of one dimension, while their clouds fit in ``quadrature._ROW_BLOCK``
+rows; a larger problem runs alone.  A group's clouds are drawn when it
+starts, stacked in order, with each problem's labels offset by the centers
+of the problems before it, and a problem that has converged (or scored its
+last update) leaves the group.  Per problem stay the cloud draw and its
+random stream, whitening, seeding, the kd-tree, its pair search and its
+queries, the objective's sum over the problem's own rows, the empty-cell
+re-seed, the projection into the region and the convergence test.  Once
+over the group go the own-center distances, the bound update and the
+stale test, the reach and the cell updates.  This is bit-identical to
+running the problems one by one: every per-row pass computes each row as
+it would alone, a bincount adds each cell's rows in the same order, and
+batched solves and dot products treat each cell on its own.  A cell
+update loop that runs on for another problem's cells leaves a stopped
+cell where it was: the Newton steps of a cell that has stopped, or whose
+problem has, do not move it.  What a group saves is the per-call cost of
+numpy on clouds of a few thousand rows, not arithmetic.
 
 Assignment reuses distance bounds across iterations (Hamerly, "Making
 k-means even faster", SDM 2010): each cloud point keeps its label, its
@@ -69,6 +91,7 @@ reproducible substreams.
 """
 
 import copy
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -320,8 +343,13 @@ def _p2_value(s, count, s1, s2, s3, s2tr, s4):
             + count * ss * ss)
 
 
-def _p2_cell_update(start, count, s1, s2, s3, s2tr, s4, steps=20):
-    """Damped Newton on the per-cell quartic objective, vectorized over cells."""
+def _p2_cell_update(start, count, s1, s2, s3, s2tr, s4, steps=20, cells=None):
+    """Damped Newton on the per-cell quartic objective, vectorized over cells.
+
+    ``cells`` cuts the cells into problems (default: one).  A problem with
+    a singular cell Hessian takes gradient steps in all its cells, as a call
+    on that problem alone would.
+    """
     m, dim = start.shape
     s = start.copy()
     val = _p2_value(s, count, s1, s2, s3, s2tr, s4)
@@ -349,6 +377,12 @@ def _p2_cell_update(start, count, s1, s2, s3, s2tr, s4, steps=20):
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = grad / np.maximum(tr, 1e-30)[:, None]
+            for a, b in itertools.pairwise((0, m) if cells is None else cells):
+                try:
+                    step[a:b] = np.linalg.solve(hess[a:b],
+                                                grad[a:b, :, None])[..., 0]
+                except np.linalg.LinAlgError:
+                    pass
         improved = np.zeros(m, dtype=bool)
         for alpha in (1.0, 0.5, 0.25, 0.05):
             trial = np.where(improved[:, None], s, s - alpha * step)
@@ -374,69 +408,131 @@ def _assign(cloud_w, centers_w):
     return np.asarray(dist), np.asarray(idx)
 
 
-class _BoundedAssigner:
-    """Nearest-center assignment of a fixed cloud to moving centers.
+def _line_assign(line, order, cloud_w, centers_w):
+    """``_assign`` on a line, from the cloud sorted once (``line`` is
+    ``cloud_w[order, 0]``): each cell is one run of the sorted cloud, cut
+    where the sorted midpoints fall."""
+    by_x = np.argsort(centers_w[:, 0], kind="stable")
+    c = centers_w[by_x, 0]
+    # a point on a midpoint goes to the left cell, as in _assign
+    ends = np.searchsorted(line, 0.5 * (c[1:] + c[:-1]), side="right")
+    idx = np.empty(line.size, dtype=np.intp)
+    idx[order] = np.repeat(by_x, np.diff(ends, prepend=0, append=line.size))
+    return np.abs(cloud_w[:, 0] - centers_w[idx, 0]), idx
 
-    Calls return what ``_assign`` returns, bit for bit, but after the first
-    call only the points whose label might have changed are queried.
-    Between calls it keeps, per point, the label, the own-center distance
-    and the lower bound on every other center's distance; per cell, the
-    reach (largest distance plus bound over its points); and a kd-tree of
-    the centers, whose pair search finds each cell's neighbourhood for the
-    next bound update (see the module docstring).  The own-center distance
-    is summed coordinate by coordinate, as the kd-tree sums fewer than
-    eight coordinates, so eight or more dimensions fall back to ``_assign``.
-    On a line the cloud is sorted once instead, so each cell is one run of
-    the sorted cloud, cut where the sorted midpoints fall.
+
+def _select(keep, rows, cells):
+    """Rows and cells of the problems ``keep`` (a mask over the problems
+    whose rows and cells start at the cuts ``rows`` and ``cells``): the row
+    and cell masks, the amount each kept row's label drops by, and the
+    kept problems' cuts."""
+    nrows, ncells = np.diff(rows)[keep], np.diff(cells)[keep]
+    new_cells = np.concatenate([[0], np.cumsum(ncells)])
+    drop = np.repeat(cells[:-1][keep] - new_cells[:-1], nrows)
+    return (np.repeat(keep, np.diff(rows)), np.repeat(keep, np.diff(cells)),
+            drop, np.concatenate([[0], np.cumsum(nrows)]), new_cells)
+
+
+class _BoundedAssigner:
+    """Nearest-center assignment of fixed clouds to moving centers, for a
+    group of independent problems at once.
+
+    ``cloud_w`` stacks the whitened clouds of the problems, problem k's
+    rows from ``rows[k]`` to ``rows[k + 1]`` (default: one problem).  A
+    call takes one center array per problem and returns the distances and
+    labels of every cloud row, each problem's labels offset by the centers
+    of the problems before it.  Each problem's rows and labels are those
+    of ``_assign`` on its own cloud and centers, bit for bit, but after
+    the first call only the points whose label might have changed are
+    queried.  Between calls it keeps, per point, the
+    label, the own-center distance and the lower bound on every other
+    center's distance; per cell, the reach (largest distance plus bound
+    over its points); and per problem a kd-tree of its centers, whose pair
+    search finds each cell's neighbourhood for the next bound update (see
+    the module docstring).  The own-center distance is summed coordinate
+    by coordinate, as the kd-tree sums fewer than eight coordinates, so
+    eight or more dimensions fall back to ``_assign``.  On a line each
+    cloud is sorted once instead.  The returned arrays are the assigner's
+    own and hold until the next call; ``keep`` drops finished problems.
     """
 
-    def __init__(self, cloud_w):
+    def __init__(self, cloud_w, rows=None):
         self.cloud_w = cloud_w
-        self.bounded = 1 < cloud_w.shape[1] < 8
+        self.rows = np.array([0, cloud_w.shape[0]] if rows is None else rows)
+        self.cells = None
         self.centers = None
+        self.bounded = 1 < cloud_w.shape[1] < 8
         if cloud_w.shape[1] == 1:
-            self.order = np.argsort(cloud_w[:, 0], kind="stable")
-            self.line = cloud_w[self.order, 0]
+            self.orders = [np.argsort(cloud_w[a:b, 0], kind="stable")
+                           for a, b in itertools.pairwise(self.rows)]
+            self.lines = [cloud_w[a:b, 0][o] for (a, b), o in zip(
+                itertools.pairwise(self.rows), self.orders)]
 
-    def _assign_line(self, centers_w):
-        order = np.argsort(centers_w[:, 0], kind="stable")
-        c = centers_w[order, 0]
-        # a point on a midpoint goes to the left cell, as in _assign
-        ends = np.searchsorted(self.line, 0.5 * (c[1:] + c[:-1]), side="right")
-        idx = np.empty(self.line.size, dtype=np.intp)
-        idx[self.order] = np.repeat(order, np.diff(ends, prepend=0,
-                                                   append=self.line.size))
-        return np.abs(self.cloud_w[:, 0] - centers_w[idx, 0]), idx
+    def keep(self, mask):
+        """Forget the problems where ``mask`` is False."""
+        rows, cells, drop, self.rows, self.cells = _select(
+            mask, self.rows, self.cells)
+        self.cloud_w = self.cloud_w[rows]
+        self.centers = self.centers[cells]
+        self.idx = self.idx[rows] - drop
+        if self.bounded:
+            self.bound, self.reach = self.bound[rows], self.reach[cells]
+            self.trees = [t for t, k in zip(self.trees, mask) if k]
+        elif self.cloud_w.shape[1] == 1:
+            self.orders = [o for o, k in zip(self.orders, mask) if k]
+            self.lines = [v for v, k in zip(self.lines, mask) if k]
 
-    def __call__(self, centers_w):
-        if self.cloud_w.shape[1] == 1:
-            return self._assign_line(centers_w)
+    def __call__(self, centers):
+        first = self.centers is None
+        sizes = [c.shape[0] for c in centers]
+        cells = np.cumsum([0] + sizes)
+        # the trees are built on this copy: a tree does not copy its data,
+        # and the empty-cell branch of quantize edits centers in place
+        stacked = np.concatenate(centers)
+        cloud_w, rows = self.cloud_w, self.rows
         if not self.bounded:
-            return _assign(self.cloud_w, centers_w)
-        cloud_w = self.cloud_w
-        if self.centers is None:
+            self.centers, self.cells = stacked, cells
+            self.idx = np.empty(cloud_w.shape[0], dtype=np.intp)
+            dist = np.empty(cloud_w.shape[0])
+            for k in range(len(centers)):
+                r = slice(rows[k], rows[k + 1])
+                if cloud_w.shape[1] == 1:
+                    dist[r], idx = _line_assign(self.lines[k], self.orders[k],
+                                                cloud_w[r], centers[k])
+                else:
+                    dist[r], idx = _assign(cloud_w[r], centers[k])
+                self.idx[r] = idx + cells[k]
+            return dist, self.idx
+        if first:
             self.idx = np.empty(cloud_w.shape[0], dtype=np.intp)
             self.bound = np.empty(cloud_w.shape[0])
             dist = np.empty(cloud_w.shape[0])
             stale = np.arange(cloud_w.shape[0])
         else:
-            step = centers_w - self.centers
+            step = stacked - self.centers
             shift = np.sqrt(np.einsum("ij,ij->i", step, step))
-            # a center that moved further than every cell's reach (an
-            # empty-cell re-seed) counts against every cell, which keeps
-            # the pair search local
-            far = self.reach.max()
+            # a center that moved further than every cell's reach of its
+            # problem (an empty-cell re-seed) counts against every cell,
+            # which keeps the pair search local
+            starts = cells[:-1]
+            far = np.maximum.reduceat(self.reach, starts)
+            spread = np.repeat(np.minimum(np.maximum.reduceat(shift, starts),
+                                          far), sizes)
             # slack on the radius absorbs the rounding of reach, shifts and
             # pair distances, and on the tree's search radius its own
-            radius = (self.reach + min(shift.max(), far)) * (1.0 + _SLACK)
-            pairs = self.tree.sparse_distance_matrix(
-                self.tree, radius.max() * (1.0 + _SLACK),
-                output_type="ndarray")
-            pairs = pairs[pairs["v"] <= radius[pairs["i"]]]
+            radius = (self.reach + spread) * (1.0 + _SLACK)
+            search = np.maximum.reduceat(radius, starts) * (1.0 + _SLACK)
+            pairs = [self.trees[k].sparse_distance_matrix(
+                self.trees[k], search[k], output_type="ndarray")
+                for k in range(len(centers))]
+            pi = np.concatenate([q["i"] + cells[k] for k, q in enumerate(pairs)])
+            pj = np.concatenate([q["j"] + cells[k] for k, q in enumerate(pairs)])
+            near = np.concatenate([q["v"] for q in pairs]) <= radius[pi]
             # far movers count for every cell, the rest through the pairs,
             # where each center also pairs with itself
-            local = np.full_like(shift, shift[shift > far].max(initial=0.0))
-            np.maximum.at(local, pairs["i"], shift[pairs["j"]])
+            movers = np.where(shift > np.repeat(far, sizes), shift, 0.0)
+            local = np.repeat(np.maximum.reduceat(movers, starts), sizes)
+            np.maximum.at(local, pi[near], shift[pj[near]])
             # the (1 - slack) factor absorbs the rounding of this update
             lower = np.take(local, self.idx)
             lower *= 1.0 + _SLACK
@@ -446,26 +542,233 @@ class _BoundedAssigner:
             dist = evaluate_rows(
                 lambda d: np.sqrt(rowdot(d, d)),
                 lambda block: cloud_w[block]
-                - np.take(centers_w, self.idx[block], axis=0),
+                - np.take(stacked, self.idx[block], axis=0),
                 cloud_w.shape[0])
             stale = np.flatnonzero(dist * (1.0 + _SLACK) >= self.bound)
-        # the tree is built on a copy: it does not copy its data, and the
-        # empty-cell branch of quantize edits centers in place
-        self.centers = centers_w.copy()
-        self.tree = cKDTree(self.centers)
+        self.centers, self.cells = stacked, cells
+        self.trees = [cKDTree(stacked[cells[k]:cells[k + 1]])
+                      for k in range(len(centers))]
         idx = self.idx
-        for start in range(0, stale.size, _ROW_BLOCK):
-            rows = stale[start:start + _ROW_BLOCK]
-            d, i = self.tree.query(cloud_w[rows], k=2)
-            dist[rows], idx[rows], self.bound[rows] = d[:, 0], i[:, 0], d[:, 1]
-            tie = rows[d[:, 0] == d[:, 1]]
-            if tie.size:
-                # a two-neighbour query breaks exact ties unlike a
-                # one-neighbour query; keep the latter's choice
-                dist[tie], idx[tie] = self.tree.query(cloud_w[tie], k=1)
-        self.reach = np.full(self.centers.shape[0], -np.inf)
+        ends = np.searchsorted(stale, rows)
+        for k, tree in enumerate(self.trees):
+            for start in range(ends[k], ends[k + 1], _ROW_BLOCK):
+                rows_k = stale[start:min(start + _ROW_BLOCK, ends[k + 1])]
+                d, i = tree.query(cloud_w[rows_k], k=2)
+                dist[rows_k], idx[rows_k] = d[:, 0], i[:, 0] + cells[k]
+                self.bound[rows_k] = d[:, 1]
+                tie = rows_k[d[:, 0] == d[:, 1]]
+                if tie.size:
+                    # a two-neighbour query breaks exact ties unlike a
+                    # one-neighbour query; keep the latter's choice
+                    dist[tie], i = tree.query(cloud_w[tie], k=1)
+                    idx[tie] = i + cells[k]
+        self.reach = np.full(stacked.shape[0], -np.inf)
         np.maximum.at(self.reach, idx, dist + self.bound)
-        return dist, idx.copy()
+        return dist, idx
+
+
+class _Run:
+    """One restart of one problem: its cloud and its Lloyd state."""
+
+    def __init__(self, region, density, config, w, w_inv, rows, restart,
+                 cloud):
+        self.region, self.density, self.config = region, density, config
+        self.w, self.w_inv = w, w_inv
+        self.rows, self.restart, self.cloud = rows, restart, cloud
+        self.result = None
+
+    def begin(self, cloud_w):
+        """Draw the cloud, whitened into ``cloud_w``, and seed the centers."""
+        config = self.config
+        rng = np.random.default_rng((config.seed, self.restart))
+        if self.cloud is not None:
+            cloud, mass = np.asarray(self.cloud, dtype=float), None
+        else:
+            cloud, mass = _draw_cloud(self.region, self.density, self.rows,
+                                      rng)
+        if mass is None:
+            # report the cloud average when no exact mass exists
+            self.norm = 1.0 / cloud.shape[0]
+        else:
+            self.norm = mass / cloud.shape[0]
+        np.matmul(cloud, self.w.T, out=cloud_w)
+        del cloud
+        if config.m == 1:
+            self.centers = cloud_w.mean(axis=0, keepdims=True).copy()
+        elif self.region.dim == 1:
+            # Lloyd-Max companding start: equal-mass quantiles of the cloud.
+            # On a line this is already near-optimal and sidesteps the very
+            # slow one-cell-per-iteration information flow of plain Lloyd.
+            qs = (np.arange(config.m) + 0.5) / config.m
+            self.centers = np.quantile(cloud_w[:, 0], qs)[:, None]
+        else:
+            self.centers = _fps_select(cloud_w, config.m, rng)
+        self.history, self.it, self.prev = [], 0, np.inf
+
+    def score(self, cost, counts, cloud_w):
+        """Take one assignment's costs, cell counts and cloud rows; return
+        whether the cells are to be updated now."""
+        config = self.config
+        obj = float(np.sum(cost)) * self.norm
+        if self.it == config.max_iterations:
+            # score the final update so PointSet.objective always matches
+            # the distortion of the returned points on the training cloud
+            if obj <= self.history[-1]:
+                self.history.append(obj)
+            else:  # round-off made the last step a wash; keep the scored one
+                self.centers = self.scored
+            return self._finish(False)
+        self.it += 1
+        if obj > self.prev * (1 + 1e-12) + 1e-300:
+            raise RuntimeError(
+                "Lloyd objective increased; monotonicity contract broken")
+        self.history.append(obj)
+        self.scored = self.centers
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            # re-seed each empty cell at a currently expensive sample
+            log.debug("re-seeding %d empty cells", empty.size)
+            order = np.argsort(cost)[::-1]
+            self.centers[empty] = cloud_w[order[: empty.size]]
+            self.prev = obj
+            return False
+        if self.prev - obj <= config.tol * max(abs(obj), 1e-300) and self.it > 1:
+            return self._finish(True)
+        self.prev = obj
+        return True
+
+    def _finish(self, converged):
+        self.result = PointSet(points=self.centers @ self.w_inv.T,
+                               objective=self.history[-1],
+                               iterations_used=self.it, converged=converged,
+                               objective_history=self.history)
+        return False
+
+    def project(self, centers):
+        """Take updated centers, kept inside the closed region."""
+        self.centers = self.region.project(centers @ self.w_inv.T) @ self.w.T
+
+
+def _cell_update(cloud_w, idx, centers, counts, p, cells):
+    """Every cell's next center at exponent p; ``cells`` cuts the cells
+    into their problems."""
+    m, dim = centers.shape
+    if p == 2.0:
+        # work in cell-centered coordinates: raw moments of far-from-
+        # origin cells cancel catastrophically (moments are O(1) while
+        # the cell objective is O(width^4))
+        sums = np.stack([np.bincount(idx, weights=cloud_w[:, k], minlength=m)
+                         for k in range(dim)], axis=1)
+        means = sums / counts[:, None]
+        stats = _cell_stats_p2(cloud_w - np.take(means, idx, axis=0), idx, m,
+                               dim)
+        shift, _ = _p2_cell_update(np.zeros_like(means), *stats, cells=cells)
+        return means + shift
+    if p == 1.0:
+        sums = np.stack([np.bincount(idx, weights=cloud_w[:, k], minlength=m)
+                         for k in range(dim)], axis=1)
+        return sums / counts[:, None]
+    return _generic_cell_update(cloud_w, idx, centers, p)
+
+
+def _lloyd(runs):
+    """Run a group of restarts to the end of their Lloyd iterations, in
+    lockstep: every per-row pass goes once over the group's rows."""
+    rows = np.cumsum([0] + [run.rows for run in runs])
+    cloud_w = np.empty((rows[-1], runs[0].region.dim))
+    for run, a, b in zip(runs, rows[:-1], rows[1:]):
+        run.begin(cloud_w[a:b])
+    assign = _BoundedAssigner(cloud_w, rows)
+    del cloud_w
+    live = runs
+    while live:
+        dist, idx = assign([run.centers for run in live])
+        p = np.array([run.config.p for run in live])
+        if np.all(p == p[0]):
+            cost = dist ** (2.0 * p[0])
+        else:
+            cost = np.concatenate([
+                dist[assign.rows[k]:assign.rows[k + 1]] ** (2.0 * run.config.p)
+                for k, run in enumerate(live)])
+        counts = np.bincount(idx, minlength=assign.cells[-1])
+        update = np.array([run.score(
+            cost[assign.rows[k]:assign.rows[k + 1]],
+            counts[assign.cells[k]:assign.cells[k + 1]],
+            assign.cloud_w[assign.rows[k]:assign.rows[k + 1]])
+            for k, run in enumerate(live)])
+        del dist, cost
+        done = np.array([run.result is not None for run in live])
+        if done.any():
+            counts = counts[np.repeat(~done, np.diff(assign.cells))]
+            update, p = update[~done], p[~done]
+            live = [run for run, gone in zip(live, done) if not gone]
+            if not live:
+                break
+            assign.keep(~done)
+        # one update per exponent, over the rows of the problems that take
+        # it; the others (re-seeded this step) keep their centers
+        for value in dict.fromkeys(p[update]):
+            take = update & (p == value)
+            if take.all():
+                cells = assign.cells
+                new = _cell_update(assign.cloud_w, assign.idx, assign.centers,
+                                   counts, value, cells)
+            else:
+                rowmask, cellmask, drop, _, cells = _select(
+                    take, assign.rows, assign.cells)
+                new = _cell_update(assign.cloud_w[rowmask],
+                                   assign.idx[rowmask] - drop,
+                                   assign.centers[cellmask], counts[cellmask],
+                                   value, cells)
+            for k, run in enumerate(r for r, t in zip(live, take) if t):
+                run.project(new[cells[k]:cells[k + 1]])
+
+
+def quantize_many(problems, _clouds=None):
+    """The best :class:`PointSet` of each ``(region, density, config)``
+    problem, as :func:`quantize` finds it, with the Lloyd iterations of
+    several problems run in lockstep (see the module docstring).
+
+    ``_clouds`` optionally gives each problem a fixed cloud (None for a
+    drawn one).
+    """
+    runs = []
+    for i, (region, density, config) in enumerate(problems):
+        if config.m >= 1 and region.dim < 1:
+            raise ValueError("region must have positive dimension")
+        metric = config.metric or QuadraticForm.from_matrix(np.eye(region.dim))
+        if metric.dim != region.dim:
+            raise MetricError("metric dimension does not match the region")
+        w = whiten(metric)
+        w_inv = np.linalg.inv(w)
+        cloud = None if _clouds is None else _clouds[i]
+        if cloud is not None:
+            rows = np.shape(cloud)[0]
+        elif config.cloud_size:
+            rows = config.cloud_size
+        elif region.dim == 1:
+            # 1D assignment is cheap, and interval Lloyd needs the extra
+            # resolution: the converged points inherit the cloud's sampling
+            # noise, which enters the distortion at second order per cell
+            rows = max(100_000, 1_000 * config.m)
+        else:
+            rows = max(20_000, 200 * config.m)
+        runs.append([_Run(region, density, config, w, w_inv, rows, restart,
+                          cloud) for restart in range(config.restarts)])
+    # a group takes runs of one dimension in order while its rows fit in
+    # one block; a larger run goes alone
+    group = []
+    for run in (run for restarts in runs for run in restarts):
+        if group and (sum(r.rows for r in group) + run.rows > _ROW_BLOCK
+                      or run.region.dim != group[0].region.dim):
+            _lloyd(group)
+            group = []
+        group.append(run)
+    if group:
+        _lloyd(group)
+    # the first restart with the least objective
+    return [min((run.result for run in restarts), key=lambda ps: ps.objective)
+            for restarts in runs]
 
 
 def quantize(region, density, config, _cloud=None):
@@ -475,117 +778,7 @@ def quantize(region, density, config, _cloud=None):
     the best :class:`PointSet` over ``config.restarts`` independent runs.
     All returned points lie inside the closed region.
     """
-    if config.m >= 1 and region.dim < 1:
-        raise ValueError("region must have positive dimension")
-    metric = config.metric or QuadraticForm.from_matrix(np.eye(region.dim))
-    if metric.dim != region.dim:
-        raise MetricError("metric dimension does not match the region")
-    w = whiten(metric)
-    w_inv = np.linalg.inv(w)
-    if config.cloud_size:
-        cloud_size = config.cloud_size
-    elif region.dim == 1:
-        # 1D assignment is cheap, and interval Lloyd needs the extra
-        # resolution: the converged points inherit the cloud's sampling
-        # noise, which enters the distortion at second order per cell
-        cloud_size = max(100_000, 1_000 * config.m)
-    else:
-        cloud_size = max(20_000, 200 * config.m)
-
-    best = None
-    for restart in range(config.restarts):
-        rng = np.random.default_rng((config.seed, restart))
-        if _cloud is not None:
-            cloud, mass = np.asarray(_cloud, dtype=float), None
-        else:
-            cloud, mass = _draw_cloud(region, density, cloud_size, rng)
-        if mass is None:
-            mass = 1.0  # report the cloud average when no exact mass exists
-            norm = 1.0 / cloud.shape[0]
-        else:
-            norm = mass / cloud.shape[0]
-        cloud_w = cloud @ w.T
-        del cloud
-        assign = _BoundedAssigner(cloud_w)
-
-        if config.m == 1:
-            centers = cloud_w.mean(axis=0, keepdims=True).copy()
-        elif region.dim == 1:
-            # Lloyd-Max companding start: equal-mass quantiles of the cloud.
-            # On a line this is already near-optimal and sidesteps the very
-            # slow one-cell-per-iteration information flow of plain Lloyd.
-            qs = (np.arange(config.m) + 0.5) / config.m
-            centers = np.quantile(cloud_w[:, 0], qs)[:, None]
-        else:
-            centers = _fps_select(cloud_w, config.m, rng)
-        history = []
-        converged = False
-        it = 0
-        prev = np.inf
-        for it in range(1, config.max_iterations + 1):
-            dist, idx = assign(centers)
-            cost = dist ** (2.0 * config.p)
-            obj = float(np.sum(cost)) * norm
-            if obj > prev * (1 + 1e-12) + 1e-300:
-                raise RuntimeError(
-                    "Lloyd objective increased; monotonicity contract broken")
-            history.append(obj)
-            scored = centers
-            counts = np.bincount(idx, minlength=config.m)
-            empty = np.flatnonzero(counts == 0)
-            if empty.size:
-                # re-seed each empty cell at a currently expensive sample
-                log.debug("re-seeding %d empty cells", empty.size)
-                order = np.argsort(cost)[::-1]
-                centers[empty] = cloud_w[order[: empty.size]]
-                prev = obj
-                continue
-            if prev - obj <= config.tol * max(abs(obj), 1e-300) and it > 1:
-                converged = True
-                break
-            prev = obj
-
-            if config.p == 1.0:
-                sums = np.stack(
-                    [np.bincount(idx, weights=cloud_w[:, k], minlength=config.m)
-                     for k in range(region.dim)], axis=1)
-                centers = sums / counts[:, None]
-            elif config.p == 2.0:
-                # work in cell-centered coordinates: raw moments of far-from-
-                # origin cells cancel catastrophically (moments are O(1) while
-                # the cell objective is O(width^4))
-                sums = np.stack(
-                    [np.bincount(idx, weights=cloud_w[:, k], minlength=config.m)
-                     for k in range(region.dim)], axis=1)
-                means = sums / counts[:, None]
-                count, s1, s2, s3, s2tr, s4 = _cell_stats_p2(
-                    cloud_w - np.take(means, idx, axis=0), idx, config.m,
-                    region.dim)
-                shift, _ = _p2_cell_update(
-                    np.zeros_like(means), count, s1, s2, s3, s2tr, s4)
-                centers = means + shift
-            else:
-                centers = _generic_cell_update(cloud_w, idx, centers,
-                                               config.p)
-            # keep iterates inside the closed region (in original coordinates)
-            centers = region.project(centers @ w_inv.T) @ w.T
-
-        if not converged:
-            # score the final update so PointSet.objective always matches the
-            # distortion of the returned points on the training cloud
-            dist, _ = assign(centers)
-            obj = float(np.sum(dist ** (2.0 * config.p))) * norm
-            if obj <= history[-1]:
-                history.append(obj)
-            else:  # round-off made the last step a wash; keep the scored one
-                centers = scored
-
-        result = PointSet(points=centers @ w_inv.T, objective=history[-1],
-                          iterations_used=it, converged=converged,
-                          objective_history=history)
-        if best is None or result.objective < best.objective:
-            best = result
-    return best
+    return quantize_many([(region, density, config)], [_cloud])[0]
 
 
 def _generic_cell_update(cloud_w, idx, centers, p, steps=20):
@@ -606,50 +799,58 @@ def _generic_cell_update(cloud_w, idx, centers, p, steps=20):
     of |F_j|.  Its line search halves the step from 1 until F_j falls, and
     the cell stops when the halved step predicts no decrease above that
     threshold.  Each cell accepts its own step, so no cell objective
-    increases.
+    increases, and a stopped cell keeps its center through further steps.
     """
     m, dim = centers.shape
     curved = p > 1.0
-    # points by column: d is (dim, N), so every pass below is contiguous.
-    # One bincount over (column, cell) keys gives S, g and, for p > 1, K
-    cloud_t = np.ascontiguousarray(cloud_w.T)
-    ncol = 1 + dim + (dim * dim if curved else 0)
-    keys = (np.arange(ncol)[:, None] * m + idx).ravel()
-    terms = np.empty((ncol, idx.size))
+    # points by column: d is (dim, N), so every pass over it is contiguous
+    pts, lab = cloud_w.T, idx
 
-    def evaluate(c):
+    def evaluate(c, pts, lab):
         # one power per center gives both the weights and the value
-        d = cloud_t - np.take(c.T, idx, axis=1)
+        d = np.take(c.T, lab, axis=1)
+        np.subtract(pts, d, out=d)
         r2 = rowdot(d.T, d.T)
         wgt = (r2 if curved else np.maximum(r2, 1e-300)) ** (p - 1.0)
-        return d, r2, wgt, np.bincount(idx, weights=r2 * wgt, minlength=m)
+        return d, r2, wgt, np.bincount(lab, weights=r2 * wgt, minlength=m)
 
     if not curved:
         sums = np.stack([np.bincount(idx, weights=x, minlength=m)
-                         for x in cloud_t], axis=1)
+                         for x in pts], axis=1)
         means = sums / np.maximum(np.bincount(idx, minlength=m), 1)[:, None]
-        take = evaluate(means)[3] < evaluate(centers)[3]
+        take = evaluate(means, pts, lab)[3] < evaluate(centers, pts, lab)[3]
         centers = np.where(take[:, None], means, centers)
-    d, r2, wgt, val = evaluate(centers)
+    # the passes go over the rows of the cells still in play: a cell's
+    # sums take its rows in the same order whichever other rows are there
+    d, r2, wgt, val = evaluate(centers, pts, lab)
     active = np.ones(m, dtype=bool)
     eye = np.eye(dim)
     for _ in range(steps):
-        terms[0] = wgt
-        np.multiply(wgt, d, out=terms[1:1 + dim])
-        if curved:
-            # r^(2p-4) d d^T, where a point on its center adds nothing
-            kd = (wgt / np.where(r2 > 0.0, r2, 1.0)) * d
-            np.multiply(kd[:, None], d,
-                        out=terms[1 + dim:].reshape(dim, dim, -1))
-        sums = np.bincount(keys, weights=terms.ravel(),
-                           minlength=ncol * m).reshape(ncol, m).T
+        live = np.flatnonzero(active[lab])
+        if 2 * live.size < lab.size:
+            # drop the stopped cells' rows once they are half of them
+            pts, d = pts.take(live, axis=1), d.take(live, axis=1)
+            lab, r2, wgt = lab.take(live), r2.take(live), wgt.take(live)
+
+        def column(weights):
+            return np.bincount(lab, weights=weights, minlength=m)
+
+        # S, g and, for p > 1, K: one bincount per column
+        wsum = column(wgt)
+        grad = np.stack([column(wgt * x) for x in d], axis=1)
         # divided by S: H / S = I + 2(p - 1) K / S is well conditioned, and
         # a cell with S = 0 has g = 0
-        wsum = np.where(sums[:, 0] > 0.0, sums[:, 0], 1.0)
-        scaled = sums[:, 1:] / wsum[:, None]
-        grad = step = scaled[:, :dim]
+        wsum = np.where(wsum > 0.0, wsum, 1.0)
+        grad /= wsum[:, None]
+        step = grad
         if curved:
-            hess = scaled[:, dim:].reshape(m, dim, dim) * (2.0 * (p - 1.0))
+            # r^(2p-4) d d^T, where a point on its center adds nothing
+            q = wgt / np.where(r2 > 0.0, r2, 1.0)
+            hess = np.stack([column(qa * b) for qa in map(q.__mul__, d)
+                             for b in d], axis=1)
+            del q
+            hess = hess.reshape(m, dim, dim) / wsum[:, None, None]
+            hess *= 2.0 * (p - 1.0)
             hess += eye
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
         decrease = p * wsum * np.einsum("ij,ij->i", grad, step)
@@ -659,7 +860,14 @@ def _generic_cell_update(cloud_w, idx, centers, p, steps=20):
             trial = np.where(tried[:, None], centers + alpha * step, centers)
             # the trial's state is exact for every cell that kept or took
             # its center; a rejected cell is tried again or stops
-            d, r2, wgt, tval = evaluate(trial)
+            sel = np.flatnonzero(tried[lab])
+            if 2 * sel.size < lab.size:
+                # only the tried cells' rows, when they are under half
+                d[:, sel], r2[sel], wgt[sel], tval = evaluate(
+                    trial, pts.take(sel, axis=1), lab.take(sel))
+            else:
+                d = r2 = wgt = None
+                d, r2, wgt, tval = evaluate(trial, pts, lab)
             better = tried & (tval < val)
             rejected = tried & ~better
             centers = np.where(better[:, None], trial, centers)
@@ -672,6 +880,7 @@ def _generic_cell_update(cloud_w, idx, centers, p, steps=20):
         if not active.any():
             break
     return centers
+
 
 
 def quantizer_objective(region, density, q, p, points, sample_spec):

@@ -20,8 +20,12 @@ from maxaffine import (
     whiten,
 )
 from maxaffine import quantizer
-from maxaffine.approximator import _law_density
-from maxaffine.convex_core import DomainError
+from maxaffine import (allocate_budget, build_approximation, partition_domain,
+                       tangent_planes)
+from maxaffine.approximator import _law_density, _probe_lattice
+from maxaffine.functionals import law_exponents
+from maxaffine.quadrature import tensor_nodes
+from maxaffine.convex_core import DomainError, rowdot
 from maxaffine.quantizer import (_SLACK, _BoundedAssigner, _assign,
                                  _fps_select, _generic_cell_update)
 from conftest import rng_for
@@ -254,7 +258,7 @@ def test_bounded_assignment_matches_full_query(cloud_kind):
         elif step:
             jitter = rng.normal(scale=1e-3 * 0.7 ** step, size=centers.shape)
             centers = centers + dyadic(jitter)
-        dist, idx = assign(centers)
+        dist, idx = assign([centers])
         ref_dist, ref_idx = cKDTree(centers).query(cloud)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(dist, ref_dist)
@@ -278,7 +282,7 @@ def test_line_assignment_matches_assign():
             centers = centers + rng.normal(scale=0.01, size=centers.shape)
         elif step:
             centers = rng.integers(0, 33, size=centers.shape) / 32.0
-        dist, idx = assign(centers)
+        dist, idx = assign([centers])
         ref_dist, ref_idx = _assign(cloud, centers)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(dist, ref_dist)
@@ -306,11 +310,11 @@ def test_bounded_assignment_far_jump_keeps_pair_search_local():
     ticks = (np.arange(20) + 0.5) / 20.0
     centers = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
     assign = _BoundedAssigner(cloud)
-    assign(centers)
-    counter = assign.tree = _PairCounter(assign.tree)
+    assign([centers])
+    counter = assign.trees[0] = _PairCounter(assign.trees[0])
     centers = centers.copy()
     centers[0] = centers[-1] + [0.01, 0.0]
-    dist, idx = assign(centers)
+    dist, idx = assign([centers])
     ref_dist, ref_idx = cKDTree(centers).query(cloud)
     np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(dist, ref_dist)
@@ -361,6 +365,192 @@ class _GlobalShiftAssigner:
         return dist, idx.copy()
 
 
+def _generic_cell_update_keyed(cloud_w, idx, centers, p, steps=20):
+    """``quantizer._generic_cell_update`` as it summed the cells through one
+    bincount over (column, cell) keys of an (ncol x N) term matrix."""
+    m, dim = centers.shape
+    curved = p > 1.0
+    # points by column: d is (dim, N), so every pass below is contiguous.
+    # One bincount over (column, cell) keys gives S, g and, for p > 1, K
+    cloud_t = np.ascontiguousarray(cloud_w.T)
+    ncol = 1 + dim + (dim * dim if curved else 0)
+    keys = (np.arange(ncol)[:, None] * m + idx).ravel()
+    terms = np.empty((ncol, idx.size))
+
+    def evaluate(c):
+        # one power per center gives both the weights and the value
+        d = cloud_t - np.take(c.T, idx, axis=1)
+        r2 = rowdot(d.T, d.T)
+        wgt = (r2 if curved else np.maximum(r2, 1e-300)) ** (p - 1.0)
+        return d, r2, wgt, np.bincount(idx, weights=r2 * wgt, minlength=m)
+
+    if not curved:
+        sums = np.stack([np.bincount(idx, weights=x, minlength=m)
+                         for x in cloud_t], axis=1)
+        means = sums / np.maximum(np.bincount(idx, minlength=m), 1)[:, None]
+        take = evaluate(means)[3] < evaluate(centers)[3]
+        centers = np.where(take[:, None], means, centers)
+    d, r2, wgt, val = evaluate(centers)
+    active = np.ones(m, dtype=bool)
+    eye = np.eye(dim)
+    for _ in range(steps):
+        terms[0] = wgt
+        np.multiply(wgt, d, out=terms[1:1 + dim])
+        if curved:
+            # r^(2p-4) d d^T, where a point on its center adds nothing
+            kd = (wgt / np.where(r2 > 0.0, r2, 1.0)) * d
+            np.multiply(kd[:, None], d,
+                        out=terms[1 + dim:].reshape(dim, dim, -1))
+        sums = np.bincount(keys, weights=terms.ravel(),
+                           minlength=ncol * m).reshape(ncol, m).T
+        # divided by S: H / S = I + 2(p - 1) K / S is well conditioned, and
+        # a cell with S = 0 has g = 0
+        wsum = np.where(sums[:, 0] > 0.0, sums[:, 0], 1.0)
+        scaled = sums[:, 1:] / wsum[:, None]
+        grad = step = scaled[:, :dim]
+        if curved:
+            hess = scaled[:, dim:].reshape(m, dim, dim) * (2.0 * (p - 1.0))
+            hess += eye
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        decrease = p * wsum * np.einsum("ij,ij->i", grad, step)
+        active &= decrease > 1e-15 * np.abs(val)
+        tried, alpha = active.copy(), 1.0
+        while tried.any():
+            trial = np.where(tried[:, None], centers + alpha * step, centers)
+            # the trial's state is exact for every cell that kept or took
+            # its center; a rejected cell is tried again or stops
+            d, r2, wgt, tval = evaluate(trial)
+            better = tried & (tval < val)
+            rejected = tried & ~better
+            centers = np.where(better[:, None], trial, centers)
+            val = np.where(better, tval, val)
+            # a rejected cell halves its step while the step still promises
+            # a decrease above the stop threshold, and stops after that
+            alpha *= 0.5
+            tried = rejected & (alpha * decrease > 1e-15 * np.abs(val))
+            active &= ~rejected | tried
+        if not active.any():
+            break
+    return centers
+
+
+def _quantize_reference(region, density, config, _cloud=None):
+    """``quantize`` as it ran one problem at a time, restart after restart,
+    with ``_GlobalShiftAssigner`` for its assignment and the keyed
+    ``_generic_cell_update_keyed`` for its non-integer-p update."""
+    if config.m >= 1 and region.dim < 1:
+        raise ValueError("region must have positive dimension")
+    metric = config.metric or QuadraticForm.from_matrix(np.eye(region.dim))
+    if metric.dim != region.dim:
+        raise MetricError("metric dimension does not match the region")
+    w = whiten(metric)
+    w_inv = np.linalg.inv(w)
+    if config.cloud_size:
+        cloud_size = config.cloud_size
+    elif region.dim == 1:
+        # 1D assignment is cheap, and interval Lloyd needs the extra
+        # resolution: the converged points inherit the cloud's sampling
+        # noise, which enters the distortion at second order per cell
+        cloud_size = max(100_000, 1_000 * config.m)
+    else:
+        cloud_size = max(20_000, 200 * config.m)
+
+    best = None
+    for restart in range(config.restarts):
+        rng = np.random.default_rng((config.seed, restart))
+        if _cloud is not None:
+            cloud, mass = np.asarray(_cloud, dtype=float), None
+        else:
+            cloud, mass = quantizer._draw_cloud(region, density, cloud_size, rng)
+        if mass is None:
+            mass = 1.0  # report the cloud average when no exact mass exists
+            norm = 1.0 / cloud.shape[0]
+        else:
+            norm = mass / cloud.shape[0]
+        cloud_w = cloud @ w.T
+        del cloud
+        assign = _GlobalShiftAssigner(cloud_w)
+
+        if config.m == 1:
+            centers = cloud_w.mean(axis=0, keepdims=True).copy()
+        elif region.dim == 1:
+            # Lloyd-Max companding start: equal-mass quantiles of the cloud.
+            # On a line this is already near-optimal and sidesteps the very
+            # slow one-cell-per-iteration information flow of plain Lloyd.
+            qs = (np.arange(config.m) + 0.5) / config.m
+            centers = np.quantile(cloud_w[:, 0], qs)[:, None]
+        else:
+            centers = _fps_select(cloud_w, config.m, rng)
+        history = []
+        converged = False
+        it = 0
+        prev = np.inf
+        for it in range(1, config.max_iterations + 1):
+            dist, idx = assign(centers)
+            cost = dist ** (2.0 * config.p)
+            obj = float(np.sum(cost)) * norm
+            if obj > prev * (1 + 1e-12) + 1e-300:
+                raise RuntimeError(
+                    "Lloyd objective increased; monotonicity contract broken")
+            history.append(obj)
+            scored = centers
+            counts = np.bincount(idx, minlength=config.m)
+            empty = np.flatnonzero(counts == 0)
+            if empty.size:
+                # re-seed each empty cell at a currently expensive sample
+                quantizer.log.debug("re-seeding %d empty cells", empty.size)
+                order = np.argsort(cost)[::-1]
+                centers[empty] = cloud_w[order[: empty.size]]
+                prev = obj
+                continue
+            if prev - obj <= config.tol * max(abs(obj), 1e-300) and it > 1:
+                converged = True
+                break
+            prev = obj
+
+            if config.p == 1.0:
+                sums = np.stack(
+                    [np.bincount(idx, weights=cloud_w[:, k], minlength=config.m)
+                     for k in range(region.dim)], axis=1)
+                centers = sums / counts[:, None]
+            elif config.p == 2.0:
+                # work in cell-centered coordinates: raw moments of far-from-
+                # origin cells cancel catastrophically (moments are O(1) while
+                # the cell objective is O(width^4))
+                sums = np.stack(
+                    [np.bincount(idx, weights=cloud_w[:, k], minlength=config.m)
+                     for k in range(region.dim)], axis=1)
+                means = sums / counts[:, None]
+                count, s1, s2, s3, s2tr, s4 = quantizer._cell_stats_p2(
+                    cloud_w - np.take(means, idx, axis=0), idx, config.m,
+                    region.dim)
+                shift, _ = quantizer._p2_cell_update(
+                    np.zeros_like(means), count, s1, s2, s3, s2tr, s4)
+                centers = means + shift
+            else:
+                centers = _generic_cell_update_keyed(cloud_w, idx, centers,
+                                                     config.p)
+            # keep iterates inside the closed region (in original coordinates)
+            centers = region.project(centers @ w_inv.T) @ w.T
+
+        if not converged:
+            # score the final update so PointSet.objective always matches the
+            # distortion of the returned points on the training cloud
+            dist, _ = assign(centers)
+            obj = float(np.sum(dist ** (2.0 * config.p))) * norm
+            if obj <= history[-1]:
+                history.append(obj)
+            else:  # round-off made the last step a wash; keep the scored one
+                centers = scored
+
+        result = quantizer.PointSet(points=centers @ w_inv.T, objective=history[-1],
+                          iterations_used=it, converged=converged,
+                          objective_history=history)
+        if best is None or result.objective < best.objective:
+            best = result
+    return best
+
+
 def _disc_cell_density(x):
     return np.where(x[:, 0] ** 2 + x[:, 1] ** 2 <= 1.0, np.exp(-x[:, 0]), 0.0)
 
@@ -381,15 +571,140 @@ def _disc_cell_density(x):
      QuantizerConfig(m=64, p=1.0, seed=4, max_iterations=30),
      np.repeat(rng_for("reseed", 0).random((50, 2)), 40, axis=0)),
 ], ids=["square-p1", "disc-cell-p1.5", "ball3d-p2", "reseeded-p1"])
-def test_quantize_matches_global_shift_bounds(region, density, cfg, cloud,
-                                              monkeypatch):
+def test_quantize_matches_global_shift_bounds(region, density, cfg, cloud):
     got = quantize(region, density, cfg, _cloud=cloud)
-    monkeypatch.setattr(quantizer, "_BoundedAssigner", _GlobalShiftAssigner)
-    want = quantize(region, density, cfg, _cloud=cloud)
+    want = _quantize_reference(region, density, cfg, _cloud=cloud)
     np.testing.assert_array_equal(got.points, want.points)
     assert got.objective_history == want.objective_history
     assert got.iterations_used == want.iterations_used > 1
     assert got.converged == want.converged
+
+
+def _lloyd_groups(monkeypatch):
+    """Record the number of runs of every lockstep group quantize makes."""
+    sizes, lloyd = [], quantizer._lloyd
+
+    def spy(runs):
+        sizes.append(len(runs))
+        return lloyd(runs)
+
+    monkeypatch.setattr(quantizer, "_lloyd", spy)
+    return sizes
+
+
+def test_quantize_many_matches_reference(monkeypatch):
+    # one batch mixing every exponent branch, m = 1, anisotropic metrics,
+    # disc-masked cells, a duplicate-row cloud whose empty cells are
+    # re-seeded, two restarts and 1-d problems; with groups of at most
+    # 6,000 rows it splits into five groups, one of them the 7,000-row
+    # problem alone, and every problem matches its own run, bit for bit
+    monkeypatch.setattr(quantizer, "_ROW_BLOCK", 6000)
+    sizes = _lloyd_groups(monkeypatch)
+    square = Domain.box([0.0, 0.0], [1.0, 1.0])
+    cell = Domain.box([0.5, 0.0], [1.0, 0.5])
+    aniso = QuadraticForm.from_matrix(np.array([[1.5, 0.2], [0.2, 1.0]]))
+    steep = QuadraticForm.from_matrix(np.array([[4.0, -0.5], [-0.5, 0.7]]))
+    dup = np.repeat(rng_for("many-reseed", 0).random((50, 2)), 40, axis=0)
+
+    def exp_density(x):
+        return np.exp(-x[:, 0])
+
+    cases = [
+        (square, None, dict(m=6, p=0.5, seed=1, cloud_size=1500,
+                            metric=aniso), None),
+        (cell, _disc_cell_density, dict(m=9, p=1.5, seed=2, cloud_size=2000,
+                                        metric=steep), None),
+        (square, None, dict(m=1, p=1.5, seed=3, cloud_size=800), None),
+        (Domain.box([-1.0, -1.0], [1.0, 1.0]), exp_density,
+         dict(m=12, p=2.0, seed=4, cloud_size=1200, restarts=2), None),
+        (square, None, dict(m=64, p=1.0, seed=5, max_iterations=30), dup),
+        (Domain.box([0.0], [1.0]), None,
+         dict(m=5, p=1.5, seed=6, cloud_size=3000), None),
+        (Domain.box([0.0], [2.0]), exp_density,
+         dict(m=1, p=1.0, seed=7, cloud_size=1000), None),
+        (square, None, dict(m=8, p=1.0, seed=8, cloud_size=7000), None),
+        (cell, _disc_cell_density, dict(m=4, p=0.5, seed=9, cloud_size=1000),
+         None),
+    ]
+    problems = [(region, density,
+                 QuantizerConfig(**{"max_iterations": 60, **cfg}))
+                for region, density, cfg, _ in cases]
+    got = quantizer.quantize_many(problems, [c[3] for c in cases])
+    assert sizes == [4, 2, 2, 1, 1]
+    for (region, density, cfg), cloud, ps in zip(
+            problems, [c[3] for c in cases], got):
+        want = _quantize_reference(region, density, cfg, _cloud=cloud)
+        np.testing.assert_array_equal(ps.points, want.points, strict=True)
+        assert ps.objective_history == want.objective_history
+        assert ps.objective == want.objective
+        assert ps.iterations_used == want.iterations_used
+        assert ps.converged == want.converged
+    # both ends of a run are covered: converged and stopped at the cap
+    assert {ps.converged for ps in got} == {True, False}
+
+
+def _partition_reference(f, l_pieces):
+    """``partition_domain``'s cells and anchors, one cell at a time."""
+    lo, hi = f.domain.bounding_box()
+    sides = hi - lo
+    counts = np.maximum(1, np.round(l_pieces * sides / sides.max()).astype(int))
+    counts[np.argmax(sides)] = l_pieces
+    edges = [np.linspace(lo[k], hi[k], counts[k] + 1) for k in range(f.dim)]
+    cells, anchors = [], []
+    for idx in np.ndindex(*counts):
+        cl = np.array([edges[k][idx[k]] for k in range(f.dim)])
+        cu = np.array([edges[k][idx[k] + 1] for k in range(f.dim)])
+        probes = cl + _probe_lattice(f.dim) * (cu - cl)
+        inside = f.domain.contains(probes)
+        if inside.any():
+            cells.append((cl, cu))
+            anchors.append(probes[inside].mean(axis=0))
+    return cells, np.asarray(anchors)
+
+
+@pytest.mark.parametrize("m", [64, 256])
+def test_paper_partition_matches_cell_by_cell_reference(m):
+    # the disc, cosh_quadratic, exp_neg_t, p = 1.5: the cells, anchors and
+    # masses of the set-up, and the envelope, equal a loop that draws and
+    # quantizes one cell after the other through the reference quantize
+    disc = Domain.ball([0.0, 0.0], 1.0)
+    f = catalog_entry("cosh_quadratic", {}, disc)
+    omega, p, seed = WeightFunction.exp_neg_t(), 1.5, 3
+    pieces = int(round(m ** (1.0 / 3.0)))
+    part = partition_domain(f, pieces)
+    cells, anchors = _partition_reference(f, pieces)
+    assert len(part.cells) == len(cells) <= m
+    for (cl, cu), (rl, ru) in zip(part.cells, cells):
+        np.testing.assert_array_equal(cl, rl, strict=True)
+        np.testing.assert_array_equal(cu, ru, strict=True)
+    np.testing.assert_array_equal(part.anchors, anchors, strict=True)
+    masses = np.array([
+        float(np.dot(w, _law_density(f, omega, p)(x)))
+        for x, w in (tensor_nodes(cl, cu, 16) for cl, cu in cells)])
+    alloc = allocate_budget(part, f, omega, p, m)
+    np.testing.assert_array_equal(alloc.masses, masses / masses.sum(),
+                                  strict=True)
+    assert alloc.budgets.sum() == m
+
+    nb = law_exponents(p, 2)[1]
+
+    def dens(x):
+        w = np.asarray(omega(x, f.value(x)), dtype=float) ** nb
+        return disc.mask(x, w)
+
+    points = []
+    for i, ((cl, cu), d) in enumerate(zip(cells, alloc.budgets)):
+        if d == 0:
+            continue
+        cfg = QuantizerConfig(m=int(d), p=p, metric=part.anchor_forms[i],
+                              seed=seed * 1009 + i,
+                              cloud_size=max(2000, 200 * int(d)))
+        pts = _quantize_reference(Domain.box(cl, cu), dens, cfg).points
+        points.append(pts[disc.contains(pts)])
+    want = tangent_planes(f, np.vstack(points))
+    got = build_approximation(f, omega, p, m, "paper_partition", seed=seed)
+    np.testing.assert_array_equal(got.slopes, want.slopes, strict=True)
+    np.testing.assert_array_equal(got.offsets, want.offsets, strict=True)
 
 
 def _fps_cloud(kind):
@@ -672,3 +987,15 @@ def test_fps_memory_stays_in_blocks():
     cloud = rng_for("fps-memory", 0).random((204_800, 2))
     _, peak = _traced_peak(_fps_select, cloud, 1024, np.random.default_rng(0))
     assert peak - 2 * cloud.nbytes < 6 * 2**20
+
+
+def test_generic_cell_update_memory_stays_in_columns():
+    # a whole group of 65,536 rows in 2-d at p = 1.5: the sums of S, g and
+    # K went through (7 x N) key and term matrices, 14 doubles a row that
+    # took the peak to 13.6 times the cloud; one bincount per column needs
+    # a product of two columns at a time
+    rng = rng_for("generic-memory", 0)
+    cloud, centers = rng.random((65_536, 2)), rng.random((300, 2))
+    idx = cKDTree(centers).query(cloud)[1]
+    _, peak = _traced_peak(_generic_cell_update, cloud, idx, centers, 1.5)
+    assert peak < 7 * cloud.nbytes
