@@ -12,8 +12,9 @@ Strategies
 
 ``global_density``
     One quantizer run over the whole domain with the Hessian frozen at the
-    domain centroid and sampling density (det D^2 f)^(p/(n+2p)) *
-    omega^(n/(n+2p)).
+    domain centroid and weight (det D^2 f)^(p/n) * omega: the law density
+    to the power (n+2p)/n, as a quantizer puts its points at its weight to
+    the power n/(n+2p).  On a line the quantizer is exact_1d's solve.
 
 ``greedy_insertion``
     Start from the tangent at the centroid and repeatedly add the tangent
@@ -66,7 +67,7 @@ from scipy.linalg import solve_banded
 from .convex_core import (Domain, QuadraticForm, MetricError,
                           below_reference, rowdot, tangent_planes)
 from .error_eval import exact_1d_piecewise_integral
-from .functionals import law_density, law_exponents
+from .functionals import law_density, law_exponents, quantizer_weight
 from .quadrature import _jacobi01, tensor_nodes
 from .quantizer import QuantizerConfig, _BucketArgmax, quantize, quantize_many
 
@@ -548,7 +549,7 @@ def build_approximation(f, omega, p, m, strategy, seed=0, *, l_pieces=None,
     if strategy == "global_density":
         centroid = f.domain.centroid()
         metric = _safe_form(f.hessian(centroid)[0], n)
-        dens = _law_density(f, omega, p)
+        dens = _law_density(f, omega, p, quantizer_weight)
         cfg = QuantizerConfig(m=m, p=p, metric=metric, seed=seed,
                               restarts=restarts, max_iterations=max_iterations,
                               tol=tol, cloud_size=cloud_size)
@@ -587,9 +588,9 @@ def _plane(f, x):
     return env.slopes[0], env.offsets[0]
 
 
-def _law_density(f, omega, p):
+def _law_density(f, omega, p, formula=law_density):
     def dens(x):
-        vals = law_density(f.hessian_det(x), omega(x, f.value(x)), p, f.dim)
+        vals = formula(f.hessian_det(x), omega(x, f.value(x)), p, f.dim)
         return f.domain.mask(x, vals)
 
     return dens

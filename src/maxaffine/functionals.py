@@ -55,10 +55,19 @@ def law_density(det, w, p, n):
     """The law density max(det, 0)^(p/(n+2p)) * max(w, 0)^(n/(n+2p)),
     from already computed values of det D^2 f and of omega."""
     a, b = law_exponents(p, n)
-    # in place, one temporary fewer; the mass integral and the Lloyd cloud
-    # draw pass at most 65,536 rows at a time
+    # in place, one temporary fewer; the mass integral passes at most
+    # 65,536 rows at a time
     dens = np.maximum(det, 0.0) ** a
     dens *= np.maximum(w, 0.0) ** b
+    return dens
+
+
+def quantizer_weight(det, w, p, n):
+    """max(det, 0)^(p/n) * max(w, 0), the law density to the power (n+2p)/n:
+    a quantizer of  integral min_s q(x - s)^p rho  puts its points at
+    rho^(n/(n+2p)) (Zador's rule), so with this rho they follow the law."""
+    dens = np.maximum(det, 0.0) ** (p / n)
+    dens *= np.maximum(w, 0.0)
     return dens
 
 
@@ -172,35 +181,35 @@ def zador_estimate(n, p, m_list, trials=8, seed=0, max_iterations=200,
                    eval_samples=200_000):
     """Empirical delta(n, p) from Lloyd runs on the unit cube.
 
-    For each m the quantizer runs ``trials`` times with independent seeds;
-    the rescaled distortion m^(2p/n) * distortion is evaluated on a fresh
-    cloud (so the training cloud's optimism does not leak in).  Reported
-    value: minimum over trials at the largest m; half_width: a bootstrap
+    At the largest m of ``m_list`` the quantizer runs ``trials`` times with
+    independent seeds; the rescaled distortion m^(2p/n) * distortion is
+    evaluated on a fresh cloud (so the training cloud's optimism does not
+    leak in).  Reported value: minimum over trials; half_width: a bootstrap
     of that minimum.  Being a feasible-point estimate it upper-bounds the
-    true coefficient up to sampling error.
+    true coefficient up to sampling error.  On a line the quantizer is
+    exact: one run gives the value, with half_width 0.
     """
     from .quantizer import QuantizerConfig, quantize, quantizer_objective
 
     cube = Domain.box(np.zeros(n), np.ones(n))
-    m_list = sorted(set(int(m) for m in m_list))
-    if not m_list:
+    if not len(m_list):
         raise ValueError("m_list must be non-empty")
-    m_top = m_list[-1]
-    per_trial = []
-    for m in m_list:
-        vals = []
-        for t in range(trials):
-            cfg = QuantizerConfig(m=m, p=p, seed=(seed * 1000003 + 7919 * t + m),
-                                  max_iterations=max_iterations)
-            ps = quantize(cube, None, cfg)
-            rep = quantizer_objective(
-                cube, None, np.eye(n), p, ps.points,
-                QuadratureSpec(kind="monte_carlo", samples=eval_samples,
-                               seed=(seed, m, t)))
-            vals.append(m ** (2.0 * p / n) * rep.value)
-        if m == m_top:
-            per_trial = vals
-    arr = np.asarray(per_trial)
+    m = max(int(k) for k in m_list)
+    if n == 1:
+        ps = quantize(cube, None, QuantizerConfig(m=m, p=p))
+        return ZadorConstant(n=1, p=float(p), value=m ** (2.0 * p)
+                             * ps.objective, provenance="empirical")
+    vals = []
+    for t in range(trials):
+        cfg = QuantizerConfig(m=m, p=p, seed=(seed * 1000003 + 7919 * t + m),
+                              max_iterations=max_iterations)
+        ps = quantize(cube, None, cfg)
+        rep = quantizer_objective(
+            cube, None, np.eye(n), p, ps.points,
+            QuadratureSpec(kind="monte_carlo", samples=eval_samples,
+                           seed=(seed, m, t)))
+        vals.append(m ** (2.0 * p / n) * rep.value)
+    arr = np.asarray(vals)
     est = float(arr.min())
     rng = np.random.default_rng(seed + 17)
     boots = np.min(rng.choice(arr, size=(1000, arr.size), replace=True), axis=1)

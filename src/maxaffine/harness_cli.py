@@ -44,8 +44,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .approximator import STRATEGIES, build_approximation
-from .convex_core import (CircumscriptionError, DomainError, Domain,
-                          MetricError, NumericsError, PiecewiseAffineMax,
+from .convex_core import (DomainError, Domain, PiecewiseAffineMax,
                           SmoothConvexFunction, WeightError, WeightFunction,
                           max_violation, sup_gap)
 from .dual_ma import (GridFunction, SupportRestriction,
@@ -578,8 +577,8 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except (CircumscriptionError, MetricError, WeightError, DomainError,
-            ValueError, FloatingPointError, RuntimeError) as exc:
+    # every numeric error of the package subclasses one of these
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
     except OSError as exc:

@@ -4,21 +4,22 @@ quantize() minimizes, over point sets S of size m,
 
     integral over the region of  min_{s in S} q(x - s)^p  rho(x) dx
 
-with q a fixed SPD quadratic form.  The integral is represented by a fixed
-Monte Carlo cloud drawn from rho once per restart; Lloyd iterations then
-alternate nearest-point assignment (in the whitened metric, where q is the
-squared Euclidean norm) with per-cell minimization.  For p = 1 the cell
-minimizer is the mean; for p = 2 it is found by damped Newton steps on the
-quartic cell objective, assembled from cell moments so no extra passes
-over the cloud are needed.  Other exponents run a damped Newton per cell
-on the cell objective, convex for p >= 1/2, whose minimizer is the
-generalized centroid (Du, Faber and Gunzburger, SIAM Review 1999); each
-cell takes its own step, with its own line search, and stops once its
-predicted decrease is below 1e-15 of its objective.  Its sums go one
-bincount per column, and the rows of the cells that have stopped drop out
-of the passes once they are half of the rows, so no temporary holds more
-than a few columns.  The empirical objective is monotone across iterations by
-construction and this is asserted.
+with q a fixed SPD quadratic form.  In two or more dimensions the integral
+is represented by a fixed Monte Carlo cloud drawn from rho once per
+restart; Lloyd iterations then alternate nearest-point assignment (in the
+whitened metric, where q is the squared Euclidean norm) with per-cell
+minimization.  For p = 1 the cell minimizer is the mean; for p = 2 it is
+found by damped Newton steps on the quartic cell objective, assembled from
+cell moments so no extra passes over the cloud are needed.  Other exponents
+run a damped Newton per cell on the cell objective, convex for p >= 1/2,
+whose minimizer is the generalized centroid (Du, Faber and Gunzburger, SIAM
+Review 1999); each cell takes its own step, with its own line search, and
+stops once its predicted decrease is below 1e-15 of its objective.  Its
+sums go one bincount per column, and the rows of the cells that have
+stopped drop out of the passes once they are half of the rows, so no
+temporary holds more than a few columns.  The empirical objective is
+monotone across iterations by construction and this is asserted.  On a line
+the solve is exact instead (``_quantize_line``).
 
 Independent problems run in lockstep (``quantize_many``; ``quantize`` is
 a batch of one, and ``paper_partition`` hands over all of its cells at
@@ -64,9 +65,6 @@ The slack, also added to the neighbourhood radius, exceeds the rounding
 of the distance, bound and radius arithmetic, so every skipped point has
 a unique nearest center and every tie goes back to the kd-tree: labels
 and distances are bit-identical to a full query.
-On a line there are no bounds: the cloud is sorted once per restart, and
-each call cuts it at the sorted midpoints, with the labels of a
-``searchsorted`` of the unsorted cloud.
 
 Farthest-point seeding keeps each row's squared distance to the nearest
 pick in ``_BucketArgmax``, a running argmax over a grid of buckets of
@@ -99,7 +97,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .convex_core import (_SLACK, DomainError, MetricError, QuadraticForm,
-                          rowdot)
+                          catalog_entry, rowdot, tangent_planes)
+from .error_eval import exact_1d_piecewise_integral
 from .quadrature import _ROW_BLOCK, ErrorReport, evaluate_rows, integrate
 
 log = logging.getLogger(__name__)
@@ -107,6 +106,8 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class QuantizerConfig:
+    """On a line the solve is exact, and ``max_iterations``, ``tol``,
+    ``restarts``, ``seed`` and ``cloud_size`` are not used."""
     m: int
     p: float = 1.0
     metric: QuadraticForm | None = None  # None = identity
@@ -127,6 +128,8 @@ class QuantizerConfig:
 
 @dataclass
 class PointSet:
+    """On a line ``converged`` is True (a solve that stops short raises),
+    ``iterations_used`` is 0 and ``objective_history`` is ``[objective]``."""
     points: np.ndarray
     objective: float
     iterations_used: int
@@ -397,28 +400,9 @@ def _p2_cell_update(start, count, s1, s2, s3, s2tr, s4, steps=20, cells=None):
 
 
 def _assign(cloud_w, centers_w):
-    if centers_w.shape[1] == 1:
-        # on a line the Voronoi cells are intervals between midpoints
-        order = np.argsort(centers_w[:, 0], kind="stable")
-        c = centers_w[order, 0]
-        idx = order[np.searchsorted(0.5 * (c[1:] + c[:-1]), cloud_w[:, 0])]
-        return np.abs(cloud_w[:, 0] - centers_w[idx, 0]), idx
     tree = cKDTree(centers_w)
     dist, idx = tree.query(cloud_w, k=1)
     return np.asarray(dist), np.asarray(idx)
-
-
-def _line_assign(line, order, cloud_w, centers_w):
-    """``_assign`` on a line, from the cloud sorted once (``line`` is
-    ``cloud_w[order, 0]``): each cell is one run of the sorted cloud, cut
-    where the sorted midpoints fall."""
-    by_x = np.argsort(centers_w[:, 0], kind="stable")
-    c = centers_w[by_x, 0]
-    # a point on a midpoint goes to the left cell, as in _assign
-    ends = np.searchsorted(line, 0.5 * (c[1:] + c[:-1]), side="right")
-    idx = np.empty(line.size, dtype=np.intp)
-    idx[order] = np.repeat(by_x, np.diff(ends, prepend=0, append=line.size))
-    return np.abs(cloud_w[:, 0] - centers_w[idx, 0]), idx
 
 
 def _select(keep, rows, cells):
@@ -451,9 +435,9 @@ class _BoundedAssigner:
     search finds each cell's neighbourhood for the next bound update (see
     the module docstring).  The own-center distance is summed coordinate
     by coordinate, as the kd-tree sums fewer than eight coordinates, so
-    eight or more dimensions fall back to ``_assign``.  On a line each
-    cloud is sorted once instead.  The returned arrays are the assigner's
-    own and hold until the next call; ``keep`` drops finished problems.
+    eight or more dimensions fall back to ``_assign``.  The returned
+    arrays are the assigner's own and hold until the next call; ``keep``
+    drops finished problems.
     """
 
     def __init__(self, cloud_w, rows=None):
@@ -461,12 +445,7 @@ class _BoundedAssigner:
         self.rows = np.array([0, cloud_w.shape[0]] if rows is None else rows)
         self.cells = None
         self.centers = None
-        self.bounded = 1 < cloud_w.shape[1] < 8
-        if cloud_w.shape[1] == 1:
-            self.orders = [np.argsort(cloud_w[a:b, 0], kind="stable")
-                           for a, b in itertools.pairwise(self.rows)]
-            self.lines = [cloud_w[a:b, 0][o] for (a, b), o in zip(
-                itertools.pairwise(self.rows), self.orders)]
+        self.bounded = cloud_w.shape[1] < 8
 
     def keep(self, mask):
         """Forget the problems where ``mask`` is False."""
@@ -478,9 +457,6 @@ class _BoundedAssigner:
         if self.bounded:
             self.bound, self.reach = self.bound[rows], self.reach[cells]
             self.trees = [t for t, k in zip(self.trees, mask) if k]
-        elif self.cloud_w.shape[1] == 1:
-            self.orders = [o for o, k in zip(self.orders, mask) if k]
-            self.lines = [v for v, k in zip(self.lines, mask) if k]
 
     def __call__(self, centers):
         first = self.centers is None
@@ -496,11 +472,7 @@ class _BoundedAssigner:
             dist = np.empty(cloud_w.shape[0])
             for k in range(len(centers)):
                 r = slice(rows[k], rows[k + 1])
-                if cloud_w.shape[1] == 1:
-                    dist[r], idx = _line_assign(self.lines[k], self.orders[k],
-                                                cloud_w[r], centers[k])
-                else:
-                    dist[r], idx = _assign(cloud_w[r], centers[k])
+                dist[r], idx = _assign(cloud_w[r], centers[k])
                 self.idx[r] = idx + cells[k]
             return dist, self.idx
         if first:
@@ -595,12 +567,6 @@ class _Run:
         del cloud
         if config.m == 1:
             self.centers = cloud_w.mean(axis=0, keepdims=True).copy()
-        elif self.region.dim == 1:
-            # Lloyd-Max companding start: equal-mass quantiles of the cloud.
-            # On a line this is already near-optimal and sidesteps the very
-            # slow one-cell-per-iteration information flow of plain Lloyd.
-            qs = (np.arange(config.m) + 0.5) / config.m
-            self.centers = np.quantile(cloud_w[:, 0], qs)[:, None]
         else:
             self.centers = _fps_select(cloud_w, config.m, rng)
         self.history, self.it, self.prev = [], 0, np.inf
@@ -730,27 +696,29 @@ def quantize_many(problems, _clouds=None):
     several problems run in lockstep (see the module docstring).
 
     ``_clouds`` optionally gives each problem a fixed cloud (None for a
-    drawn one).
+    drawn one).  A problem on a line is solved exactly instead
+    (:func:`_quantize_line`), and a fixed cloud there raises ``ValueError``.
     """
-    runs = []
+    runs, lines = [], {}
     for i, (region, density, config) in enumerate(problems):
         if config.m >= 1 and region.dim < 1:
             raise ValueError("region must have positive dimension")
         metric = config.metric or QuadraticForm.from_matrix(np.eye(region.dim))
         if metric.dim != region.dim:
             raise MetricError("metric dimension does not match the region")
+        cloud = None if _clouds is None else _clouds[i]
+        if region.dim == 1:
+            if cloud is not None:
+                raise ValueError("a fixed cloud has no meaning on a line")
+            lines[i] = _quantize_line(region, density, config, metric)
+            runs.append([])
+            continue
         w = whiten(metric)
         w_inv = np.linalg.inv(w)
-        cloud = None if _clouds is None else _clouds[i]
         if cloud is not None:
             rows = np.shape(cloud)[0]
         elif config.cloud_size:
             rows = config.cloud_size
-        elif region.dim == 1:
-            # 1D assignment is cheap, and interval Lloyd needs the extra
-            # resolution: the converged points inherit the cloud's sampling
-            # noise, which enters the distortion at second order per cell
-            rows = max(100_000, 1_000 * config.m)
         else:
             rows = max(20_000, 200 * config.m)
         runs.append([_Run(region, density, config, w, w_inv, rows, restart,
@@ -767,8 +735,30 @@ def quantize_many(problems, _clouds=None):
     if group:
         _lloyd(group)
     # the first restart with the least objective
-    return [min((run.result for run in restarts), key=lambda ps: ps.objective)
-            for restarts in runs]
+    return [lines[i] if i in lines else
+            min((run.result for run in restarts), key=lambda ps: ps.objective)
+            for i, restarts in enumerate(runs)]
+
+
+def _quantize_line(region, density, config, metric):
+    """The exact quantizer of an interval.  With q(y) = a y^2, q(x - s) is
+    twice the gap between g = a x^2 / 2 and its tangent at s, so the best
+    points are ``exact_1d``'s optimal tangency points of g under the weight
+    rho, and the objective is 2^p times the exact integral of gap^p rho."""
+    from .approximator import optimal_tangent_abscissas_1d
+
+    g = catalog_entry("quadratic", {"hessian": metric.matrix}, region)
+
+    def omega(x, _):
+        return np.ones(len(x)) if density is None else density(x)
+
+    t = optimal_tangent_abscissas_1d(g, omega, config.p, config.m)
+    obj = 2.0 ** config.p * exact_1d_piecewise_integral(
+        g, tangent_planes(g, t[:, None]), config.p, omega).value
+    if not obj > 0.0:
+        raise ValueError("density carries no mass on the interval")
+    return PointSet(t[:, None], obj, iterations_used=0, converged=True,
+                    objective_history=[obj])
 
 
 def quantize(region, density, config, _cloud=None):

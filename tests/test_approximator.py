@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from maxaffine import (
     Domain,
     PiecewiseAffineMax,
+    QuantizerConfig,
     STRATEGIES,
     WeightFunction,
     allocate_budget,
@@ -21,6 +22,7 @@ from maxaffine import (
     is_circumscribed,
     max_violation,
     partition_domain,
+    quantize,
     run_sweep,
     weighted_lp_error,
 )
@@ -388,6 +390,34 @@ def test_exact_1d_rejects_higher_dimensions(quad_2d, w_const):
 
 # ---------------------------------------------------------------------------
 # partition and budgets
+
+
+# law: catalog id, interval, weight, p, and Zador's prediction of the ratio
+# when the quantizer is given the law density L itself as its weight
+_LAWS_1D = {
+    "quadratic": ("quadratic", (0.0, 4.0), "exp_neg_t", 1.0, 1.39816),
+    "cosh_quadratic": ("cosh_quadratic", (-3.0, 3.0), "constant", 1.0,
+                       1.08151),
+    "exp_sum": ("exp_sum", (-2.0, 2.0), "exp_neg_t", 2.0, 1.12981),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS_1D))
+def test_global_density_weight_puts_points_at_the_law(law):
+    # a quantizer puts its points at its weight to the power n/(n+2p), so
+    # global_density's weight L^((n+2p)/n) puts them at L and the ratio
+    # reaches 1; the weight L puts them at L^(n/(n+2p)), and the ratio
+    # reaches Zador's prediction for that density
+    cid, (a, b), wid, p, biased = _LAWS_1D[law]
+    f = catalog_entry(cid, {}, Domain.box([a], [b]))
+    omega = getattr(WeightFunction, wid)()
+    m = 256
+    out = run_sweep(f, omega, p, [m], "global_density")
+    assert abs(out.records[0].ratio - 1.0) <= 1e-3
+    ps = quantize(f.domain, approximator._law_density(f, omega, p),
+                  QuantizerConfig(m=m, p=p))
+    err = weighted_lp_error(f, tangent_planes(f, ps.points), p, omega).value
+    assert abs(m ** (2.0 * p) * err / out.theory - biased) <= 1e-3
 
 
 def test_partition_tiles_the_box(quad_2d):

@@ -224,6 +224,21 @@ def test_sweep_verb_numeric_failure_is_exit_3(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_global_density_on_huber_line_is_exit_3(tmp_path, capsys):
+    # huber's law density is 0 on its arms, and the exact 1-d solve that
+    # quantizes on a line stops short of a root there: both verbs that
+    # build an envelope report a numeric failure, not a traceback
+    cfg = _write_cfg(tmp_path, strategy="global_density", m_list=[64, 256],
+                     function={"catalog_id": "huber",
+                               "parameters": {"delta": 0.5},
+                               "domain": {"kind": "box", "lower": [-1.0],
+                                          "upper": [1.0]}})
+    assert main(["sweep", "--config", cfg]) == 3
+    assert "not stationary" in capsys.readouterr().err
+    assert main(["approximate", "--config", cfg]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_three_dimensional_function_is_exit_2(tmp_path, capsys):
     # the catalog stops at two dimensions, so every verb that takes a
     # function refuses a 3-d config as a config error
@@ -381,9 +396,9 @@ def test_integer_flag_below_its_floor_is_exit_2(tmp_path, capsys, verb,
      "pieces 3\nmax_violation -2.4479612781291848e-10\n"
      "sup_gap 0.013887208823624951\n"),
     (["zador", "--n", "1", "--m-list", "16", "--trials", "2"],
-     "estimate 0.083185238207500484\nhalf_width 0.0002212627107076481\n"
+     "estimate 0.083333333333332996\nhalf_width 0\n"
      "reference 0.083333333333333329\n"
-     "relative_gap -0.0017771415099941956\n"),
+     "relative_gap -3.9968028886505635e-15\n"),
     (["legendre", "--grid", "9", "--dual-grid", "5"],
      "truncated 0\ndual_bound 1.0500000010000001\n")])
 def test_integer_flags_at_valid_values_keep_their_bytes(tmp_path, capsys,

@@ -81,8 +81,19 @@ def test_quantize_uniform_interval_near_midpoints():
     dom = Domain.box([0.0], [1.0])
     ps = quantize(dom, None, QuantizerConfig(m=8, p=1.0, seed=0))
     pts = np.sort(ps.points.ravel())
-    np.testing.assert_allclose(pts, (np.arange(8) + 0.5) / 8.0, atol=5e-3)
-    assert ps.objective * 64.0 == pytest.approx(1.0 / 12.0, rel=5e-3)
+    np.testing.assert_allclose(pts, (np.arange(8) + 0.5) / 8.0, atol=1e-12)
+    assert ps.objective * 64.0 == pytest.approx(1.0 / 12.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("m", [1, 5, 64])
+def test_line_objective_is_the_exact_distortion(m, p):
+    # on a line the quantizer is the exact solve: its objective is the
+    # distortion of its points, integrated exactly over the midpoint cells
+    ps = quantize(Domain.box([0.0], [1.0]), None, QuantizerConfig(m=m, p=p))
+    assert ps.objective == pytest.approx(_uniform_objective_1d(ps.points, p),
+                                         rel=1e-12)
+    assert ps.converged and ps.objective_history == [ps.objective]
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -99,13 +110,14 @@ def test_objective_history_is_monotone(p):
 
 
 def test_objective_matches_distortion_of_returned_points():
-    dom = Domain.box([0.0], [1.0])
-    cloud = rng_for("obj-id", 0).random((4000, 1))
+    dom = Domain.box([0.0, 0.0], [1.0, 1.0])
+    cloud = rng_for("obj-id", 0).random((4000, 2))
     for p in (1.0, 1.5, 2.0):
         cfg = QuantizerConfig(m=5, p=p, max_iterations=3)  # force non-converged
         ps = quantize(dom, None, cfg, _cloud=cloud)
-        d = np.abs(cloud - ps.points.ravel()[None, :]).min(axis=1)
-        assert ps.objective == pytest.approx(float(np.mean(d ** (2 * p))),
+        d2 = np.sum((cloud[:, None, :] - ps.points[None]) ** 2,
+                    axis=2).min(axis=1)
+        assert ps.objective == pytest.approx(float(np.mean(d2 ** p)),
                                              rel=1e-12)
 
 
@@ -130,17 +142,17 @@ def test_restarts_only_improve():
 
 
 def test_mirror_symmetry_of_seed_cloud():
-    # mirroring the seed cloud mirrors the solution; the objective agrees
-    dom = Domain.box([0.0], [1.0])
+    # mirroring the seed cloud through the square's centre mirrors the
+    # solution; the objective agrees
+    dom = Domain.box([0.0, 0.0], [1.0, 1.0])
     # dyadic cloud so the reflection 1 - x is exact in floating point
-    cloud = ((rng_for("mirror", 0).integers(0, 2 ** 20, size=(5000, 1)) * 2 + 1)
+    cloud = ((rng_for("mirror", 0).integers(0, 2 ** 20, size=(5000, 2)) * 2 + 1)
              / 2.0 ** 21)
     cfg = QuantizerConfig(m=7, p=1.0, seed=0, max_iterations=60)
     a = quantize(dom, None, cfg, _cloud=cloud)
     b = quantize(dom, None, cfg, _cloud=1.0 - cloud)
     assert b.objective == pytest.approx(a.objective, rel=1e-6)
-    np.testing.assert_allclose(np.sort(1.0 - b.points.ravel()),
-                               np.sort(a.points.ravel()), atol=1e-6)
+    np.testing.assert_allclose(1.0 - b.points, a.points, atol=1e-6)
 
 
 def test_diagonal_metric_matches_rescaled_problem():
@@ -165,11 +177,22 @@ def test_metric_dimension_guard():
         quantize(dom, None, QuantizerConfig(m=3, metric=metric))
 
 
+def _step_density(x):
+    return 0.01 + (x[:, 0] > 0.5) * 1.0
+
+
 def test_density_quantizer_concentrates_points():
-    dom = Domain.box([0.0], [1.0])
-    ps = quantize(dom, lambda x: 0.01 + (x[:, 0] > 0.5) * 1.0,
-                  QuantizerConfig(m=10, seed=6))
-    assert np.sum(ps.points.ravel() > 0.5) >= 7
+    dom = Domain.box([0.0, 0.0], [1.0, 1.0])
+    ps = quantize(dom, _step_density, QuantizerConfig(m=10, seed=6))
+    assert np.sum(ps.points[:, 0] > 0.5) >= 7
+
+
+def test_line_density_with_a_jump_raises():
+    # the exact solve's half-cell rule cannot resolve a jump of the density
+    # inside a cell, so its Newton solve stops short and says so
+    with pytest.raises(ArithmeticError, match="not stationary"):
+        quantize(Domain.box([0.0], [1.0]), _step_density,
+                 QuantizerConfig(m=10, seed=6))
 
 
 def test_zero_density_raises():
@@ -177,6 +200,12 @@ def test_zero_density_raises():
     with pytest.raises(ValueError):
         quantize(dom, lambda x: np.zeros(x.shape[0]),
                  QuantizerConfig(m=3, seed=0))
+
+
+def test_fixed_cloud_on_a_line_raises():
+    with pytest.raises(ValueError, match="no meaning on a line"):
+        quantize(Domain.box([0.0], [1.0]), None, QuantizerConfig(m=3),
+                 _cloud=np.linspace(0.0, 1.0, 100)[:, None])
 
 
 def test_quantizer_objective_reports_match():
@@ -195,15 +224,16 @@ def test_quantizer_objective_reports_match():
 
 
 def test_empty_cell_reseeding_recovers():
-    # a tight duplicate cloud forces empty cells on the first assignments
-    dom = Domain.box([0.0], [1.0])
-    base = rng_for("empty", 0).random((50, 1))
+    # more centers than distinct cloud points: farthest-point seeding puts
+    # the extra centers on taken points, and their cells start empty
+    dom = Domain.box([0.0, 0.0], [1.0, 1.0])
+    base = rng_for("empty", 0).random((12, 2))
     cloud = np.repeat(base, 40, axis=0)
     ps = quantize(dom, None, QuantizerConfig(m=16, seed=1, max_iterations=80),
                   _cloud=cloud)
-    assert np.isfinite(ps.objective)
-    # every returned point should sit on distinct mass
-    assert np.unique(np.round(ps.points.ravel(), 9)).size >= 8
+    # every distinct point ends up with a center on it
+    assert ps.objective == 0.0
+    assert np.unique(np.round(ps.points, 9), axis=0).shape[0] == 12
 
 
 def _fps_reference(cloud, m, rng):
@@ -266,26 +296,6 @@ def test_bounded_assignment_matches_full_query(cloud_kind):
             # the caller may reuse its array once a call has returned
             centers, passed = centers.copy(), centers
             passed[:] = np.nan
-
-
-def test_line_assignment_matches_assign():
-    # centers on a 1/32 grid put their midpoints on the cloud's 1/64 grid,
-    # so points tie between two centers; repeated centers give empty cells
-    rng = rng_for("line-assign", 0)
-    cloud = np.vstack([rng.random((3000, 1)),
-                       rng.integers(0, 65, size=(2000, 1)) / 64.0])
-    centers = rng.integers(0, 33, size=(25, 1)) / 32.0
-    assert np.unique(centers).size < centers.size
-    assign = _BoundedAssigner(cloud)
-    for step in range(30):
-        if step % 2:
-            centers = centers + rng.normal(scale=0.01, size=centers.shape)
-        elif step:
-            centers = rng.integers(0, 33, size=centers.shape) / 32.0
-        dist, idx = assign([centers])
-        ref_dist, ref_idx = _assign(cloud, centers)
-        np.testing.assert_array_equal(idx, ref_idx)
-        np.testing.assert_array_equal(dist, ref_dist)
 
 
 class _PairCounter:
@@ -447,11 +457,6 @@ def _quantize_reference(region, density, config, _cloud=None):
     w_inv = np.linalg.inv(w)
     if config.cloud_size:
         cloud_size = config.cloud_size
-    elif region.dim == 1:
-        # 1D assignment is cheap, and interval Lloyd needs the extra
-        # resolution: the converged points inherit the cloud's sampling
-        # noise, which enters the distortion at second order per cell
-        cloud_size = max(100_000, 1_000 * config.m)
     else:
         cloud_size = max(20_000, 200 * config.m)
 
@@ -473,12 +478,6 @@ def _quantize_reference(region, density, config, _cloud=None):
 
         if config.m == 1:
             centers = cloud_w.mean(axis=0, keepdims=True).copy()
-        elif region.dim == 1:
-            # Lloyd-Max companding start: equal-mass quantiles of the cloud.
-            # On a line this is already near-optimal and sidesteps the very
-            # slow one-cell-per-iteration information flow of plain Lloyd.
-            qs = (np.arange(config.m) + 0.5) / config.m
-            centers = np.quantile(cloud_w[:, 0], qs)[:, None]
         else:
             centers = _fps_select(cloud_w, config.m, rng)
         history = []
@@ -595,7 +594,7 @@ def _lloyd_groups(monkeypatch):
 def test_quantize_many_matches_reference(monkeypatch):
     # one batch mixing every exponent branch, m = 1, anisotropic metrics,
     # disc-masked cells, a duplicate-row cloud whose empty cells are
-    # re-seeded, two restarts and 1-d problems; with groups of at most
+    # re-seeded, two restarts and 3-d problems; with groups of at most
     # 6,000 rows it splits into five groups, one of them the 7,000-row
     # problem alone, and every problem matches its own run, bit for bit
     monkeypatch.setattr(quantizer, "_ROW_BLOCK", 6000)
@@ -618,9 +617,9 @@ def test_quantize_many_matches_reference(monkeypatch):
         (Domain.box([-1.0, -1.0], [1.0, 1.0]), exp_density,
          dict(m=12, p=2.0, seed=4, cloud_size=1200, restarts=2), None),
         (square, None, dict(m=64, p=1.0, seed=5, max_iterations=30), dup),
-        (Domain.box([0.0], [1.0]), None,
+        (Domain.ball([0.2, 0.0, -0.1], 1.3), None,
          dict(m=5, p=1.5, seed=6, cloud_size=3000), None),
-        (Domain.box([0.0], [2.0]), exp_density,
+        (Domain.box([0.0, 0.0, 0.0], [2.0, 1.0, 1.0]), exp_density,
          dict(m=1, p=1.0, seed=7, cloud_size=1000), None),
         (square, None, dict(m=8, p=1.0, seed=8, cloud_size=7000), None),
         (cell, _disc_cell_density, dict(m=4, p=0.5, seed=9, cloud_size=1000),
