@@ -41,7 +41,9 @@ Strategies
     Each cell is split at its tangency point t_j, where the integrand
     behaves like |x - t_j|^(2p-1); each half gets a 12-node Gauss-Jacobi
     rule with that weight, so what it sees, ((f - tangent_j)/(x - t_j)^2)
-    ^(p-1) omega, is smooth for every p > 0.  Initialized at quantiles of
+    ^(p-1) omega, is smooth for every p > 0; where omega jumps inside a
+    half (``omega.jumps``, which the 1-d quantizer finds in its density),
+    the half is cut there too.  Initialized at quantiles of
     the asymptotically optimal density (f'')^(p/(1+2p)) *
     omega^(1/(1+2p)), then polished by one damped Newton method with a
     tridiagonal finite-difference Jacobian, for every p > 0, which stops
@@ -68,7 +70,7 @@ from .convex_core import (Domain, QuadraticForm, MetricError,
                           below_reference, rowdot, tangent_planes)
 from .error_eval import exact_1d_piecewise_integral
 from .functionals import law_density, law_exponents, quantizer_weight
-from .quadrature import _jacobi01, tensor_nodes
+from .quadrature import _gauss01, _jacobi01, tensor_nodes
 from .quantizer import QuantizerConfig, _BucketArgmax, quantize, quantize_many
 
 log = logging.getLogger(__name__)
@@ -255,21 +257,73 @@ def _residual_floor(f, p, t, halves, interval):
 
 def _halves(f, omega, p, t, ft, gt, h):
     """The split-cell rule for tangents (t, ft, gt) whose halves have
-    widths h, shape (cells, 2); a negative width counts as 0."""
+    widths h, shape (cells, 2); a negative width counts as 0.
+
+    An omega that jumps lists where in ``omega.jumps``.  A half with jumps
+    inside takes the rule only up to the one nearest t_j; the rest is cut
+    at the others and at t_j + 2^k (that distance), and each of its
+    segments, no wider than its distance from t_j, takes Gauss-Legendre."""
     beta, e = 2.0 * p - 1.0, p - 1.0
-    u, wts = _jacobi01(_HALF_ORDER, beta)
     h = np.maximum(h, 0.0)
-    dx = np.array([-1.0, 1.0])[:, None] * h[:, :, None] * u
-    nodes = t[:, None, None] + dx
-    fx = f.value(nodes.reshape(-1, 1)).reshape(nodes.shape)
-    w = np.asarray(omega(nodes.reshape(-1, 1), fx.reshape(-1)),
-                   dtype=float).reshape(nodes.shape)
-    if e != 0.0:
-        gap = fx - ft[:, None, None] - gt[:, None, None] * dx
-        pos = gap > 0
-        q = np.where(pos, gap, 1.0) / np.where(pos, dx * dx, 1.0)
-        w = np.where(pos, q ** e * w, 0.0)
-    return (w @ wts) * h ** (beta + 1.0)
+
+    def kernel(tj, fj, gj, dx):
+        # ((f - l_j) / (x - t_j)^2)^(p-1) omega at x = t_j + dx
+        nodes = tj + dx
+        fx = f.value(nodes.reshape(-1, 1)).reshape(nodes.shape)
+        w = np.asarray(omega(nodes.reshape(-1, 1), fx.reshape(-1)),
+                       dtype=float).reshape(nodes.shape)
+        if e != 0.0:
+            gap = fx - fj - gj * dx
+            pos = gap > 0
+            q = np.where(pos, gap, 1.0) / np.where(pos, dx * dx, 1.0)
+            w = np.where(pos, q ** e * w, 0.0)
+        return w
+
+    near, seg = _jump_segments(t, h, getattr(omega, "jumps", ()))
+    u, wts = _jacobi01(_HALF_ORDER, beta)
+    dx = np.array([-1.0, 1.0])[:, None] * near[:, :, None] * u
+    out = kernel(t[:, None, None], ft[:, None, None], gt[:, None, None],
+                 dx) @ wts * near ** (beta + 1.0)
+    if seg is not None:
+        half, lo, hi = seg
+        x, wl = _gauss01(_HALF_ORDER)
+        dist = lo[:, None] + (hi - lo)[:, None] * x
+        j = half // 2
+        dx = np.where(half % 2, 1.0, -1.0)[:, None] * dist
+        vals = kernel(t[j, None], ft[j, None], gt[j, None], dx) * dist ** beta
+        out += np.bincount(half, (vals @ wl) * (hi - lo),
+                           minlength=out.size).reshape(out.shape)
+    return out
+
+
+def _jump_segments(t, h, jumps):
+    """Where the halves (t, widths h) meet the sorted ``jumps``: the
+    widths each half's Gauss-Jacobi rule covers, and (half, lo, hi), the
+    segments beyond, as distances from t_j, with half = 2 j + side; None
+    when no jump lies inside a half."""
+    jumps = np.asarray(jumps, dtype=float)
+    if not jumps.size:
+        return h, None
+    # the halves in x order start at t_j - h_j0 and at t_j
+    k = np.searchsorted(np.column_stack([t - h[:, 0], t]).ravel(), jumps,
+                        side="right") - 1
+    d = np.abs(jumps - t[k // 2])
+    inside = (k >= 0) & (d > 0) & (d < h.ravel()[k])
+    if not np.any(inside):
+        return h, None
+    k, d = k[inside], d[inside]
+    near = h.ravel().copy()
+    np.minimum.at(near, k, d)
+    half, cuts = [], []
+    for q in np.unique(k):
+        steps = near[q] * 2.0 ** np.arange(np.ceil(np.log2(h.flat[q]
+                                                           / near[q])))
+        edges = np.union1d(np.append(steps, h.flat[q]), d[k == q])
+        half.append(np.full(edges.size - 1, q))
+        cuts.append(np.column_stack([edges[:-1], edges[1:]]))
+    cuts = np.concatenate(cuts)
+    return near.reshape(h.shape), (np.concatenate(half), cuts[:, 0],
+                                   cuts[:, 1])
 
 
 def stationarity_residual_1d(f, omega, p, t, interval):
@@ -295,6 +349,12 @@ def quantile_abscissas(f, omega, p, m):
 
 def optimal_tangent_abscissas_1d(f, omega, p, m):
     """Solve the 1-d first-order system for the optimal tangency points."""
+    return _solve_1d(f, omega, p, m)[0]
+
+
+def _solve_1d(f, omega, p, m):
+    """The optimal tangency points, and whether the solve met its stop
+    test (``_newton``; for m = 1, the scalar minimizer's)."""
     a, b = _interval(f)
     if m == 1:
         # Newton's root need not be the minimum here: for huber (delta =
@@ -308,7 +368,7 @@ def optimal_tangent_abscissas_1d(f, omega, p, m):
                 f, tangent_planes(f, [t]), p, omega).value,
             bounds=(a + 1e-12 * (b - a), b - 1e-12 * (b - a)), method="bounded",
             options={"xatol": 1e-14 * (b - a)})
-        return np.array([res.x])
+        return np.array([res.x]), bool(res.success)
 
     t = np.clip(quantile_abscissas(f, omega, p, m),
                 a + 1e-12 * (b - a), b - 1e-12 * (b - a))
@@ -320,20 +380,21 @@ def _newton_polish(f, omega, p, t, interval):
     at the edge of an affine piece, where the residual jumps or its slope
     is singular, and there Newton stops short: bisection sweeps from the
     start then move every point to a sign change, and Newton resumes with
-    the points at such an edge held."""
+    the points at such an edge held.  Returns the points and whether the
+    last solve met its stop test."""
     held = np.zeros(t.size, dtype=bool)
     start = t
-    t, res, ref = _newton(f, omega, p, t, held, interval)
+    t, res, ref, met = _newton(f, omega, p, t, held, interval)
     if not f.strictly_convex and np.max(np.abs(res)) > 1e-12 * ref:
         t, held = _bisection_sweeps(f, omega, p, start, interval)
-        t, res, ref = _newton(f, omega, p, t, held, interval)
+        t, res, ref, met = _newton(f, omega, p, t, held, interval)
     # rounding floors stay below 1e-3 * ref (p = 0.1, m = 2048)
     worst = float(np.max(np.abs(res[~held]), initial=0.0))
     if worst > 1e-2 * ref:
         raise ArithmeticError(
             f"exact_1d: Newton stopped at residual {worst / ref:.2e} of its "
             "scale; the abscissas are not stationary")
-    return t
+    return t, met
 
 
 def _newton(f, omega, p, t, held, interval):
@@ -344,7 +405,7 @@ def _newton(f, omega, p, t, held, interval):
     omega at the start, or once every free residual is within its rounding
     floor (``_residual_floor``), below which no step can be told from
     noise.  A line search that finds no decrease ends it too.  Returns the
-    points, their residuals and the scale."""
+    points, their residuals, the scale and whether the stop test was met."""
     halves = _split_cell_halves(f, omega, p, t, interval)
     res = halves[:, 1] - halves[:, 0]
     free = ~held
@@ -353,10 +414,12 @@ def _newton(f, omega, p, t, held, interval):
     tol = 1e-12 * ref
     a, b = interval
     fixed = np.flatnonzero(held)
+    met = False
     for _ in range(_MAX_NEWTON):
         rnorm = float(np.max(np.abs(res[free]), initial=0.0))
-        if rnorm <= tol or np.all(np.abs(res[free]) <= _residual_floor(
-                f, p, t, halves, interval)[free]):
+        met = rnorm <= tol or bool(np.all(np.abs(res[free]) <= _residual_floor(
+            f, p, t, halves, interval)[free]))
+        if met:
             break
         try:
             jac = _fd_tridiag_jacobian(f, omega, p, t, interval, res)
@@ -385,7 +448,7 @@ def _newton(f, omega, p, t, held, interval):
             lam /= 2.0
         else:
             break
-    return t, res, ref
+    return t, res, ref, met
 
 
 def _bisection_sweeps(f, omega, p, t, interval, sweeps=8):

@@ -181,35 +181,43 @@ def zador_estimate(n, p, m_list, trials=8, seed=0, max_iterations=200,
                    eval_samples=200_000):
     """Empirical delta(n, p) from Lloyd runs on the unit cube.
 
-    At the largest m of ``m_list`` the quantizer runs ``trials`` times with
-    independent seeds; the rescaled distortion m^(2p/n) * distortion is
-    evaluated on a fresh cloud (so the training cloud's optimism does not
-    leak in).  Reported value: minimum over trials; half_width: a bootstrap
+    For each m the quantizer runs ``trials`` times with independent seeds;
+    the rescaled distortion m^(2p/n) * distortion is evaluated on a fresh
+    cloud (so the training cloud's optimism does not leak in).  Reported
+    value: minimum over trials at the largest m; half_width: a bootstrap
     of that minimum.  Being a feasible-point estimate it upper-bounds the
-    true coefficient up to sampling error.  On a line the quantizer is
-    exact: one run gives the value, with half_width 0.
+    true coefficient up to sampling error.
+
+    On a line the quantizer is exact: the value is m^(2p) times its
+    objective at the largest m, with half_width 0, and ``trials``,
+    ``seed``, ``max_iterations`` and ``eval_samples`` have no effect.
     """
     from .quantizer import QuantizerConfig, quantize, quantizer_objective
 
     cube = Domain.box(np.zeros(n), np.ones(n))
-    if not len(m_list):
+    m_list = sorted(set(int(m) for m in m_list))
+    if not m_list:
         raise ValueError("m_list must be non-empty")
-    m = max(int(k) for k in m_list)
+    m_top = m_list[-1]
     if n == 1:
-        ps = quantize(cube, None, QuantizerConfig(m=m, p=p))
-        return ZadorConstant(n=1, p=float(p), value=m ** (2.0 * p)
+        ps = quantize(cube, None, QuantizerConfig(m=m_top, p=p))
+        return ZadorConstant(n=1, p=float(p), value=m_top ** (2.0 * p)
                              * ps.objective, provenance="empirical")
-    vals = []
-    for t in range(trials):
-        cfg = QuantizerConfig(m=m, p=p, seed=(seed * 1000003 + 7919 * t + m),
-                              max_iterations=max_iterations)
-        ps = quantize(cube, None, cfg)
-        rep = quantizer_objective(
-            cube, None, np.eye(n), p, ps.points,
-            QuadratureSpec(kind="monte_carlo", samples=eval_samples,
-                           seed=(seed, m, t)))
-        vals.append(m ** (2.0 * p / n) * rep.value)
-    arr = np.asarray(vals)
+    per_trial = []
+    for m in m_list:
+        vals = []
+        for t in range(trials):
+            cfg = QuantizerConfig(m=m, p=p, seed=(seed * 1000003 + 7919 * t + m),
+                                  max_iterations=max_iterations)
+            ps = quantize(cube, None, cfg)
+            rep = quantizer_objective(
+                cube, None, np.eye(n), p, ps.points,
+                QuadratureSpec(kind="monte_carlo", samples=eval_samples,
+                               seed=(seed, m, t)))
+            vals.append(m ** (2.0 * p / n) * rep.value)
+        if m == m_top:
+            per_trial = vals
+    arr = np.asarray(per_trial)
     est = float(arr.min())
     rng = np.random.default_rng(seed + 17)
     boots = np.min(rng.choice(arr, size=(1000, arr.size), replace=True), axis=1)

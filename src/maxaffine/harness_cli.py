@@ -370,7 +370,9 @@ def _build_parser():
                            help="path to a saved envelope")
         if verb == "zador":
             s.add_argument("--n", type=int, default=2, help="dimension")
-            s.add_argument("--trials", type=int, default=8)
+            s.add_argument("--trials", type=int, default=8,
+                           help="Lloyd runs per budget (n >= 2; at n = 1 "
+                                "the estimate is exact and takes one)")
         if verb == "legendre":
             s.add_argument("--grid", type=int, default=257,
                            help="primal nodes per axis")

@@ -19,7 +19,8 @@ sums go one bincount per column, and the rows of the cells that have
 stopped drop out of the passes once they are half of the rows, so no
 temporary holds more than a few columns.  The empirical objective is
 monotone across iterations by construction and this is asserted.  On a line
-the solve is exact instead (``_quantize_line``).
+the solve is exact instead, its cells cut where rho jumps
+(``_quantize_line``).
 
 Independent problems run in lockstep (``quantize_many``; ``quantize`` is
 a batch of one, and ``paper_partition`` hands over all of its cells at
@@ -128,8 +129,12 @@ class QuantizerConfig:
 
 @dataclass
 class PointSet:
-    """On a line ``converged`` is True (a solve that stops short raises),
-    ``iterations_used`` is 0 and ``objective_history`` is ``[objective]``."""
+    """On a line ``converged`` says whether the exact solve met its stop
+    test: every residual within 1e-12 of its scale or within its rounding
+    floor (a solve that stops far short raises ArithmeticError).  For
+    p != 1 the rounding of the gap next to a point can hold residuals above
+    that floor, and it reads False.  ``iterations_used`` is 0 and
+    ``objective_history`` is ``[objective]`` there."""
     points: np.ndarray
     objective: float
     iterations_used: int
@@ -744,21 +749,51 @@ def _quantize_line(region, density, config, metric):
     """The exact quantizer of an interval.  With q(y) = a y^2, q(x - s) is
     twice the gap between g = a x^2 / 2 and its tangent at s, so the best
     points are ``exact_1d``'s optimal tangency points of g under the weight
-    rho, and the objective is 2^p times the exact integral of gap^p rho."""
-    from .approximator import optimal_tangent_abscissas_1d
+    rho, and the objective is 2^p times the exact integral of gap^p rho.
+    The solve cuts its cells where rho jumps (``_density_jumps``)."""
+    from .approximator import _solve_1d
 
     g = catalog_entry("quadratic", {"hessian": metric.matrix}, region)
 
     def omega(x, _):
-        return np.ones(len(x)) if density is None else density(x)
+        if density is None:
+            return np.ones(len(x))
+        vals = np.asarray(density(x), dtype=float)
+        if np.any(vals < 0):
+            raise ValueError("density must be nonnegative")
+        return vals
 
-    t = optimal_tangent_abscissas_1d(g, omega, config.p, config.m)
+    if density is not None:
+        omega.jumps = _density_jumps(omega, *g.domain.bounding_box())
+    t, met = _solve_1d(g, omega, config.p, config.m)
     obj = 2.0 ** config.p * exact_1d_piecewise_integral(
         g, tangent_planes(g, t[:, None]), config.p, omega).value
     if not obj > 0.0:
         raise ValueError("density carries no mass on the interval")
-    return PointSet(t[:, None], obj, iterations_used=0, converged=True,
+    return PointSet(t[:, None], obj, iterations_used=0, converged=met,
                     objective_history=[obj])
+
+
+def _density_jumps(rho, lo, hi, grid=4097):
+    """Where ``rho(x, None)`` jumps on the interval [lo, hi]: the steps of
+    a uniform grid that change it by more than 8 times either neighbouring
+    step, and by more than 1e-9 of its largest value there, each bisected
+    60 times towards the side that changes more.  A jump between two
+    others on one grid step is not seen; a steep smooth stretch taken for
+    one costs only a cut."""
+    x = np.linspace(float(lo[0]), float(hi[0]), grid)
+    v = rho(x[:, None], None)
+    step = np.abs(np.diff(v))
+    nb = np.maximum(np.append(step[1:], 0.0), np.insert(step[:-1], 0, 0.0))
+    k = np.flatnonzero((step > 8.0 * nb) & (step > 1e-9 * np.max(v)))
+    a, b, va, vb = x[k], x[k + 1], v[k], v[k + 1]
+    for _ in range(60):
+        mid = (a + b) / 2.0
+        vm = rho(mid[:, None], None)
+        left = np.abs(vm - va) >= np.abs(vb - vm)
+        b, vb = np.where(left, mid, b), np.where(left, vm, vb)
+        a, va = np.where(left, a, mid), np.where(left, va, vm)
+    return b
 
 
 def quantize(region, density, config, _cloud=None):

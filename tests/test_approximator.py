@@ -159,6 +159,38 @@ def test_quantile_start_is_stationary_at_p1(cid, params, weight, m):
     assert np.max(np.abs(res)) <= 1e-9 * np.max(np.sum(halves, axis=1))
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+def test_split_halves_cut_where_omega_jumps(p):
+    # on x^2 / 2 the half integrals are 2^(1-p) int |x - t_j|^(2p-1) omega,
+    # in closed form for a step omega.  The jumps sit mid-half, in a left
+    # half, two in one half, and 1e-9 from t_j = 0, a deep geometric split
+    # where f(t_j) = f'(t_j) = 0, so the gap is formed without cancelling
+    f = catalog_entry("quadratic", {}, Domain.box([-1.0], [1.0]))
+    t = np.array([-0.6, -0.2, 0.0, 0.45, 0.8])
+    jumps = np.array([-0.5, -0.3, 1e-9, 0.1, 0.55, 0.6])
+    levels = np.array([1.0, 3.0, 0.5, 0.0, 2.0, 1.5, 4.0])
+
+    def omega(x, _):
+        return levels[np.searchsorted(jumps, x[:, 0])]
+
+    edges = np.concatenate([[-1.0], (t[1:] + t[:-1]) / 2.0, [1.0]])
+    ref = np.zeros((t.size, 2))
+    for j, tj in enumerate(t):
+        for side, (a, b) in enumerate([(edges[j], tj), (tj, edges[j + 1])]):
+            cuts = np.concatenate([[a], jumps[(jumps > a) & (jumps < b)], [b]])
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                w = levels[np.searchsorted(jumps, (lo + hi) / 2.0)]
+                ref[j, side] += (w * abs(abs(hi - tj) ** (2 * p)
+                                         - abs(lo - tj) ** (2 * p))
+                                 * 2.0 ** (1 - p) / (2 * p))
+    # the rule alone does not see the jumps
+    plain = _split_cell_halves(f, omega, p, t, (-1.0, 1.0))
+    assert np.max(np.abs(plain - ref) / ref) > 1e-2
+    omega.jumps = jumps
+    halves = _split_cell_halves(f, omega, p, t, (-1.0, 1.0))
+    np.testing.assert_allclose(halves, ref, rtol=1e-12, atol=0)
+
+
 def _start_and_floor(f, omega, p, m):
     """The solve's quantile start, its residual and its rounding floor."""
     a, b = -1.0, 1.0

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from maxaffine import approximator
 from maxaffine.harness_cli import (
     ConfigError,
     FitResult,
@@ -224,11 +225,14 @@ def test_sweep_verb_numeric_failure_is_exit_3(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
-def test_global_density_on_huber_line_is_exit_3(tmp_path, capsys):
-    # huber's law density is 0 on its arms, and the exact 1-d solve that
-    # quantizes on a line stops short of a root there: both verbs that
-    # build an envelope report a numeric failure, not a traceback
-    cfg = _write_cfg(tmp_path, strategy="global_density", m_list=[64, 256],
+def test_solve_off_a_root_is_exit_3(tmp_path, capsys, monkeypatch):
+    # without the sweeps that hold huber's arms, the exact_1d solve stops
+    # off a root and raises ArithmeticError: both verbs that build an
+    # envelope report a numeric failure, not a traceback
+    monkeypatch.setattr(approximator, "_bisection_sweeps",
+                        lambda f, omega, p, t, interval:
+                        (t, np.zeros(t.size, dtype=bool)))
+    cfg = _write_cfg(tmp_path, p=0.5, m_list=[16],
                      function={"catalog_id": "huber",
                                "parameters": {"delta": 0.5},
                                "domain": {"kind": "box", "lower": [-1.0],

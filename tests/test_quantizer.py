@@ -19,7 +19,7 @@ from maxaffine import (
     quantizer_objective,
     whiten,
 )
-from maxaffine import quantizer
+from maxaffine import approximator, quantizer
 from maxaffine import (allocate_budget, build_approximation, partition_domain,
                        tangent_planes)
 from maxaffine.approximator import _law_density, _probe_lattice
@@ -93,7 +93,7 @@ def test_line_objective_is_the_exact_distortion(m, p):
     ps = quantize(Domain.box([0.0], [1.0]), None, QuantizerConfig(m=m, p=p))
     assert ps.objective == pytest.approx(_uniform_objective_1d(ps.points, p),
                                          rel=1e-12)
-    assert ps.converged and ps.objective_history == [ps.objective]
+    assert ps.objective_history == [ps.objective]
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -177,22 +177,71 @@ def test_metric_dimension_guard():
         quantize(dom, None, QuantizerConfig(m=3, metric=metric))
 
 
-def _step_density(x):
-    return 0.01 + (x[:, 0] > 0.5) * 1.0
-
-
 def test_density_quantizer_concentrates_points():
+    dom = Domain.box([0.0], [1.0])
+    ps = quantize(dom, lambda x: 0.01 + (x[:, 0] > 0.5) * 1.0,
+                  QuantizerConfig(m=10, seed=6))
+    assert np.sum(ps.points.ravel() > 0.5) >= 7
+
+
+def test_density_quantizer_concentrates_points_in_2d():
     dom = Domain.box([0.0, 0.0], [1.0, 1.0])
-    ps = quantize(dom, _step_density, QuantizerConfig(m=10, seed=6))
+    ps = quantize(dom, lambda x: 0.01 + (x[:, 0] > 0.5) * 1.0,
+                  QuantizerConfig(m=10, seed=6))
     assert np.sum(ps.points[:, 0] > 0.5) >= 7
 
 
-def test_line_density_with_a_jump_raises():
-    # the exact solve's half-cell rule cannot resolve a jump of the density
-    # inside a cell, so its Newton solve stops short and says so
-    with pytest.raises(ArithmeticError, match="not stationary"):
-        quantize(Domain.box([0.0], [1.0]), _step_density,
-                 QuantizerConfig(m=10, seed=6))
+def _step_centroid(lo, hi, c, low, high):
+    """Centroid of [lo, hi] under the weight low on x < c, high beyond."""
+    parts = [(lo, min(hi, c), low), (max(lo, c), hi, high)]
+    mass = sum(w * (b - a) for a, b, w in parts if b > a)
+    moment = sum(w * (b * b - a * a) / 2.0 for a, b, w in parts if b > a)
+    return moment / mass
+
+
+@pytest.mark.parametrize("c, low", [(0.5, 0.01), (0.3, 0.01),
+                                    (0.123456789, 0.01), (0.6, 0.0)])
+def test_line_density_with_a_jump_is_stationary(c, low):
+    # the solve cuts its cells where rho jumps, so at p = 1 every point is
+    # the rho-centroid of its midpoint cell, to rounding; with low = 0 the
+    # density vanishes past the jump
+    ps = quantize(Domain.box([0.0], [1.0]),
+                  lambda x: np.where(x[:, 0] > c, 1.0, low),
+                  QuantizerConfig(m=10, p=1.0))
+    t = np.sort(ps.points[:, 0])
+    edges = np.concatenate([[0.0], (t[1:] + t[:-1]) / 2.0, [1.0]])
+    cen = [_step_centroid(a, b, c, low, 1.0)
+           for a, b in zip(edges[:-1], edges[1:])]
+    assert ps.converged
+    np.testing.assert_allclose(t, cen, rtol=0, atol=1e-13)
+
+
+def test_density_jumps_are_located():
+    def step(x, _):
+        return np.where(x[:, 0] > 0.3, 2.0, 1.0)
+
+    found = quantizer._density_jumps(step, [0.0], [1.0])
+    assert found.size == 1 and abs(found[0] - 0.3) <= 1e-15
+    # a steep smooth density has no jump
+    assert quantizer._density_jumps(lambda x, _: np.exp(30.0 * x[:, 0]),
+                                    [0.0], [1.0]).size == 0
+
+
+def test_negative_density_on_a_line_raises():
+    with pytest.raises(ValueError, match="nonnegative"):
+        quantize(Domain.box([0.0], [1.0]), lambda x: x[:, 0] - 0.5,
+                 QuantizerConfig(m=4))
+
+
+def test_line_converged_reports_the_stop_test(monkeypatch):
+    def rho(x):
+        return np.exp(2.0 * x[:, 0])
+
+    dom = Domain.box([0.0], [1.0])
+    assert quantize(dom, rho, QuantizerConfig(m=16, p=1.0)).converged
+    # one Newton step from the quantile start does not reach the stop test
+    monkeypatch.setattr(approximator, "_MAX_NEWTON", 1)
+    assert not quantize(dom, rho, QuantizerConfig(m=16, p=1.0)).converged
 
 
 def test_zero_density_raises():
