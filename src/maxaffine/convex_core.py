@@ -62,13 +62,48 @@ def as_points(x, dim):
 # domains
 
 
-class Domain:
-    """Compact region: axis-aligned box, closed ball, or bounded polytope.
+def _clip_halfspaces(start, vec, a, b, lo, hi):
+    """Parameter range [lo, hi] of start + t vec inside {a x <= b}."""
+    num = b - start @ a.T
+    den = vec @ a.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num / den
+    lo = np.maximum(lo, np.max(np.where(den < 0, t, -np.inf), axis=1))
+    hi = np.minimum(hi, np.min(np.where(den > 0, t, np.inf), axis=1))
+    blocked = np.any((den == 0) & (num < 0), axis=1)
+    return lo, np.where(blocked, lo, hi)
 
-    Polytopes are stored as ``A x <= b`` and handled through their bounding
-    box plus rejection, so only membership, half-spaces, bounding box,
-    sampling and projection are exact; volume is closed-form for boxes
-    and balls only.
+
+def _polygon_sides(a, b):
+    """The rows of {a x <= b} whose side has positive length, and per side
+    (normal, base, along, lo, hi): base + t along, t in [lo, hi] (maybe
+    infinite), is its line clipped by the other rows, run counterclockwise.
+    Rows on one line to rounding (a repeated row, maybe scaled) count as
+    the first, since clipping one by another could cut the side anywhere."""
+    line = np.column_stack([a, b]) / np.linalg.norm(a, axis=1)[:, None]
+    near = np.all(np.abs(line[:, None] - line)
+                  <= 1e-12 * np.abs(line).max(axis=0), axis=2)
+    rows = np.flatnonzero(np.argmax(near, axis=1) == np.arange(b.size))
+    kept, sides = [], []
+    for k, normal in zip(rows, a[rows]):
+        base = normal * b[k] / (normal @ normal)
+        along = np.array([-normal[1], normal[0]])
+        other = rows[rows != k]
+        lo, hi = _clip_halfspaces(base[None], along[None], a[other], b[other],
+                                  -np.inf, np.inf)
+        if hi[0] > lo[0]:
+            kept.append(k)
+            sides.append((normal, base, along, lo[0], hi[0]))
+    return np.array(kept, dtype=int), sides
+
+
+class Domain:
+    """Compact region: axis-aligned box, closed ball, or bounded polygon.
+
+    A polygon (``polytope``) is ``A x <= b`` in the plane, kept with its
+    sides (:meth:`sides`), which give its bounding box, Chebyshev center,
+    volume and least linear value exactly.  A non-box samples by
+    rejection from its bounding box.
     """
 
     def __init__(self, kind, dim, **data):
@@ -100,43 +135,35 @@ class Domain:
 
     @classmethod
     def polytope(cls, a, b):
-        a = np.asarray(a, dtype=float).copy()
-        b = np.atleast_1d(np.asarray(b, dtype=float)).copy()
-        if a.ndim != 2 or a.shape[0] != b.size:
-            raise DomainError("polytope wants A of shape (k, n) and b of shape (k,)")
-        dim = a.shape[1]
-        from scipy.optimize import linprog
-
-        # bounding box via 2n LPs; unboundedness is rejected here
-        lower = np.empty(dim)
-        upper = np.empty(dim)
-        for k in range(dim):
-            c = np.zeros(dim)
-            c[k] = 1.0
-            lo = linprog(c, A_ub=a, b_ub=b, bounds=[(None, None)] * dim, method="highs")
-            hi = linprog(-c, A_ub=a, b_ub=b, bounds=[(None, None)] * dim, method="highs")
-            if not (lo.success and hi.success):
-                raise DomainError("polytope must be bounded and feasible")
-            lower[k], upper[k] = lo.fun, -hi.fun
-        # Chebyshev center: full-dimensionality check
-        norms = np.linalg.norm(a, axis=1)
-        c = np.zeros(dim + 1)
-        c[-1] = -1.0
-        cheb = linprog(
-            c,
-            A_ub=np.hstack([a, norms[:, None]]),
-            b_ub=b,
-            bounds=[(None, None)] * dim + [(0, None)],
-            method="highs",
-        )
-        if not cheb.success or cheb.x[-1] <= 1e-12:
+        """The polygon ``{x : a x <= b}`` of the plane (an interval is a
+        box), refused when unbounded or without interior.  Its Chebyshev
+        center, where the largest inscribed circle touches three sides,
+        solves ``a_i . x + |a_i| r = b_i`` on their rows."""
+        a, b = np.array(a, dtype=float), np.atleast_1d(np.array(b, dtype=float))
+        if (a.shape != (b.size, 2) or not np.any(a, axis=1).all()
+                or not np.isfinite(np.column_stack([a, b])).all()):
+            raise DomainError("polytope rows must be planar, finite and nonzero")
+        kept, sides = _polygon_sides(a, b)
+        if len(sides) < 3 or not np.all(np.isfinite([s[3:] for s in sides])):
+            raise DomainError("polytope must be bounded, with an interior")
+        ends = np.array([[base + lo * along, base + hi * along]
+                         for _, base, along, lo, hi in sides])
+        # Solved with its two neighbours (sides sorted by normal angle), a
+        # row gives the r at which its side of {a x + |a| r <= b} shrinks
+        # away for good; the last three sides touch the inscribed circle.
+        rows = np.column_stack([a, np.linalg.norm(a, axis=1)])
+        ring = kept[np.argsort(np.arctan2(a[kept, 1], a[kept, 0]))]
+        for _ in range(ring.size - 2):
+            trio = np.sort([np.roll(ring, 1), ring, np.roll(ring, -1)], axis=0).T
+            sol = np.linalg.solve(rows[trio], b[trio][..., None])[..., 0]
+            ring = np.delete(ring, np.argmin(sol[:, 2]))
+        if not sol[0, 2] > 1e-12:
             raise DomainError("polytope must have non-empty interior")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        return cls("polytope", dim, a=a, b=b, lower=lower, upper=upper,
-                   chebyshev=np.array(cheb.x[:dim]))
+        lower, upper = ends.min(axis=(0, 1)), ends.max(axis=(0, 1))
+        for arr in (a, b, lower, upper):
+            arr.flags.writeable = False
+        return cls("polytope", 2, a=a, b=b, sides=sides, ends=ends,
+                   lower=lower, upper=upper, center=sol[0, :2])
 
     @classmethod
     def from_config(cls, cfg):
@@ -161,8 +188,6 @@ class Domain:
 
     # -- geometry ------------------------------------------------------
     def bounding_box(self):
-        if self.kind == "box":
-            return self._data["lower"], self._data["upper"]
         if self.kind == "ball":
             c, r = self._data["center"], self._data["radius"]
             return c - r, c + r
@@ -180,6 +205,13 @@ class Domain:
             raise DomainError("a ball has no half-space description")
         return self._data["a"], self._data["b"]
 
+    def sides(self):
+        """The sides of a planar box or polygon (:func:`_polygon_sides`);
+        a ball, or a region off the plane, raises ``DomainError``."""
+        if self.dim != 2:
+            raise DomainError("only a planar region has sides")
+        return self._data.get("sides") or _polygon_sides(*self.halfspaces())[1]
+
     def contains(self, x):
         pts = as_points(x, self.dim)
         if self.kind == "box":
@@ -193,22 +225,30 @@ class Domain:
 
     def volume(self):
         if self.kind == "box":
-            lo, hi = self._data["lower"], self._data["upper"]
-            return float(np.prod(hi - lo))
+            return float(np.prod(self._data["upper"] - self._data["lower"]))
         if self.kind == "ball":
             r, n = self._data["radius"], self.dim
             from scipy.special import gamma
 
             return float(np.pi ** (n / 2) / gamma(n / 2 + 1) * r ** n)
-        raise DomainError("polytope volume has no closed form here")
+        # half the sum of cross(start, end) over the sides
+        return 0.5 * float(np.sum(np.linalg.det(self._data["ends"])))
+
+    def least(self, c):
+        """The least value of c . x, c an array, over the region: at a box
+        corner or a polygon vertex, and c . center - |c| r on a ball."""
+        if self.kind == "box":
+            lo, hi = self._data["lower"], self._data["upper"]
+            return float(np.sum(np.minimum(c * lo, c * hi)))
+        if self.kind == "ball":
+            return float(c @ self._data["center"]
+                         - np.linalg.norm(c) * self._data["radius"])
+        return float(np.min(self._data["ends"] @ c))
 
     def centroid(self):
         if self.kind == "box":
-            lo, hi = self._data["lower"], self._data["upper"]
-            return (lo + hi) / 2.0
-        if self.kind == "ball":
-            return self._data["center"].copy()
-        return self._data["chebyshev"].copy()
+            return (self._data["lower"] + self._data["upper"]) / 2.0
+        return self._data["center"].copy()
 
     def sample(self, rng, count):
         """Uniform sample of the region (rejection for non-boxes).
@@ -274,11 +314,7 @@ class Domain:
         else:
             out = np.flatnonzero(~self.contains(pts))
             d = pts[out] - c
-            a, b = self._data["a"], self._data["b"]
-            reach = d @ a.T
-            with np.errstate(divide="ignore"):
-                scale = np.min(np.where(reach > 0, (b - a @ c) / reach,
-                                        np.inf), axis=1)
+            _, scale = _clip_halfspaces(c, d, *self.halfspaces(), 0.0, np.inf)
         moved = np.array(pts, dtype=float)
         moved[out] = c + d * scale[:, None]
         while out.size:
@@ -572,12 +608,7 @@ class WeightFunction:
         """Raise WeightError when the weight can reach <= 0 on the domain."""
         if self.catalog_id in ("constant", "exp_neg_t"):
             return
-        coeffs = np.asarray(self.params["coeffs"], dtype=float)
-        lo, hi = domain.bounding_box()
-        corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1)
-        corners = corners.reshape(-1, coeffs.size)
-        vals = self.params["offset"] + corners @ coeffs
-        if np.min(vals) <= 0:
+        if self.params["offset"] + domain.least(np.array(self.params["coeffs"])) <= 0:
             raise WeightError("affine weight is non-positive somewhere on the domain")
 
 

@@ -19,8 +19,8 @@ sees a smooth integrand for every p > 0 (:func:`exact_1d_piecewise_integral`).
 
 Two dimensions take the cells from the lower convex hull of the lifted
 points (slope_j, -offset_j): they form a power diagram (Aurenhammer, SIAM
-J. Comput. 1987).  The cells are clipped to the domain by its half-spaces
-or its circle, and the domain's own sides are cut into cells by
+J. Comput. 1987).  The cells are clipped to the domain by its sides
+(``Domain.sides``) or its circle, and those sides are cut into cells by
 :func:`envelope_cells_1d`, so one cell routine serves both dimensions.
 Each cell is a fan of collapsed sectors (Duffy, SIAM J. Numer. Anal. 1982)
 from the tangency point of its piece, where the gap vanishes to second
@@ -57,8 +57,8 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .convex_core import (CircumscriptionError, PiecewiseAffineMax,
-                          WeightError, as_points, max_violation, rowdot,
-                          sup_gap)
+                          WeightError, _clip_halfspaces, as_points,
+                          max_violation, rowdot, sup_gap)
 from .quadrature import (_SEGMENT_RULES, ErrorReport, Pieces, QuadratureSpec,
                          _gauss01, _jacobi01, integrate, refine)
 
@@ -342,21 +342,8 @@ def _power_diagram(a, b, centre, radius):
     return owners, kept[i], kept[j], vert[facet], vert[nb[facet, slot[real]]]
 
 
-def _clip_halfspaces(start, vec, a, b, lo, hi):
-    """Parameter range [lo, hi] of start + t vec inside {a x <= b}."""
-    num = b - start @ a.T
-    den = vec @ a.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / den
-    lo = np.maximum(lo, np.max(np.where(den < 0, t, -np.inf), axis=1))
-    hi = np.minimum(hi, np.min(np.where(den > 0, t, np.inf), axis=1))
-    blocked = np.any((den == 0) & (num < 0), axis=1)
-    return lo, np.where(blocked, lo, hi)
-
-
-def _polygon_boundary(ha, hb, a, b, kept, inset):
-    """Sides of the polygon {ha x <= hb}, cut where the winning piece
-    changes.
+def _polygon_boundary(sides, a, b, kept, inset):
+    """The domain's ``sides``, cut where the winning piece changes.
 
     Along each side the envelope restricted to the side's line is a 1-d
     envelope, and :func:`envelope_cells_1d` labels its cells.  It is read
@@ -367,24 +354,16 @@ def _polygon_boundary(ha, hb, a, b, kept, inset):
     run counterclockwise, so each lies with its cell on the left.
     """
     piece, start, vec = [], [], []
-    for k in range(hb.size):
-        normal = ha[k]
-        base = normal * hb[k] / (normal @ normal)
-        along = np.array([-normal[1], normal[0]])
-        other = np.arange(hb.size) != k
-        lo, hi = _clip_halfspaces(base[None], along[None], ha[other],
-                                  hb[other], -np.inf, np.inf)
-        if not hi[0] > lo[0]:
-            continue
+    for normal, base, along, lo, hi in sides:
         inside = base - inset * normal / np.sqrt(normal @ normal)
         slope = a[kept] @ along
         idx, edges = envelope_cells_1d(
             PiecewiseAffineMax(slope[:, None], a[kept] @ inside + b[kept]),
-            (lo[0], hi[0]))
+            (lo, hi))
         level = a[kept] @ base + b[kept]
         left, right = idx[:-1], idx[1:]
         cross = (level[left] - level[right]) / (slope[right] - slope[left])
-        edges[1:-1] = np.maximum.accumulate(np.clip(cross, lo[0], hi[0]))
+        edges[1:-1] = np.maximum.accumulate(np.clip(cross, lo, hi))
         piece.append(kept[idx])
         start.append(base + edges[:-1, None] * along)
         vec.append(np.diff(edges)[:, None] * along)
@@ -577,8 +556,8 @@ def _cell_boundaries(a, b, domain):
         flat = np.linalg.norm(ha, axis=1) * hair
         t1 = np.where(np.any((room[0] <= flat) & (room[1] <= flat), axis=1),
                       t0, t1)
-        rim_piece, rim_s, rim_d = _polygon_boundary(ha, hb, a, b, kept,
-                                                    10 * hair)
+        rim_piece, rim_s, rim_d = _polygon_boundary(domain.sides(), a, b,
+                                                    kept, 10 * hair)
     cut = t1 > t0
     i, j = i[cut], j[cut]
     s = start[cut] + t0[cut, None] * vec[cut]

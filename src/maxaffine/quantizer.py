@@ -97,8 +97,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .convex_core import (_SLACK, DomainError, MetricError, QuadraticForm,
-                          catalog_entry, rowdot, tangent_planes)
+from .convex_core import (_SLACK, MetricError, QuadraticForm, catalog_entry,
+                          rowdot, tangent_planes)
 from .error_eval import exact_1d_piecewise_integral
 from .quadrature import _ROW_BLOCK, ErrorReport, evaluate_rows, integrate
 
@@ -153,9 +153,9 @@ def _draw_cloud(region, density, count, rng):
     """Cloud distributed as rho plus the exact/estimated total mass of rho.
 
     density=None means uniform on the region; then the mass is the exact
-    region volume (for boxes/balls) so the objective has no normalization
-    noise.  Otherwise rejection sampling against the bounding box is used
-    and the mass is estimated from the acceptance rate.
+    region volume, so the objective has no normalization noise.  Otherwise
+    rejection sampling against the bounding box is used and the mass is
+    estimated from the acceptance rate.
 
     The stream order is that of one draw per batch: all proposals of a
     batch, then one keep draw per proposal.  The batch is worked through
@@ -169,11 +169,7 @@ def _draw_cloud(region, density, count, rng):
     lo, hi = region.bounding_box()
     box_vol = float(np.prod(hi - lo))
     if density is None:
-        pts = region.sample(rng, count)
-        try:
-            return pts, region.volume()
-        except DomainError:  # no closed form (polytopes)
-            return pts, None
+        return region.sample(rng, count), region.volume()
 
     # envelope constant from a probe lattice, with headroom
     probe = lo + rng.random((4096, region.dim)) * (hi - lo)
@@ -559,15 +555,12 @@ class _Run:
         config = self.config
         rng = np.random.default_rng((config.seed, self.restart))
         if self.cloud is not None:
-            cloud, mass = np.asarray(self.cloud, dtype=float), None
+            # a fixed cloud reports its average
+            cloud, mass = np.asarray(self.cloud, dtype=float), 1.0
         else:
             cloud, mass = _draw_cloud(self.region, self.density, self.rows,
                                       rng)
-        if mass is None:
-            # report the cloud average when no exact mass exists
-            self.norm = 1.0 / cloud.shape[0]
-        else:
-            self.norm = mass / cloud.shape[0]
+        self.norm = mass / cloud.shape[0]
         np.matmul(cloud, self.w.T, out=cloud_w)
         del cloud
         if config.m == 1:
@@ -928,12 +921,8 @@ def quantizer_objective(region, density, q, p, points, sample_spec):
         rng = np.random.default_rng(sample_spec.seed)
         cloud, mass = _draw_cloud(region, density, sample_spec.samples, rng)
         vals = min_cost(cloud)
-        if mass is None:
-            mass, scale = 1.0, 1.0
-        else:
-            scale = mass
-        value = scale * float(np.mean(vals))
-        se = scale * float(np.std(vals)) / np.sqrt(len(vals))
+        value = mass * float(np.mean(vals))
+        se = mass * float(np.std(vals)) / np.sqrt(len(vals))
         return ErrorReport(value=value, error_bar=se, nodes_used=len(vals))
 
     rho = density or (lambda x: 1.0)

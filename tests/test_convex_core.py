@@ -22,6 +22,8 @@ from maxaffine import (
     max_violation,
     sup_gap,
     tangent_planes,
+    weighted_lp_error,
+    weighted_mass,
 )
 from maxaffine.convex_core import as_points
 from maxaffine.error_eval import _probe_cloud
@@ -78,6 +80,12 @@ def test_polytope_domain_triangle():
     assert not bool(d.contains([0.8, 0.8])[0])
     pts = d.sample(np.random.default_rng(1), 256)
     assert d.contains(pts).all()
+    assert d.volume() == 0.5
+    lo, hi = d.bounding_box()
+    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [1.0, 1.0]
+    # the Chebyshev center, 1 - 1/sqrt(2) on both axes, as a linear
+    # program put it
+    assert d.centroid().tolist() == [0.2928932188134525] * 2
 
 
 def test_domain_sampling_is_seeded():
@@ -88,7 +96,8 @@ def test_domain_sampling_is_seeded():
 
 
 def test_domain_config_round_trip():
-    for d in (Domain.box([0.0], [2.0]), Domain.ball([0.0, 1.0], 0.5)):
+    for d in (Domain.box([0.0], [2.0]), Domain.ball([0.0, 1.0], 0.5),
+              _triangle()):
         d2 = Domain.from_config(d.to_config())
         assert d2.kind == d.kind
         np.testing.assert_allclose(d2.bounding_box()[0], d.bounding_box()[0])
@@ -99,6 +108,112 @@ def test_domain_config_round_trip():
 def _triangle():
     return Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
                            [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("a, b", [
+    # an unbounded wedge, x >= 0 and y >= 0
+    ([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0]),
+    # an infeasible pair, x <= 0 and x >= 1, closed above and below
+    ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -1.0, 1.0, 1.0]),
+    # a triangle of zero area: the segment 0 <= x <= 1 on y = 0
+    ([[0.0, -1.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]], [0.0, 0.0, 1.0, 0.0]),
+    # a triangle shrunk to the point (0, 0)
+    ([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 0.0]),
+    # a zero row, and a row that is not finite
+    ([[-1.0, 0.0], [0.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 1.0, 0.0, 1.0]),
+    ([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+     [np.inf, 1.0, 0.0, 1.0, 0.0]),
+    # rows off the plane: an interval is a box, and polygons are planar
+    ([[1.0], [-1.0]], [1.0, 0.0]),
+    (np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
+])
+def test_polytope_refuses_what_is_no_polygon(a, b):
+    with pytest.raises(DomainError):
+        Domain.polytope(a, b)
+
+
+def test_polytope_counts_a_repeated_line_once():
+    # the hypotenuse x + y <= 1 repeated as it is and scaled by 0.3 and
+    # 0.7, whose rows differ from it in the last bits: each side, the
+    # area, the mass and the error are the triangle's
+    tri = _triangle()
+    f = catalog_entry("cosh_quadratic", {}, tri)
+    w = WeightFunction.exp_neg_t()
+    l = tangent_planes(f, [[0.2, 0.3], [0.6, 0.1], [0.1, 0.7]])
+    for a, b in (([[1.0, 1.0]], [1.0]), ([[0.3, 0.3], [0.7, 0.7]], [0.3, 0.7])):
+        dom = Domain.polytope(np.vstack([tri.halfspaces()[0], a]),
+                              np.append(tri.halfspaces()[1], b))
+        assert len(dom.sides()) == 3
+        assert dom.volume() == 0.5
+        g = catalog_entry("cosh_quadratic", {}, dom)
+        assert weighted_mass(g, 2.0, w) == pytest.approx(
+            weighted_mass(f, 2.0, w), rel=1e-12)
+        assert weighted_lp_error(g, l, 2.0, w).value == pytest.approx(
+            weighted_lp_error(f, l, 2.0, w).value, rel=1e-9)
+
+
+def _random_polygon(rng):
+    """Rows of the hull of random points, with a row that cuts nothing
+    put in at a random place; and the hull's area."""
+    from scipy.spatial import ConvexHull
+
+    pts = (rng.normal(size=(int(rng.integers(3, 12)), 2))
+           * rng.uniform(0.1, 3.0, 2) + rng.uniform(-2.0, 2.0, 2))
+    hull = ConvexHull(pts)
+    a, b = hull.equations[:, :2], -hull.equations[:, 2]
+    extra = rng.normal(size=2)
+    at = int(rng.integers(b.size + 1))
+    a = np.insert(a, at, extra, axis=0)
+    b = np.insert(b, at, np.max(pts @ extra) + rng.uniform(0.1, 1.0))
+    return a, b, hull.volume
+
+
+def test_polytope_matches_linear_programs():
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(27)
+    free = [(None, None)] * 2
+    for _ in range(20):
+        a, b, area = _random_polygon(rng)
+        dom = Domain.polytope(a, b)
+        lo, hi = dom.bounding_box()
+        for k in range(2):
+            c = np.eye(2)[k]
+            assert lo[k] == pytest.approx(
+                linprog(c, A_ub=a, b_ub=b, bounds=free).fun, abs=1e-12)
+            assert hi[k] == pytest.approx(
+                -linprog(-c, A_ub=a, b_ub=b, bounds=free).fun, abs=1e-12)
+        norms = np.linalg.norm(a, axis=1)
+        cheb = linprog([0.0, 0.0, -1.0], A_ub=np.column_stack([a, norms]),
+                       b_ub=b, bounds=free + [(0, None)])
+        centre = dom.centroid()
+        assert np.min((b - a @ centre) / norms) == pytest.approx(
+            cheb.x[2], abs=1e-12)
+        assert dom.volume() == pytest.approx(area, rel=1e-12)
+        # the redundant row has no side; the others close up, each ending
+        # where another starts, with the polygon on their left
+        sides = dom.sides()
+        assert len(sides) == b.size - 1
+        ends = np.array([[base + lo * along, base + hi * along]
+                         for _, base, along, lo, hi in sides])
+        gaps = np.linalg.norm(ends[:, 1, None] - ends[None, :, 0], axis=2)
+        assert np.all(np.sort(gaps, axis=1)[:, 0] <= 1e-12)
+        assert np.all(np.sort(gaps, axis=1)[:, 1] > 1e-6)
+        for _, base, along, _, _ in sides:
+            rel = centre - base
+            assert along[0] * rel[1] - along[1] * rel[0] > 0
+
+
+def test_sides_of_a_planar_box():
+    box = Domain.box([-1.0, 0.0], [1.0, 0.5])
+    ends = [(base + lo * along, base + hi * along)
+            for _, base, along, lo, hi in box.sides()]
+    np.testing.assert_array_equal(
+        ends, [[[1.0, 0.0], [1.0, 0.5]], [[1.0, 0.5], [-1.0, 0.5]],
+               [[-1.0, 0.5], [-1.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]]])
+    for dom in (Domain.ball([0.0, 0.0], 1.0), Domain.box([0.0], [1.0])):
+        with pytest.raises(DomainError):
+            dom.sides()
 
 
 def _sample_whole(domain, rng, count):
@@ -421,6 +536,19 @@ def test_weight_positivity_validation(interval):
         WeightFunction.affine_x([-2.0], offset=0.5).validate_positive(interval)
     with pytest.raises(WeightError):
         WeightFunction.constant(0.0)
+
+
+def test_weight_positivity_is_checked_on_the_region():
+    # each weight is negative at a corner of the region's bounding box but
+    # positive on the region: least 0.1 on the triangle, at its vertex
+    # (0, 0), and 1.2 - 0.8 sqrt(2) on the disc
+    WeightFunction.affine_x([-0.9, -0.9], 1.0).validate_positive(_triangle())
+    WeightFunction.affine_x([0.8, 0.8], 1.2).validate_positive(
+        Domain.ball([0.0, 0.0], 1.0))
+    # 1 - x vanishes at the vertex (1, 0) alone
+    with pytest.raises(WeightError):
+        WeightFunction.affine_x([-1.0, 0.0], 1.0).validate_positive(
+            _triangle())
 
 
 def test_weight_config_round_trip():

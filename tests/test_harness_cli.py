@@ -259,6 +259,15 @@ def test_three_dimensional_function_is_exit_2(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_one_dimensional_polytope_is_exit_2(tmp_path, capsys):
+    # a polytope is a polygon; an interval is written as a box
+    cfg = _write_cfg(tmp_path, function={
+        "catalog_id": "quadratic", "parameters": {},
+        "domain": {"kind": "polytope", "a": [[1.0], [-1.0]], "b": [1.0, 0.0]}})
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "planar" in capsys.readouterr().err
+
+
 def test_zador_verb_stays_n_generic(capsys):
     # zador estimates delta(n, p) in any dimension; above two there is no
     # reference to compare with
@@ -452,6 +461,31 @@ def test_import_leaves_out_scipy_integrate_and_optimize():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_triangle_envelope_leaves_out_scipy_optimize():
+    # a polygon's bounding box and center come from its sides, not from
+    # linear programs
+    import maxaffine
+
+    src = os.path.dirname(os.path.dirname(maxaffine.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import sys, maxaffine as mx\n"
+        "tri = mx.Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],"
+        " [0.0, 0.0, 1.0])\n"
+        "f = mx.catalog_entry('cosh_quadratic', {}, tri)\n"
+        "w = mx.WeightFunction.exp_neg_t()\n"
+        "l = mx.build_approximation(f, w, 2.0, 16, 'greedy_insertion',"
+        " cloud_size=2000)\n"
+        "assert mx.weighted_lp_error(f, l, 2.0, w).value > 0\n"
+        "print('scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_public_api_resolves():

@@ -25,7 +25,7 @@ from maxaffine import (allocate_budget, build_approximation, partition_domain,
 from maxaffine.approximator import _law_density, _probe_lattice
 from maxaffine.functionals import law_exponents
 from maxaffine.quadrature import tensor_nodes
-from maxaffine.convex_core import DomainError, rowdot
+from maxaffine.convex_core import rowdot
 from maxaffine.quantizer import (_SLACK, _BoundedAssigner, _assign,
                                  _fps_select, _generic_cell_update)
 from conftest import rng_for
@@ -270,6 +270,22 @@ def test_quantizer_objective_reports_match():
                                QuadratureSpec(kind="tensor_grid", level=512))
     assert grid.value == pytest.approx(exact, rel=1e-6)
     assert np.isfinite(grid.error_bar)
+
+
+def test_polygon_objective_is_an_integral():
+    # with no density the objective is the polygon's area times the cloud
+    # average, as on a box or ball, so it estimates the integral that an
+    # independent sample and a grid give
+    tri = Domain.polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                          [0.0, 0.0, 1.0])
+    ps = quantize(tri, None, QuantizerConfig(m=8, seed=0))
+    mc = quantizer_objective(tri, None, np.eye(2), 1.0, ps.points,
+                             QuadratureSpec(kind="monte_carlo",
+                                            samples=200_000, seed=3))
+    grid = quantizer_objective(tri, None, np.eye(2), 1.0, ps.points,
+                               QuadratureSpec(kind="tensor_grid", level=256))
+    assert ps.objective == pytest.approx(mc.value, rel=0.02)
+    assert mc.value == pytest.approx(grid.value, rel=0.02)
 
 
 def test_empty_cell_reseeding_recovers():
@@ -885,11 +901,7 @@ def _draw_cloud_whole(region, density, count, rng):
     lo, hi = region.bounding_box()
     box_vol = float(np.prod(hi - lo))
     if density is None:
-        pts = region.sample(rng, count)
-        try:
-            return pts, region.volume()
-        except DomainError:  # no closed form (polytopes)
-            return pts, None
+        return region.sample(rng, count), region.volume()
 
     # envelope constant from a probe lattice, with headroom
     probe = lo + rng.random((4096, region.dim)) * (hi - lo)
