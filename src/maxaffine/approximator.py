@@ -190,6 +190,7 @@ _HALF_ORDER = 12                    # nodes per half-cell of the split rule
 _FD_STEP = 1e-7                     # Jacobian difference step, per unit length
 _MAX_NEWTON = 60                    # damped Newton steps per solve
 _QUANTILE_GRID = 4097               # trapezoid nodes of the quantile start
+_EPS = np.finfo(float).eps
 
 
 def _interval(f):
@@ -208,7 +209,7 @@ def _crossings(t, v, g):
     return num / den
 
 
-def _split_cell_halves(f, omega, p, t, interval):
+def _split_cell_halves(f, omega, p, t, interval, bound=False):
     """Per-cell integrals of (f - l_j)^(p-1) |x - t_j| omega for the
     tangents at sorted t, split at t_j.
 
@@ -218,11 +219,13 @@ def _split_cell_halves(f, omega, p, t, interval):
     q_j^(p-1) omega is what the rule sees.
 
     Returns shape (cells, 2): the left and right halves.  A half of zero
-    width adds 0; where the gap vanishes the term is 0.
+    width adds 0; where the gap vanishes the term is 0.  With ``bound``,
+    also the bound on the gap's rounding (``_halves``).
     """
     ft = f.value(t.reshape(-1, 1))
     gt = f.gradient(t.reshape(-1, 1))[:, 0]
-    return _halves(f, omega, p, t, ft, gt, _half_widths(t, ft, gt, interval))
+    return _halves(f, omega, p, t, ft, gt, _half_widths(t, ft, gt, interval),
+                   bound)
 
 
 def _half_widths(t, ft, gt, interval):
@@ -233,9 +236,11 @@ def _half_widths(t, ft, gt, interval):
                      np.concatenate([inner, [b]]) - t], axis=1)
 
 
-def _residual_floor(f, p, t, halves, interval):
-    """How far one ulp of rounding in each crossing of the tangents at
-    sorted t moves each cell's residual.
+def _residual_floor(f, p, t, halves, interval, gap):
+    """Each cell's rounding floor: how far one ulp of rounding in each
+    crossing of the tangents at sorted t moves its residual, plus ``gap``,
+    the bound on the rounding of the gap f - l_j inside it that
+    ``_split_cell_halves(..., bound=True)`` returns with the halves.
 
     The crossing of tangents j and j + 1 rounds by eps (|f(t_j)| +
     |f(t_{j+1})| + |t_j f'(t_j)| + |t_{j+1} f'(t_{j+1})|) / (f'(t_{j+1}) -
@@ -247,17 +252,32 @@ def _residual_floor(f, p, t, halves, interval):
     gt = f.gradient(t.reshape(-1, 1))[:, 0]
     h = _half_widths(t, ft, gt, interval)
     size = np.abs(ft) + np.abs(t * gt)
-    slip = (np.finfo(float).eps * (size[:-1] + size[1:])
-            / (gt[1:] - gt[:-1]))
+    slip = _EPS * (size[:-1] + size[1:]) / (gt[1:] - gt[:-1])
     shift = np.stack([np.concatenate([[0.0], slip]),
                       np.concatenate([slip, [0.0]])], axis=1)
     rate = np.divide(2.0 * p * halves, h, out=np.zeros_like(h), where=h > 0)
-    return np.sum(rate * shift, axis=1)
+    return np.sum(rate * shift, axis=1) + gap
 
 
-def _halves(f, omega, p, t, ft, gt, h):
+def _halves(f, omega, p, t, ft, gt, h, bound=False):
     """The split-cell rule for tangents (t, ft, gt) whose halves have
-    widths h, shape (cells, 2); a negative width counts as 0.
+    widths h, shape (cells, 2); a negative width counts as 0.  With
+    ``bound``, also returns per cell how far the rounding of the gap can
+    move its residual (0 for p = 1).
+
+    For p != 1 the kernel raises the gap f(x) - f(t_j) - f'(t_j) dx to
+    the power p - 1, and next to t_j the gap cancels.  It is formed with
+    dx = x - t_j at the node x where f was evaluated.  Take f(x), f(t_j)
+    and f'(t_j) within one ulp (eps relative) and each operation within
+    half of one.  At one node, the rounding of f(x), of the product, of
+    the two subtractions and of dx and dx^2 moves the kernel by at most
+    |p - 1| eps (|f(t_j)| + 2.5 |f'(t_j) dx| + 3.5 gap) / gap of itself,
+    to first order, as |f(x)| <= |f(t_j)| + |f'(t_j) dx| + gap; the nodes
+    add up with the rule's weights.  f(t_j) and f'(t_j) are shared by the cell's
+    nodes.  One slip of f(t_j) moves each half by |p - 1| eps |f(t_j)|
+    times its sum of kernel / gap, and so the residual, right minus left,
+    by their difference.  One slip of f'(t_j) goes with dx, whose sign
+    differs between the halves, and adds up over both.
 
     An omega that jumps lists where in ``omega.jumps``.  A half with jumps
     inside takes the rule only up to the one nearest t_j; the rest is cut
@@ -267,33 +287,50 @@ def _halves(f, omega, p, t, ft, gt, h):
     h = np.maximum(h, 0.0)
 
     def kernel(tj, fj, gj, dx):
-        # ((f - l_j) / (x - t_j)^2)^(p-1) omega at x = t_j + dx
+        # ((f - l_j) / (x - t_j)^2)^(p-1) omega at x = t_j + dx and, with
+        # bound, that over the gap, alone and times |x - t_j|
         nodes = tj + dx
         fx = f.value(nodes.reshape(-1, 1)).reshape(nodes.shape)
         w = np.asarray(omega(nodes.reshape(-1, 1), fx.reshape(-1)),
                        dtype=float).reshape(nodes.shape)
-        if e != 0.0:
-            gap = fx - fj - gj * dx
-            pos = gap > 0
-            q = np.where(pos, gap, 1.0) / np.where(pos, dx * dx, 1.0)
-            w = np.where(pos, q ** e * w, 0.0)
-        return w
+        if e == 0.0:
+            return w, ()
+        dx = nodes - tj
+        gap = fx - fj - gj * dx
+        pos = gap > 0
+        gap = np.where(pos, gap, 1.0)
+        w = np.where(pos, (gap / np.where(pos, dx * dx, 1.0)) ** e * w, 0.0)
+        return w, ((w / gap, w / gap * np.abs(dx)) if bound else ())
 
     near, seg = _jump_segments(t, h, getattr(omega, "jumps", ()))
     u, wts = _jacobi01(_HALF_ORDER, beta)
     dx = np.array([-1.0, 1.0])[:, None] * near[:, :, None] * u
-    out = kernel(t[:, None, None], ft[:, None, None], gt[:, None, None],
-                 dx) @ wts * near ** (beta + 1.0)
+    scale = near ** (beta + 1.0)
+    w, extra = kernel(t[:, None, None], ft[:, None, None], gt[:, None, None],
+                      dx)
+    out = w @ wts * scale
+    # numpy's own loops: a BLAS product this long would wake OpenBLAS's
+    # worker threads
+    sums = [np.einsum("...k,k->...", v, wts) * scale for v in extra]
     if seg is not None:
         half, lo, hi = seg
         x, wl = _gauss01(_HALF_ORDER)
         dist = lo[:, None] + (hi - lo)[:, None] * x
         j = half // 2
         dx = np.where(half % 2, 1.0, -1.0)[:, None] * dist
-        vals = kernel(t[j, None], ft[j, None], gt[j, None], dx) * dist ** beta
-        out += np.bincount(half, (vals @ wl) * (hi - lo),
-                           minlength=out.size).reshape(out.shape)
-    return out
+        w, extra = kernel(t[j, None], ft[j, None], gt[j, None], dx)
+        for total, vals in zip([out, *sums], [w, *extra]):
+            total += np.bincount(half, ((vals * dist ** beta) @ wl)
+                                 * (hi - lo),
+                                 minlength=out.size).reshape(out.shape)
+    if not bound:
+        return out
+    if e == 0.0:
+        return out, np.zeros(t.size)
+    lean, lever = sums
+    return out, abs(e) * _EPS * (
+        2.0 * np.abs(ft) * lean.max(axis=1)
+        + 3.5 * (np.abs(gt) * lever.sum(axis=1) + out.sum(axis=1)))
 
 
 def _jump_segments(t, h, jumps):
@@ -326,10 +363,15 @@ def _jump_segments(t, h, jumps):
                                    cuts[:, 1])
 
 
-def stationarity_residual_1d(f, omega, p, t, interval):
+def stationarity_residual_1d(f, omega, p, t, interval, bound=False):
     """Vector of per-cell optimality residuals (zero at a local optimum):
-    the integral over cell j of (f - l_j)^(p-1) (x - t_j) omega."""
-    halves = _split_cell_halves(f, omega, p, t, interval)
+    the integral over cell j of (f - l_j)^(p-1) (x - t_j) omega.  With
+    ``bound``, also the bound on their rounding through the gap
+    (``_halves``)."""
+    halves = _split_cell_halves(f, omega, p, t, interval, bound)
+    if bound:
+        halves, gap = halves
+        return halves[:, 1] - halves[:, 0], gap
     return halves[:, 1] - halves[:, 0]
 
 
@@ -400,25 +442,30 @@ def _newton_polish(f, omega, p, t, interval):
 def _newton(f, omega, p, t, held, interval):
     """Damped Newton on the residuals of the points not held.
 
-    The solve stops once the largest free residual is within 1e-12 of its
-    scale, the largest free cell's integral of (f - l_j)^(p-1) |x - t_j|
-    omega at the start, or once every free residual is within its rounding
-    floor (``_residual_floor``), below which no step can be told from
-    noise.  A line search that finds no decrease ends it too.  Returns the
-    points, their residuals, the scale and whether the stop test was met."""
-    halves = _split_cell_halves(f, omega, p, t, interval)
+    Each free cell j has its own threshold thr_j: its rounding floor
+    (``_residual_floor``: the rounding of the crossings and of the gap
+    inside the cell), below which no step can be told from noise, or
+    1e-12 of the solve's scale if that is larger.  The scale is the
+    largest free cell's integral of (f - l_j)^(p-1) |x - t_j| omega at the
+    start.  Progress is measured in one norm, max_j |res_j| / thr_j: the
+    solve stops once it is at most 1, every free residual within its
+    threshold, and a line search takes the first step that lowers it
+    enough.  A line search that finds none ends the solve too.  Returns
+    the points, their residuals, the scale and whether the stop test was
+    met."""
+    halves, gap = _split_cell_halves(f, omega, p, t, interval, bound=True)
     res = halves[:, 1] - halves[:, 0]
     free = ~held
     ref = max(float(np.max(np.sum(halves[free], axis=1), initial=0.0)),
               1e-300)
-    tol = 1e-12 * ref
     a, b = interval
     fixed = np.flatnonzero(held)
     met = False
     for _ in range(_MAX_NEWTON):
-        rnorm = float(np.max(np.abs(res[free]), initial=0.0))
-        met = rnorm <= tol or bool(np.all(np.abs(res[free]) <= _residual_floor(
-            f, p, t, halves, interval)[free]))
+        thr = np.maximum(_residual_floor(f, p, t, halves, interval, gap),
+                         1e-12 * ref)[free]
+        rnorm = float(np.max(np.abs(res[free]) / thr, initial=0.0))
+        met = rnorm <= 1.0
         if met:
             break
         try:
@@ -437,13 +484,13 @@ def _newton(f, omega, p, t, held, interval):
             trial = t - lam * step
             if _ordered(trial, a, b):
                 try:
-                    tres = stationarity_residual_1d(f, omega, p, trial,
-                                                    interval)
+                    tres, tgap = stationarity_residual_1d(
+                        f, omega, p, trial, interval, bound=True)
                 except ValueError:
                     tres = None
-                if tres is not None and np.max(np.abs(tres[free])) <= \
+                if tres is not None and np.max(np.abs(tres[free]) / thr) <= \
                         (1 - 1e-4 * lam) * rnorm:
-                    t, res = trial, tres
+                    t, res, gap = trial, tres, tgap
                     break
             lam /= 2.0
         else:

@@ -213,22 +213,27 @@ def _segment_sums(f, omega, p, seg, slope, offset):
         vals = gap ** p * w
         fine, coarse = (length * np.einsum("ij,ij->i", vals[:, r], wt[:, r])
                         for r in (slice(fine_nodes), slice(fine_nodes, None)))
-        # how far a few ulps of the gap's terms can move the fine rule's
-        # value, at nodes that see the gap: one that reads it as zero
-        # reads the same in both rules, and on an affine stretch of f
-        # (huber's arms) ulps^p would swamp the bar for p < 1
+        # how far rounding can move the fine rule's value; a node that
+        # reads the gap as zero reads the same in both rules
         part = (slice(None), slice(fine_nodes))
-        g = gap[part]
-        ulps = 16 * _EPS * (np.abs(fx[part]) + np.abs(plane[part])
-                            + np.abs(off))
-        fuzz = np.where(g > 0, (g + ulps) ** p
-                        - np.maximum(g - ulps, 0.0) ** p, 0.0) * w[part]
+        fuzz = _gap_fuzz(gap[part], np.abs(fx[part]) + np.abs(plane[part])
+                         + np.abs(off), p) * w[part]
         floor = length * np.einsum("ij,ij->i", fuzz, wt[part])
         bar = np.abs(fine - coarse)
         if p < 1:
             bar = np.maximum(bar, floor)
         out[:, s:s + n] = fine, bar, floor
     return out
+
+
+def _gap_fuzz(gap, size, p):
+    """How far a few ulps of the gap's terms, whose magnitudes add up to
+    ``size``, can move gap^p, where the gap is seen.  Where it reads zero
+    the move is taken as 0: on an affine stretch of f (huber's arms)
+    ulps^p would swamp every bar for p < 1."""
+    ulps = 16 * _EPS * size
+    return np.where(gap > 0, (gap + ulps) ** p
+                    - np.maximum(gap - ulps, 0.0) ** p, 0.0)
 
 
 def exact_1d_piecewise_integral(f, l, p, omega, rel_tol=1e-12):
@@ -721,7 +726,8 @@ def weighted_lp_error(f, l, p, omega, quad=None):
     on an interval, power-diagram cells (:func:`exact_2d_cell_integral`)
     on a planar region.  An explicit ``QuadratureSpec`` selects
     ``tensor_grid`` or ``monte_carlo`` (or ``exact_1d`` in one dimension)
-    instead.
+    instead; a tensor grid's bar is at least how far a few ulps of the
+    gap's terms can move its value.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -741,6 +747,9 @@ def weighted_lp_error(f, l, p, omega, quad=None):
         return exact_1d_piecewise_integral(f, l, p, omega,
                                            rel_tol=quad.rel_tol)
 
+    # a bound on the size of the planes' terms at x
+    slopes, offset = np.abs(l.slopes).max(axis=0), np.abs(l.offsets).max()
+
     def integrand(x):
         pts = as_points(x, f.dim)
         vals = f.value(pts)
@@ -748,6 +757,10 @@ def weighted_lp_error(f, l, p, omega, quad=None):
         w = np.asarray(omega(pts, vals), dtype=float)
         if np.any(w < 0):
             raise WeightError("weight is negative on quadrature nodes")
-        return gap ** p * w
+        if quad.kind != "tensor_grid":
+            return gap ** p * w
+        # the grid's bar counts the gap's rounding, as the cells' do
+        size = np.abs(vals) + np.sum(np.abs(pts) * slopes, axis=1) + offset
+        return np.stack([gap ** p * w, _gap_fuzz(gap, size, p) * w])
 
     return integrate(integrand, f.domain, quad)

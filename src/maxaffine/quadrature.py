@@ -6,7 +6,8 @@ Three kinds are supported, selected by :class:`QuadratureSpec`:
     Composite tensor-product Gauss-Legendre over the bounding box of the
     region (panels per axis = ``level``).  Non-box regions are handled by
     multiplying the integrand with the region indicator.  The error bar is
-    a panel-refinement delta (recompute at half the panel count).
+    a panel-refinement delta (recompute at half the panel count), or the
+    rounding of the values where the integrand reports it, if larger.
 
 ``monte_carlo``
     Stratified jittered sampling over the bounding box on a 2^k per-axis
@@ -19,13 +20,14 @@ Three kinds are supported, selected by :class:`QuadratureSpec`:
 
 The grid and Monte Carlo kinds build and evaluate their nodes in blocks
 of 65,536 rows (:func:`evaluate_rows`), so their memory is bounded by
-the block, plus one value array (and, for the grid, one weight array) of
-8 bytes a node.  All reductions run single threaded (numpy pairwise
+the block, plus 8 bytes a node for each row of values.  No reduction runs
+on BLAS threads (the grid's exactly rounded ``math.fsum``, numpy pairwise
 summation over the whole value array, one ``bincount`` per block of whole
 strata, or one product per Gauss segment), so a fixed spec and seed give
-bit-stable results, whatever the block size.
+bit-stable results, whatever the block size and thread count.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -174,12 +176,16 @@ def evaluate_rows(func, rows, total, step=_ROW_BLOCK, dtype=float):
     ``rows(block)`` builds the rows of the slice ``block``.  The blocks
     go in order, so a random stream drawn inside ``rows`` gives the same
     numbers as one draw of every row, and no temporary of ``func`` grows
-    with ``total``.  Returns the values as one array of ``dtype``.
+    with ``total``.  Returns the values as one array of ``dtype``; a
+    ``func`` whose values have leading axes keeps them, the rows last.
     """
     out = np.empty(total, dtype=dtype)
     for start in range(0, total, step):
         block = slice(start, min(start + step, total))
-        out[block] = func(rows(block))
+        vals = func(rows(block))
+        if start == 0 and np.ndim(vals) > 1:
+            out = np.empty(np.shape(vals)[:-1] + (total,), dtype=dtype)
+        out[..., block] = vals
     return out
 
 
@@ -295,7 +301,10 @@ def integrate(func, domain, spec):
     """Integrate ``func`` (vectorized over (N, n) points) over ``domain``.
 
     ``domain`` is a :class:`maxaffine.convex_core.Domain`.  Points outside
-    non-box domains contribute zero through the indicator.
+    non-box domains contribute zero through the indicator.  On a tensor
+    grid ``func`` may return two rows, its values and how far rounding can
+    move each of them; the bar is then at least the fine grid's sum of the
+    second row.
     """
     lower, upper = domain.bounding_box()
     n = lower.size
@@ -314,7 +323,8 @@ def integrate(func, domain, spec):
         fine, fine_nodes = _tensor_sum(masked, lower, upper, spec.level)
         coarse, coarse_nodes = _tensor_sum(masked, lower, upper,
                                            max(2, spec.level // 2))
-        return ErrorReport(value=fine, error_bar=abs(fine - coarse),
+        return ErrorReport(value=fine[0],
+                           error_bar=max([abs(fine[0] - coarse[0]), *fine[1:]]),
                            nodes_used=fine_nodes + coarse_nodes)
 
     # monte_carlo: per >= 4, as samples >= 1000; the stratum sums come
@@ -339,14 +349,20 @@ def integrate(func, domain, spec):
 
 
 def _tensor_sum(func, lower, upper, level):
-    """Tensor-grid sum of ``func`` at ``level``, with its node count."""
+    """Tensor-grid sums of ``func`` at ``level``, one per row of its
+    values, with the node count.  Each is the exactly rounded sum of the
+    weighted values (``math.fsum``): a BLAS dot product splits a long sum
+    across threads, and its value then depends on the thread count."""
     axes = _tensor_axes(lower, upper, level)
     total = math.prod(x.size for x, _ in axes)
-    weights = np.empty(total)
 
-    def rows(block):
-        nodes, weights[block] = _tensor_rows(axes, block)
-        return nodes
+    def weighted(block):
+        nodes, weights = _tensor_rows(axes, block)
+        return weights * func(nodes)
 
-    vals = evaluate_rows(func, rows, total)
-    return float(np.dot(weights, vals)), total
+    vals = evaluate_rows(weighted, lambda block: block, total)
+    # as Python floats a block at a time, not one list of the whole grid
+    return [math.fsum(itertools.chain.from_iterable(
+        row[start:start + _ROW_BLOCK].tolist()
+        for start in range(0, total, _ROW_BLOCK)))
+        for row in vals.reshape(-1, total)], total

@@ -131,10 +131,9 @@ class QuantizerConfig:
 class PointSet:
     """On a line ``converged`` says whether the exact solve met its stop
     test: every residual within 1e-12 of its scale or within its rounding
-    floor (a solve that stops far short raises ArithmeticError).  For
-    p != 1 the rounding of the gap next to a point can hold residuals above
-    that floor, and it reads False.  ``iterations_used`` is 0 and
-    ``objective_history`` is ``[objective]`` there."""
+    floor (a solve that stops far short raises ArithmeticError).
+    ``iterations_used`` is 0 and ``objective_history`` is ``[objective]``
+    there."""
     points: np.ndarray
     objective: float
     iterations_used: int

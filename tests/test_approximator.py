@@ -196,8 +196,8 @@ def _start_and_floor(f, omega, p, m):
     a, b = -1.0, 1.0
     t = np.clip(quantile_abscissas(f, omega, p, m),
                 a + 1e-12 * (b - a), b - 1e-12 * (b - a))
-    halves = _split_cell_halves(f, omega, p, t, (a, b))
-    floor = approximator._residual_floor(f, p, t, halves, (a, b))
+    halves, gap = _split_cell_halves(f, omega, p, t, (a, b), bound=True)
+    floor = approximator._residual_floor(f, p, t, halves, (a, b), gap)
     return t, halves, halves[:, 1] - halves[:, 0], floor
 
 
@@ -220,28 +220,38 @@ def test_rounding_floor_cannot_stop_a_solve_at_its_start(cid, params, weight,
     assert np.any(np.abs(res) >= 100.0 * floor)
 
 
-def test_newton_stops_at_its_rounding_floor(w_const, monkeypatch):
-    # at m = 1024 the residual bottoms out above 1e-12 of its scale; the
-    # solve must end there, not after line searches that cannot pass
-    f = catalog_entry("cosh_quadratic", {}, Domain.box([-1.0], [1.0]))
-    p, m = 2.0, 1024
+@pytest.mark.parametrize("cid, wid, interval, p, m", [
+    ("cosh_quadratic", "constant", (-1.0, 1.0), 2.0, 1024),
+    # the cells next to x = 0, where the crossings' floor vanishes, once
+    # stalled this solve in a 25-trial line search that could not pass
+    ("quadratic", "exp_neg_t", (0.0, 1.0), 1.0, 256)])
+def test_newton_stops_at_its_rounding_floor(cid, wid, interval, p, m,
+                                            monkeypatch):
+    # the residual bottoms out above 1e-12 of its scale; the solve must
+    # end there, not after line searches that cannot pass
+    f = catalog_entry(cid, {}, Domain.box([interval[0]], [interval[1]]))
+    omega = WeightFunction(wid, {})
     residual = approximator.stationarity_residual_1d
     trials = [0]        # line-search trials of each Newton step
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         if sys._getframe(1).f_code.co_name == "_newton":
             trials[-1] += 1
         elif trials[-1]:            # a Jacobian column opens a new step
             trials.append(0)
-        return residual(*args)
+        return residual(*args, **kwargs)
 
     monkeypatch.setattr(approximator, "stationarity_residual_1d", counted)
-    t = optimal_tangent_abscissas_1d(f, w_const, p, m)
-    assert len(trials) > 1 and max(trials) < 25, trials
-    _, halves, _, _ = _start_and_floor(f, w_const, p, m)
+    t, met = approximator._solve_1d(f, omega, p, m)
+    assert met and len(trials) > 1 and max(trials) < 25, trials
+    a, b = interval
+    start = np.clip(quantile_abscissas(f, omega, p, m),
+                    a + 1e-12 * (b - a), b - 1e-12 * (b - a))
+    halves = _split_cell_halves(f, omega, p, start, interval)
     ref = np.max(np.sum(halves, axis=1))
-    res = residual(f, w_const, p, t, (-1.0, 1.0))
-    floor = approximator._residual_floor(f, p, t, halves, (-1.0, 1.0))
+    res = residual(f, omega, p, t, interval)
+    # the solve gets within the crossings' floor alone
+    floor = approximator._residual_floor(f, p, t, halves, interval, 0.0)
     assert np.all(np.abs(res) <= np.maximum(1e-12 * ref, floor))
 
 

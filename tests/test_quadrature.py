@@ -1,5 +1,10 @@
 """Quadrature backends: tensor Gauss panels, stratified MC, dispatch."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -157,10 +162,10 @@ def _integrate_whole(func, domain, spec):
 
     if spec.kind == "tensor_grid":
         nodes, weights = _tensor_nodes_whole(lower, upper, spec.level)
-        fine = float(np.dot(weights, masked(nodes)))
+        fine = math.fsum(weights * masked(nodes))
         c_level = max(2, spec.level // 2)
         cnodes, cweights = _tensor_nodes_whole(lower, upper, c_level)
-        coarse = float(np.dot(cweights, masked(cnodes)))
+        coarse = math.fsum(cweights * masked(cnodes))
         return ErrorReport(
             value=fine,
             error_bar=abs(fine - coarse),
@@ -278,3 +283,34 @@ def test_block_integrate_matches_whole_array_3d():
                  QuadratureSpec(kind="monte_carlo", samples=100_000, seed=1)):
         assert integrate(func, domain, spec) == _integrate_whole(
             func, domain, spec)
+
+
+_THREADS_PROBE = """
+import maxaffine as mx
+sq = mx.Domain.box([0.0, 0.0], [1.0, 1.0])
+f = mx.catalog_entry("cosh_quadratic", {}, sq)
+omega = mx.WeightFunction.exp_neg_t()
+l = mx.build_approximation(f, omega, 1.5, 16, "uniform_grid")
+err = mx.weighted_lp_error(f, l, 1.5, omega,
+                           mx.QuadratureSpec("tensor_grid", level=128))
+print(mx.weighted_mass(f, 1.5, omega).hex(), err.value.hex(),
+      err.error_bar.hex())
+"""
+
+
+def test_tensor_grid_sums_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product longer than 10,000 across its threads,
+    # so a grid summed by one would read differently on 1 and 2 threads
+    import maxaffine
+
+    src = os.path.dirname(os.path.dirname(maxaffine.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert out[0] == out[1]

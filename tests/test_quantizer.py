@@ -244,6 +244,18 @@ def test_line_converged_reports_the_stop_test(monkeypatch):
     assert not quantize(dom, rho, QuantizerConfig(m=16, p=1.0)).converged
 
 
+@pytest.mark.parametrize("rho, p, m", [
+    *(("exp2x", p, 1024) for p in (0.5, 1.0, 1.5, 2.0)),
+    *(("uniform", 0.5, m) for m in (10, 40, 256, 1024))])
+def test_line_quantize_meets_its_stop_test(rho, p, m):
+    # each of these once ended in a line search that could not pass: the
+    # steps were judged by the largest residual over all cells, and at
+    # p != 1 the floor left out the rounding of the gap
+    density = None if rho == "uniform" else lambda x: np.exp(2.0 * x[:, 0])
+    ps = quantize(Domain.box([0.0], [1.0]), density, QuantizerConfig(m=m, p=p))
+    assert ps.converged
+
+
 def test_zero_density_raises():
     dom = Domain.box([0.0], [1.0])
     with pytest.raises(ValueError):
